@@ -18,10 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
-import mpmath
-import numpy as np
-from scipy import integrate as _sci
-
 from .scalar import ExactScalar, RatLike, gamma_exact, recip_gamma, sphere_area
 from .superpoly import (
     Signature,
@@ -233,8 +229,12 @@ def integrate_superspace(f: SuperPolynomial, gaussian_a: RatLike | None = None) 
 def quad_0_inf(fn: Callable[[float], float], tol: float = 1e-12) -> float:
     """Adaptive quadrature on (0, inf); falls back to tanh-sinh when the
     Gauss-Kronrod error estimate is untrustworthy."""
-    val, err = _sci.quad(fn, 0.0, np.inf, epsabs=tol, epsrel=tol, limit=250)
-    if not np.isfinite(val) or err > max(50 * tol, 1e-8 * abs(val)):
+    import scipy.integrate
+
+    val, err = scipy.integrate.quad(fn, 0.0, math.inf, epsabs=tol, epsrel=tol, limit=250)
+    if not math.isfinite(val) or err > max(50 * tol, 1e-8 * abs(val)):
+        import mpmath
+
         with mpmath.workdps(30):
             val = float(mpmath.quad(lambda t: fn(float(t)), [0, mpmath.inf]))
     return float(val)

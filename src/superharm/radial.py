@@ -206,8 +206,10 @@ class RadialProfile:
 
     @classmethod
     def exponential(cls, a: RatLike = 1) -> "RadialProfile":
-        key = (Fraction(0), 0, _as_fraction(a))
-        return cls(sym=SymbolicTerms({key: ExactScalar.rational(1)}), decay="gaussian")
+        af = _as_fraction(a)
+        key = (Fraction(0), 0, af)
+        decay = "gaussian" if af > 0 else None  # exp(-a u) decays only for a > 0
+        return cls(sym=SymbolicTerms({key: ExactScalar.rational(1)}), decay=decay)
 
     @classmethod
     def polynomial(cls, coeffs: Sequence) -> "RadialProfile":
@@ -225,7 +227,7 @@ class RadialProfile:
             (Fraction(i), 0, af): ExactScalar.rational(c)
             for i, c in enumerate(laguerre_coeffs(j, _as_fraction(q)))
         }
-        return cls(sym=SymbolicTerms(terms), decay="gaussian")
+        return cls(sym=SymbolicTerms(terms), decay="gaussian" if af > 0 else None)
 
     @classmethod
     def from_evaluator(

@@ -14,9 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Mapping, Tuple, Union
-
-import mpmath
+from typing import Dict, List, Mapping, Tuple, Union
 
 RatLike = Union[int, Fraction]
 
@@ -374,6 +372,8 @@ _MP_DPS = 30
 
 @lru_cache(maxsize=100_000)
 def _bessel_j_cached(nu: float, t: float) -> float:
+    import mpmath
+
     with mpmath.workdps(_MP_DPS):
         return float(mpmath.besselj(mpmath.mpf(nu), mpmath.mpf(t)))
 
@@ -392,22 +392,11 @@ def bessel_profile(nu: float, s: float) -> float:
     W_nu(0) = 1/(2^nu Gamma(nu+1)) and  W_nu'(s) = -W_{nu+1}(s)/2."""
     if s < 0:
         raise ValueError("bessel_profile expects s >= 0")
+    import mpmath
+
     with mpmath.workdps(_MP_DPS):
         if s == 0:
             return float(1 / (mpmath.mpf(2) ** nu * mpmath.gamma(nu + 1)))
         r = mpmath.sqrt(mpmath.mpf(s))
         return float(mpmath.besselj(mpmath.mpf(nu), r) / r ** mpmath.mpf(nu))
 
-
-# -- misc --------------------------------------------------------------------
-
-
-def factorial_frac(k: int) -> Fraction:
-    return Fraction(math.factorial(k))
-
-
-def sum_exact(vals: Iterable[ExactScalar]) -> ExactScalar:
-    out = ExactScalar()
-    for v in vals:
-        out = out + v
-    return out

@@ -18,15 +18,15 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
-import scipy.linalg
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .harmonics import dim_harmonics
 from .radial import RadialProfile
 from .scalar import ExactScalar
 from .superpoly import Signature
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RatLike = int | Fraction
 
@@ -145,6 +145,12 @@ class GridSpec:
     nodes: int = 2000
     box: bool = False
 
+    def __post_init__(self):
+        if not (math.isfinite(self.r_max) and self.r_max > 0):
+            raise ValueError(f"grid extent r_max must be finite and positive, got {self.r_max}")
+        if self.nodes < 2:
+            raise ValueError(f"grid needs at least 2 nodes, got {self.nodes}")
+
 
 def _fd_eigenvalues(problem: RadialProblem, r_max: float, nodes: int, count: int) -> np.ndarray:
     """Lowest eigenvalues of the sector equation
@@ -153,6 +159,9 @@ def _fd_eigenvalues(problem: RadialProblem, r_max: float, nodes: int, count: int
     Flux form with weight w = r^{Meff-1}, symmetrized by phi -> sqrt(w) phi;
     cell centers at (i+1/2)h keep the origin off the grid and the zero flux
     through r = 0 encodes the regular branch."""
+    import numpy as np
+    import scipy.linalg
+
     Meff = problem.sector_dimension
     h = r_max / nodes
     centers = (np.arange(nodes) + 0.5) * h

@@ -342,6 +342,8 @@ def _parse_poly_term(term: str, sig: Signature, copies: int) -> SuperPolynomial:
             k, copy = m + idx, 1
         else:
             raise ValueError(f"unknown variable {name!r}")
+        if not 1 <= idx <= (m if kind in "xy" else 2 * n):
+            raise ValueError(f"variable {name!r} not in R^{{{m}|{2 * n}}}")
         if copy == 1:
             if copies == 1:
                 raise ValueError("y/g variables need the doubled algebra")
@@ -403,22 +405,6 @@ def pairing(sig: Signature) -> SuperPolynomial:
         mask2 = (1 << (2 * j + 1)) | (1 << (2 * n + 2 * j))      # f_{2j} g_{2j-1}
         terms[(zeros, mask1)] = ExactScalar.rational(Fraction(-1, 2))
         terms[(zeros, mask2)] = ExactScalar.rational(Fraction(1, 2))
-    return SuperPolynomial(sig, terms, 2)
-
-
-def fermi_pairing(sig: Signature) -> SuperPolynomial:
-    """The anticommuting part of the pairing alone."""
-    return pairing(sig) - _bosonic_pairing(sig)
-
-
-def _bosonic_pairing(sig: Signature) -> SuperPolynomial:
-    m = sig.m
-    terms: Dict[TermKey, ExactScalar] = {}
-    for i in range(m):
-        bos = [0] * (2 * m)
-        bos[i] = 1
-        bos[m + i] = 1
-        terms[(tuple(bos), 0)] = ExactScalar.rational(1)
     return SuperPolynomial(sig, terms, 2)
 
 

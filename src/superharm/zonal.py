@@ -22,9 +22,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
-import scipy.integrate
-import scipy.special
-
 from .grassmann import NumericGrassmann, fermi_norm_sq, fermi_pow
 from .harmonics import UnsupportedSignatureError
 from .radial import RadialProfile, compose_value, radial_expand
@@ -166,6 +163,8 @@ def funk_hecke_poly(
 
 @lru_cache(maxsize=64)
 def _jacobi_rule(nn: int, a: float) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    import scipy.special
+
     nodes, weights = scipy.special.roots_jacobi(nn, a, a)
     return tuple(nodes), tuple(weights)
 
@@ -173,6 +172,8 @@ def _jacobi_rule(nn: int, a: float) -> Tuple[Tuple[float, ...], Tuple[float, ...
 def _legendre_kernel(l: int, M: int, t: float) -> float:
     """Gegenbauer-family polynomial normalized to 1 at t = 1, via the Jacobi
     form so the M = 2 (Chebyshev) case needs no limit handling."""
+    import scipy.special
+
     a = (M - 3) / 2.0
     norm = float(binom_frac(Fraction(M - 3, 2) + l, l))
     return float(scipy.special.eval_jacobi(l, a, a, t)) / norm
@@ -300,6 +301,8 @@ def hankel(nu, psi: RadialProfile, u: float, tol: float = 1e-10) -> float:
         raise ValueError("order must exceed -1/2")
     if psi.decay != "gaussian":
         raise NonIntegrableError("profile decay metadata does not ensure convergence")
+    import scipy.integrate
+
     val, err = scipy.integrate.quad(
         lambda r: psi(r * r) * bessel_profile(nu, (r * u) ** 2) * r ** (2 * nu + 1),
         0.0,
@@ -314,17 +317,6 @@ def hankel(nu, psi: RadialProfile, u: float, tol: float = 1e-10) -> float:
 def fourier_bessel(nu, psi: RadialProfile, u2: float, tol: float = 1e-10) -> float:
     """The transform in the squared variable: value at u2 = u^2."""
     return hankel(nu, psi, math.sqrt(u2), tol)
-
-
-def fourier_bessel_profile(nu, psi: RadialProfile, j_max: int, tol: float = 1e-10) -> RadialProfile:
-    """The transform as a radial profile: derivative order j costs one Bessel
-    order shift, d/du F_nu = -(1/2) F_{nu+1}."""
-    nu = float(nu)
-
-    def fn(j: int, u: float) -> float:
-        return (-0.5) ** j * fourier_bessel(nu + j, psi, u, tol)
-
-    return RadialProfile.from_evaluator(fn, j_max=j_max, decay="gaussian")
 
 
 # -- oscillator eigenfunctions ------------------------------------------------
@@ -410,6 +402,8 @@ def bochner_oracle(
     """Direct route for cross-checking: superpolar decomposition of the
     Fourier integral, radial quadrature over the sphere transform of the
     exp(ivt) kernel at each radius (the nested two-quadrature chain)."""
+    import scipy.special
+
     M = sig.superdim
     n = sig.n
     xs, ws = scipy.special.roots_legendre(nodes)

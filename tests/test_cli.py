@@ -1,9 +1,14 @@
 """Command-line front end: output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import superharm
 from superharm import cli
 
 
@@ -52,9 +57,11 @@ def test_pizzetti_degenerate_area_is_zero(capsys):
 
 
 def test_pizzetti_bad_polynomial(capsys):
-    code, out = run(["pizzetti", "--m", "2", "--n", "1", "--poly", "x9^2"], capsys)
-    assert code == 2
-    assert "error" in json.loads(out)
+    # x4 on R^{3|2} used to be read as f1 and integrate to 0
+    for m, poly in (("2", "x9^2"), ("3", "x4"), ("3", "f3"), ("3", "x1 f0")):
+        code, out = run(["pizzetti", "--m", m, "--n", "1", "--poly", poly], capsys)
+        assert code == 2, poly
+        assert "error" in json.loads(out)
 
 
 def test_fischer_classical_blocks(capsys):
@@ -115,11 +122,13 @@ def test_bochner_gaussian_self_reciprocal(capsys):
 
 
 def test_bochner_rejects_growth(capsys):
-    code, out = run(
-        ["bochner", "--m", "3", "--n", "0", "--k", "0", "--profile", "poly([0,1])"], capsys
-    )
-    assert code == 2
-    assert json.loads(out)["error"]["type"] == "non-integrable"
+    # exp(a) with a <= 0 used to count as decaying: a wrong value, or an OverflowError
+    for n, k, profile in (("0", "0", "poly([0,1])"), ("1", "1", "exp(0)"), ("1", "1", "exp(-1)")):
+        code, out = run(
+            ["bochner", "--m", "3", "--n", n, "--k", k, "--profile", profile], capsys
+        )
+        assert code == 2, profile
+        assert json.loads(out)["error"]["type"] == "non-integrable"
 
 
 def test_reduce_integral_gaussian_branches(capsys):
@@ -214,6 +223,19 @@ def test_spectrum_numeric_needs_confinement(capsys):
     assert "box" in json.loads(out)["error"]["message"]
 
 
+@pytest.mark.parametrize("grid", [["--rmax", "-5"], ["--rmax", "0"], ["--rmax", "nan"],
+                                  ["--rmax", "inf"], ["--nodes", "1"]])
+def test_spectrum_rejects_bad_grid(grid, capsys):
+    code, out = run(
+        ["spectrum", "--m", "3", "--n", "0", "--V", "poly([0,1/2])", "--jmax", "1",
+         "--kmax", "1", "--box"] + grid, capsys
+    )
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "invalid-config"
+    assert "grid" in error["message"]
+
+
 # -- configuration limits and output files ------------------------------------
 
 
@@ -255,3 +277,41 @@ def test_verify_subset_deterministic(capsys):
     assert first == second
     names = [s["suite"] for s in json.loads(first)["suites"]]
     assert names == sorted(names)
+
+
+# -- import boundary ----------------------------------------------------------
+
+_HEAVY_PROBE = """
+import contextlib, io, json, sys
+import superharm, superharm.cli
+heavy = ("numpy", "scipy", "mpmath")
+report = {"import": {"exit": 0, "loaded": [m for m in heavy if m in sys.modules]}}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = superharm.cli.main(argv)
+    report[" ".join(argv)] = {"exit": code, "loaded": [m for m in heavy if m in sys.modules]}
+print(json.dumps(report))
+"""
+
+
+def test_exact_commands_load_no_numeric_stack():
+    # a fresh interpreter: this test process has numpy loaded already
+    sig = ["--m", "3", "--n", "1"]
+    commands = [
+        ["dims"] + sig + ["--k", "2"],
+        ["pizzetti"] + sig + ["--poly", "x1^2 f1 f2 + 1"],
+        ["fischer"] + sig + ["--poly", "x1^2"],
+        ["funk-hecke"] + sig + ["--k", "2", "--l", "0"],
+        ["fundsol"] + sig + ["--l", "1"],
+        ["spectrum"] + sig + ["--V", "osc", "--jmax", "2", "--kmax", "2"],
+    ]
+    src = str(Path(superharm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _HEAVY_PROBE, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert len(report) == len(commands) + 1
+    assert all(step == {"exit": 0, "loaded": []} for step in report.values()), report
