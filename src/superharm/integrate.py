@@ -227,17 +227,36 @@ def integrate_superspace(f: SuperPolynomial, gaussian_a: RatLike | None = None) 
 
 
 def quad_0_inf(fn: Callable[[float], float], tol: float = 1e-12) -> float:
-    """Adaptive quadrature on (0, inf); falls back to tanh-sinh when the
-    Gauss-Kronrod error estimate is untrustworthy."""
-    import scipy.integrate
+    """Integral of fn over (0, inf) by tanh-sinh quadrature (mpmath, 15 digits).
 
-    val, err = scipy.integrate.quad(fn, 0.0, math.inf, epsabs=tol, epsrel=tol, limit=250)
-    if not math.isfinite(val) or err > max(50 * tol, 1e-8 * abs(val)):
-        import mpmath
+    mpmath's error estimate is absolute and capped at 1.0, the value a
+    divergent integral comes back with.  When the first pass gives |value| > 1,
+    a second pass integrates fn / |value|, so that the estimate is relative.
+    Raises NonIntegrableError when the integrand overflows, the value is not
+    finite, or the estimate of the last pass exceeds
+    max(50 tol, 1e-8 min(1, |value|)) in its units.
+    """
+    import mpmath
 
-        with mpmath.workdps(30):
-            val = float(mpmath.quad(lambda t: fn(float(t)), [0, mpmath.inf]))
-    return float(val)
+    def tanh_sinh(scale: float) -> Tuple[float, float]:
+        try:
+            with mpmath.workdps(15):
+                val, err = mpmath.quad(lambda t: fn(float(t)) / scale, [0, mpmath.inf], error=True)
+        except OverflowError as exc:
+            raise NonIntegrableError(f"integrand overflows on (0, inf): {exc}") from exc
+        return float(val), float(err)
+
+    scale = 1.0
+    val, err = tanh_sinh(scale)
+    if math.isfinite(val) and abs(val) > 1.0:
+        scale = abs(val)
+        val, err = tanh_sinh(scale)
+    if not math.isfinite(val) or err > max(50 * tol, 1e-8 * min(1.0, abs(val))):
+        raise NonIntegrableError(
+            f"integral over (0, inf) did not converge (value {val * scale:.3g}, "
+            f"error estimate {err * scale:.1g})"
+        )
+    return val * scale
 
 
 # -- dimensional continuation (radial split of the full-space integral) -------

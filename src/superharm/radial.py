@@ -120,7 +120,10 @@ class SymbolicTerms:
         total = 0.0
         lu = math.log(u)
         for (b, d, a), c in self.terms.items():
-            total += c.to_float() * u ** float(b) * lu**d * math.exp(-float(a) * u)
+            damping = math.exp(-float(a) * u)
+            if damping == 0.0:
+                continue  # below the float range; u^b alone may overflow here
+            total += c.to_float() * u ** float(b) * lu**d * damping
         return total
 
     def value_exact_at_zero(self) -> Optional[ExactScalar]:
@@ -163,7 +166,7 @@ class SymbolicTerms:
             if d:
                 s += f" log^{d}" if d > 1 else " log"
             if a:
-                s += f" e^(-{a}u)"
+                s += f" e^(-{a}u)" if a > 0 else f" e^({-a}u)"
             parts.append(s)
         return " + ".join(parts)
 
@@ -352,9 +355,14 @@ class RadialProfile:
 
     def __mul__(self, other):
         if isinstance(other, RadialProfile):
-            a, b = self._need_sym("*"), other._need_sym("*")
-            decay = "gaussian" if "gaussian" in (self.decay, other.decay) else self.decay
-            return RadialProfile(sym=a * b, decay=decay)
+            prod = self._need_sym("*") * other._need_sym("*")
+            if all(a > 0 for _, _, a in prod.terms):
+                decay = "gaussian"  # every term carries exp(-a u) with a > 0
+            elif "gaussian" in (self.decay, other.decay):
+                decay = None
+            else:
+                decay = self.decay
+            return RadialProfile(sym=prod, decay=decay)
         return RadialProfile(sym=self._need_sym("*").scale(other), decay=self.decay)
 
     __rmul__ = __mul__

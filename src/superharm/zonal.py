@@ -24,6 +24,7 @@ from typing import List, Sequence, Tuple
 
 from .grassmann import NumericGrassmann, fermi_norm_sq, fermi_pow
 from .harmonics import UnsupportedSignatureError
+from .integrate import NonIntegrableError, quad_0_inf
 from .radial import RadialProfile, compose_value, radial_expand
 from .scalar import (
     ExactScalar,
@@ -38,10 +39,6 @@ from .scalar import (
 from .superpoly import Signature, SuperPolynomial, pairing, r_squared
 
 RatLike = int | Fraction
-
-
-class NonIntegrableError(ValueError):
-    """Integrand decay metadata rules out the requested transform."""
 
 
 class TruncationError(ValueError):
@@ -295,23 +292,25 @@ def funk_hecke_apply(
 
 def hankel(nu, psi: RadialProfile, u: float, tol: float = 1e-10) -> float:
     """Hankel-type transform of the squared-variable profile psi:
-    Int_0^inf psi(r^2) (J_nu(ru)/(ru)^nu) r^{2nu+1} dr."""
+    Int_0^inf psi(r^2) (J_nu(ru)/(ru)^nu) r^{2nu+1} dr, by integrate.quad_0_inf.
+
+    Raises NonIntegrableError when psi is not labelled Gaussian or the
+    quadrature does not converge.  The integrand skips the Bessel factor where
+    psi(r^2) == 0.0: J_nu(t)/t^nu is bounded for nu > -1/2.
+    """
     nu = float(nu)
     if nu <= -0.5:
         raise ValueError("order must exceed -1/2")
     if psi.decay != "gaussian":
         raise NonIntegrableError("profile decay metadata does not ensure convergence")
-    import scipy.integrate
 
-    val, err = scipy.integrate.quad(
-        lambda r: psi(r * r) * bessel_profile(nu, (r * u) ** 2) * r ** (2 * nu + 1),
-        0.0,
-        math.inf,
-        epsabs=tol,
-        epsrel=tol,
-        limit=200,
-    )
-    return val
+    def integrand(r: float) -> float:
+        p = psi(r * r)
+        if p == 0.0:
+            return 0.0
+        return p * bessel_profile(nu, (r * u) ** 2) * r ** (2 * nu + 1)
+
+    return quad_0_inf(integrand, tol)
 
 
 def fourier_bessel(nu, psi: RadialProfile, u2: float, tol: float = 1e-10) -> float:
@@ -374,12 +373,10 @@ def bochner_transform(
 ) -> NumericGrassmann:
     """Fourier transform of H_k(x) psi(R^2): (+-i)^k H_k(y) F_{k+M/2-1}[psi](R_y^2),
     assembled from the Hankel transform and the fermionic expansion of the
-    transform profile."""
+    transform profile; raises NonIntegrableError where hankel does."""
     M = sig.superdim
     if M <= 1:
         raise ValueError("transform reduction needs M > 1")
-    if psi.decay != "gaussian":
-        raise NonIntegrableError("profile decay metadata does not ensure convergence")
     n = sig.n
     nu = k + M / 2.0 - 1.0
     ry = math.sqrt(sum(c * c for c in ycoords))

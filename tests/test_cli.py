@@ -138,6 +138,12 @@ def test_reduce_integral_gaussian_branches(capsys):
     code, out = run(["reduce-integral", "--m", "3", "--n", "1", "--profile", "exp(1)"], capsys)
     assert code == 0
     assert json.loads(out)["value"] == "pi^(1/2)"
+    # divergent integrals on the quadrature branches used to print 5.4e171 and
+    # 1.4e102, and e^u to raise OverflowError
+    for m, n, profile in (("3", "0", "pow(1)"), ("1", "1", "pow(-1)"), ("3", "0", "exp(-1)")):
+        code, out = run(["reduce-integral", "--m", m, "--n", n, "--profile", profile], capsys)
+        assert code == 2, profile
+        assert json.loads(out)["error"]["type"] == "non-integrable"
 
 
 def test_fundsol_normalization(capsys):
@@ -295,7 +301,6 @@ print(json.dumps(report))
 
 
 def test_exact_commands_load_no_numeric_stack():
-    # a fresh interpreter: this test process has numpy loaded already
     sig = ["--m", "3", "--n", "1"]
     commands = [
         ["dims"] + sig + ["--k", "2"],
@@ -305,6 +310,27 @@ def test_exact_commands_load_no_numeric_stack():
         ["fundsol"] + sig + ["--l", "1"],
         ["spectrum"] + sig + ["--V", "osc", "--jmax", "2", "--kmax", "2"],
     ]
+    report = _probe_imports(commands)
+    assert len(report) == len(commands) + 1
+    assert all(step == {"exit": 0, "loaded": []} for step in report.values()), report
+
+
+def test_half_line_commands_load_mpmath_only():
+    # the Hankel transform and the reduced integral integrate on (0, inf) with mpmath
+    commands = [
+        ["bochner", "--m", "3", "--n", "1", "--k", "1", "--profile", "exp(1/2)"],
+        ["reduce-integral", "--m", "1", "--n", "1", "--profile", "exp(1)"],
+    ]
+    report = _probe_imports(commands)
+    assert len(report) == len(commands) + 1
+    for argv, step in zip(commands, list(report.values())[1:]):
+        assert step["exit"] == 0, argv
+        assert "numpy" not in step["loaded"] and "scipy" not in step["loaded"], (argv, step)
+
+
+def _probe_imports(commands):
+    """Run the commands in one fresh interpreter (this test process has numpy
+    loaded already) and report the heavy modules loaded after each step."""
     src = str(Path(superharm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
@@ -312,6 +338,4 @@ def test_exact_commands_load_no_numeric_stack():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
-    assert len(report) == len(commands) + 1
-    assert all(step == {"exit": 0, "loaded": []} for step in report.values()), report
+    return json.loads(proc.stdout)

@@ -20,6 +20,7 @@ from superharm.superpoly import (
 from superharm.harmonics import harmonic_basis
 from superharm.integrate import (
     DegenerateDegreeError,
+    NonIntegrableError,
     dimensional_continuation_check,
     greens_check,
     integrate_superspace,
@@ -302,3 +303,6 @@ def test_reduced_integral_gaussian_all_branches(sig):
 
 def test_quadrature_helper_known_integral():
     assert abs(quad_0_inf(lambda v: math.exp(-v * v)) - math.sqrt(math.pi) / 2) < 1e-12
+    # a divergent integral comes back with mpmath's capped error estimate
+    with pytest.raises(NonIntegrableError):
+        quad_0_inf(lambda v: v**4)

@@ -57,6 +57,9 @@ def test_profile_parse_round_trip():
         assert p.sym is not None
         q = RadialProfile.parse(t)
         assert (p - q).is_zero
+    assert RadialProfile.parse("exp(1/2)").to_text() == "1 e^(-1/2u)"
+    # a negative rate is a growing exponential, printed without a doubled sign
+    assert RadialProfile.parse("exp(-2)").to_text() == "1 e^(2u)"
     with pytest.raises(ValueError):
         RadialProfile.parse("sinh(1)")
     with pytest.raises(ValueError):
@@ -499,3 +502,10 @@ def test_reduce_integral_moments():
 
     got = reduce_integral(RadialProfile.exponential(1), Signature(1, 1), 1e-10)
     assert abs(_tofl(got) - math.pi**-0.5) < 1e-12
+
+    # u^9 e^{-u}: far quadrature nodes must not overflow u^9, and the value
+    # 4 pi Gamma(21/2) / 2 ~ 7e6 needs a relative error estimate
+    prof = RadialProfile.power(9) * RadialProfile.exponential(1)
+    got = reduce_integral(prof, Signature(3, 0), 1e-10)
+    want = 2 * math.pi * math.gamma(10.5)
+    assert abs(_tofl(got) - want) < 1e-12 * want

@@ -205,6 +205,9 @@ def test_hankel_zero_argument_finite():
 def test_hankel_divergence_gating():
     with pytest.raises(Z.NonIntegrableError):
         Z.hankel(0.5, RadialProfile.power(Fraction(1)), 1.0)
+    # e^{-u} e^{2u} = e^u grows: labelled Gaussian, it used to raise OverflowError
+    with pytest.raises(Z.NonIntegrableError):
+        Z.hankel(0.5, RadialProfile.exponential(1) * RadialProfile.exponential(-2), 1.0)
     with pytest.raises(ValueError):
         Z.hankel(-0.7, RadialProfile.exponential(Fraction(1, 2)), 1.0)
 
