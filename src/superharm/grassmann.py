@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Dict, Union
 
 from .scalar import ExactScalar, RatLike
+from .sparse import Sparse
 
 
 def blade_sign(mask_a: int, mask_b: int) -> int:
@@ -44,10 +45,13 @@ def derivative_sign(mask: int, bit: int) -> int:
     return -1 if (mask & ((1 << bit) - 1)).bit_count() & 1 else 1
 
 
-class GrassmannElement:
+class GrassmannElement(Sparse):
     """Element of the Grassmann algebra on ``ngen`` generators, exact coefficients."""
 
-    __slots__ = ("ngen", "terms")
+    __slots__ = ("ngen",)
+    _space = ("ngen",)
+    _scalars = (int, Fraction, ExactScalar)
+    _key_mul = staticmethod(blade_mul)
 
     def __init__(self, ngen: int, terms: Dict[int, ExactScalar] | None = None):
         self.ngen = ngen
@@ -71,56 +75,6 @@ class GrassmannElement:
             raise ValueError(f"generator {j} out of range 1..{ngen}")
         return cls(ngen, {1 << (j - 1): ExactScalar.rational(1)})
 
-    def _check(self, other: "GrassmannElement"):
-        if self.ngen != other.ngen:
-            raise ValueError("mixing Grassmann algebras of different rank")
-
-    def __add__(self, other: "GrassmannElement") -> "GrassmannElement":
-        self._check(other)
-        out = dict(self.terms)
-        for mask, c in other.terms.items():
-            out[mask] = out.get(mask, ExactScalar()) + c
-        return GrassmannElement(self.ngen, out)
-
-    def __neg__(self):
-        return GrassmannElement(self.ngen, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            c = ExactScalar.coerce(other)
-            return GrassmannElement(self.ngen, {m: v * c for m, v in self.terms.items()})
-        self._check(other)
-        out: Dict[int, ExactScalar] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                sm = blade_mul(ma, mb)
-                if sm is None:
-                    continue
-                sign, mask = sm
-                add = ca * cb if sign > 0 else -(ca * cb)
-                out[mask] = out.get(mask, ExactScalar()) + add
-        return GrassmannElement(self.ngen, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, GrassmannElement):
-            return NotImplemented
-        return self.ngen == other.ngen and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.ngen, tuple(sorted((m, c) for m, c in self.terms.items()))))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coeff(self, mask: int) -> ExactScalar:
         return self.terms.get(mask, ExactScalar())
 
@@ -137,18 +91,17 @@ class GrassmannElement:
         return " + ".join(bits)
 
 
-def fermi_derivative(e: GrassmannElement, j: int) -> GrassmannElement:
-    """Left derivative with respect to generator j (1-based)."""
+def fermi_derivative(e, j: int):
+    """Left derivative with respect to generator j (1-based), on either
+    Grassmann class; distinct blades stay distinct, so no term cancels."""
     if not 1 <= j <= e.ngen:
         raise ValueError(f"generator {j} out of range 1..{e.ngen}")
     bit = j - 1
-    out: Dict[int, ExactScalar] = {}
-    for mask, c in e.terms.items():
-        if not mask >> bit & 1:
-            continue
-        s = derivative_sign(mask, bit)
-        out[mask ^ (1 << bit)] = c if s > 0 else -c
-    return GrassmannElement(e.ngen, out)
+    return e._with({
+        mask ^ (1 << bit): c if derivative_sign(mask, bit) > 0 else -c
+        for mask, c in e.terms.items()
+        if mask >> bit & 1
+    })
 
 
 def fermi_norm_sq(n: int) -> GrassmannElement:
@@ -203,10 +156,13 @@ def berezin_via_laplacian(e: GrassmannElement, n: int) -> ExactScalar:
 # -- numeric twin ------------------------------------------------------------
 
 
-class NumericGrassmann:
+class NumericGrassmann(Sparse):
     """Same algebra with complex coefficients, for quadrature-level work."""
 
-    __slots__ = ("ngen", "terms")
+    __slots__ = ("ngen",)
+    _space = ("ngen",)
+    _scalars = (int, float, complex)
+    _key_mul = staticmethod(blade_mul)
 
     def __init__(self, ngen: int, terms: Dict[int, complex] | None = None, tol: float = 0.0):
         self.ngen = ngen
@@ -224,33 +180,6 @@ class NumericGrassmann:
     @classmethod
     def from_exact(cls, e: GrassmannElement) -> "NumericGrassmann":
         return cls(e.ngen, {m: complex(c.to_float()) for m, c in e.terms.items()})
-
-    def __add__(self, other: "NumericGrassmann") -> "NumericGrassmann":
-        out = dict(self.terms)
-        for mask, c in other.terms.items():
-            out[mask] = out.get(mask, 0j) + c
-        return NumericGrassmann(self.ngen, out)
-
-    def __neg__(self):
-        return NumericGrassmann(self.ngen, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return NumericGrassmann(self.ngen, {m: v * other for m, v in self.terms.items()})
-        out: Dict[int, complex] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                sm = blade_mul(ma, mb)
-                if sm is None:
-                    continue
-                sign, mask = sm
-                out[mask] = out.get(mask, 0j) + sign * ca * cb
-        return NumericGrassmann(self.ngen, out)
-
-    __rmul__ = __mul__
 
     def coeff(self, mask: int) -> complex:
         return self.terms.get(mask, 0j)

@@ -25,36 +25,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .grassmann import (
-    NumericGrassmann,
-    derivative_sign,
-    fermi_norm_sq,
-    fermi_pow,
-)
+from .grassmann import NumericGrassmann, fermi_derivative, fermi_norm_sq, fermi_pow
 from .harmonics import UnsupportedSignatureError
-from .scalar import ExactScalar, gamma_exact, laguerre_coeffs
+from .scalar import ExactScalar, RatLike, _as_fraction, gamma_exact, laguerre_coeffs
+from .sparse import Sparse
 from .superpoly import Signature, SuperPolynomial, euler, r_squared
-
-RatLike = int | Fraction
 
 # term key: (beta, delta, a) represents u^beta * log(u)^delta * exp(-a u)
 ProfileKey = Tuple[Fraction, int, Fraction]
 
 
-def _as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _coerce_scalar(c) -> ExactScalar:
-    if isinstance(c, ExactScalar):
-        return c
-    return ExactScalar.rational(_as_fraction(c))
-
-
-class SymbolicTerms:
+class SymbolicTerms(Sparse):
     """Exact linear combination over the closed profile family."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Dict[ProfileKey, ExactScalar] | None = None):
         self.terms: Dict[ProfileKey, ExactScalar] = {}
@@ -63,38 +47,14 @@ class SymbolicTerms:
                 if not c.is_zero:
                     self.terms[key] = c
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "SymbolicTerms") -> "SymbolicTerms":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, ExactScalar()) + c
-        return SymbolicTerms(out)
-
-    def __neg__(self) -> "SymbolicTerms":
-        return SymbolicTerms({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "SymbolicTerms") -> "SymbolicTerms":
-        return self + (-other)
-
-    def scale(self, c) -> "SymbolicTerms":
-        c = c if isinstance(c, ExactScalar) else _coerce_scalar(c)
-        return SymbolicTerms({k: v * c for k, v in self.terms.items()})
-
-    def __mul__(self, other: "SymbolicTerms") -> "SymbolicTerms":
-        out: Dict[ProfileKey, ExactScalar] = {}
-        for (b1, d1, a1), c1 in self.terms.items():
-            for (b2, d2, a2), c2 in other.terms.items():
-                key = (b1 + b2, d1 + d2, a1 + a2)
-                out[key] = out.get(key, ExactScalar()) + c1 * c2
-        return SymbolicTerms(out)
+    @staticmethod
+    def _key_mul(ka: ProfileKey, kb: ProfileKey):
+        return 1, (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2])
 
     def mul_power(self, delta_beta: RatLike) -> "SymbolicTerms":
         """Multiply by u^{delta_beta}."""
         db = _as_fraction(delta_beta)
-        return SymbolicTerms({(b + db, d, a): c for (b, d, a), c in self.terms.items()})
+        return self._with({(b + db, d, a): c for (b, d, a), c in self.terms.items()})
 
     def derivative(self) -> "SymbolicTerms":
         out: Dict[ProfileKey, ExactScalar] = {}
@@ -175,52 +135,47 @@ class RadialProfile:
     """Scalar radial profile with derivative access.
 
     Either exact-symbolic (``sym``) or numeric (``fn`` mapping (order, u) to
-    h^{(order)}(u), valid up to ``j_max``).  ``decay`` is coarse metadata for
-    integrability decisions: "gaussian", "polynomial", "power" or None.
+    h^{(order)}(u), valid up to ``j_max``).
     """
 
-    __slots__ = ("sym", "fn", "j_max", "decay")
+    __slots__ = ("sym", "fn", "j_max")
 
     def __init__(
         self,
         sym: SymbolicTerms | None = None,
         fn: Callable[[int, float], float] | None = None,
         j_max: int | None = None,
-        decay: str | None = None,
     ):
         if (sym is None) == (fn is None):
             raise ValueError("exactly one of sym/fn required")
         self.sym = sym
         self.fn = fn
         self.j_max = j_max  # None means unlimited (symbolic)
-        self.decay = decay
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def power(cls, alpha: RatLike) -> "RadialProfile":
         key = (_as_fraction(alpha), 0, Fraction(0))
-        return cls(sym=SymbolicTerms({key: ExactScalar.rational(1)}), decay="power")
+        return cls(sym=SymbolicTerms({key: ExactScalar.rational(1)}))
 
     @classmethod
     def power_log(cls, alpha: RatLike) -> "RadialProfile":
         key = (_as_fraction(alpha), 1, Fraction(0))
-        return cls(sym=SymbolicTerms({key: ExactScalar.rational(1)}), decay="power")
+        return cls(sym=SymbolicTerms({key: ExactScalar.rational(1)}))
 
     @classmethod
     def exponential(cls, a: RatLike = 1) -> "RadialProfile":
-        af = _as_fraction(a)
-        key = (Fraction(0), 0, af)
-        decay = "gaussian" if af > 0 else None  # exp(-a u) decays only for a > 0
-        return cls(sym=SymbolicTerms({key: ExactScalar.rational(1)}), decay=decay)
+        key = (Fraction(0), 0, _as_fraction(a))
+        return cls(sym=SymbolicTerms({key: ExactScalar.rational(1)}))
 
     @classmethod
     def polynomial(cls, coeffs: Sequence) -> "RadialProfile":
         terms = {
-            (Fraction(i), 0, Fraction(0)): _coerce_scalar(c)
+            (Fraction(i), 0, Fraction(0)): ExactScalar.coerce(c)
             for i, c in enumerate(coeffs)
         }
-        return cls(sym=SymbolicTerms(terms), decay="polynomial")
+        return cls(sym=SymbolicTerms(terms))
 
     @classmethod
     def laguerre_exp(cls, j: int, q: RatLike, a: RatLike = Fraction(1, 2)) -> "RadialProfile":
@@ -230,17 +185,17 @@ class RadialProfile:
             (Fraction(i), 0, af): ExactScalar.rational(c)
             for i, c in enumerate(laguerre_coeffs(j, _as_fraction(q)))
         }
-        return cls(sym=SymbolicTerms(terms), decay="gaussian" if af > 0 else None)
+        return cls(sym=SymbolicTerms(terms))
 
     @classmethod
     def from_evaluator(
-        cls, fn: Callable[[int, float], float], j_max: int, decay: str | None = None
+        cls, fn: Callable[[int, float], float], j_max: int
     ) -> "RadialProfile":
-        return cls(fn=fn, j_max=j_max, decay=decay)
+        return cls(fn=fn, j_max=j_max)
 
     @classmethod
     def zero(cls) -> "RadialProfile":
-        return cls(sym=SymbolicTerms(), decay="polynomial")
+        return cls(sym=SymbolicTerms())
 
     # -- serialization of the tagged closed-family forms ----------------------
 
@@ -298,14 +253,13 @@ class RadialProfile:
 
     def derivative(self) -> "RadialProfile":
         if self.sym is not None:
-            return RadialProfile(sym=self.sym.derivative(), decay=self.decay)
+            return RadialProfile(sym=self.sym.derivative())
         if self.j_max is not None and self.j_max < 1:
             raise ValueError("derivative order unavailable (declared max 0)")
         fn = self.fn
         return RadialProfile(
             fn=lambda j, u: fn(j + 1, u),
             j_max=None if self.j_max is None else self.j_max - 1,
-            decay=self.decay,
         )
 
     # -- exact hooks (duck-typed by the integral reduction) -------------------
@@ -342,34 +296,24 @@ class RadialProfile:
         return self.sym
 
     def __add__(self, other: "RadialProfile") -> "RadialProfile":
-        return RadialProfile(
-            sym=self._need_sym("+") + other._need_sym("+"),
-            decay=self.decay if self.decay == other.decay else None,
-        )
+        return RadialProfile(sym=self._need_sym("+") + other._need_sym("+"))
 
     def __sub__(self, other: "RadialProfile") -> "RadialProfile":
         return self + (-other)
 
     def __neg__(self) -> "RadialProfile":
-        return RadialProfile(sym=-self._need_sym("-"), decay=self.decay)
+        return RadialProfile(sym=-self._need_sym("-"))
 
     def __mul__(self, other):
         if isinstance(other, RadialProfile):
-            prod = self._need_sym("*") * other._need_sym("*")
-            if all(a > 0 for _, _, a in prod.terms):
-                decay = "gaussian"  # every term carries exp(-a u) with a > 0
-            elif "gaussian" in (self.decay, other.decay):
-                decay = None
-            else:
-                decay = self.decay
-            return RadialProfile(sym=prod, decay=decay)
-        return RadialProfile(sym=self._need_sym("*").scale(other), decay=self.decay)
+            return RadialProfile(sym=self._need_sym("*") * other._need_sym("*"))
+        return RadialProfile(sym=self._need_sym("*").scale(other))
 
     __rmul__ = __mul__
 
     def mul_power(self, delta: RatLike) -> "RadialProfile":
         """Multiply by u^{delta} (also the exact division route for u-powers)."""
-        return RadialProfile(sym=self._need_sym("u^k*").mul_power(delta), decay=self.decay)
+        return RadialProfile(sym=self._need_sym("u^k*").mul_power(delta))
 
     def to_text(self) -> str:
         if self.sym is not None:
@@ -408,6 +352,16 @@ class RadialSuperfunction:
         return out
 
 
+def fermionic_expansion(values: Sequence[complex], n: int) -> NumericGrassmann:
+    """sum_j (-1)^j x'^{2j}/j! values[j] on 2n generators: the fermionic
+    Taylor assembly of a profile from its derivatives values[j] at r^2."""
+    out = NumericGrassmann(2 * n)
+    for j in range(n + 1):
+        blade = NumericGrassmann.from_exact(fermi_pow(fermi_norm_sq(n), j))
+        out = out + blade * (((-1) ** j / math.factorial(j)) * values[j])
+    return out
+
+
 def radial_expand(h: RadialProfile, sig: Signature, r: float) -> NumericGrassmann:
     """Grassmann-valued evaluation of h(R^2) at bosonic radius r > 0."""
     if r <= 0:
@@ -416,12 +370,7 @@ def radial_expand(h: RadialProfile, sig: Signature, r: float) -> NumericGrassman
     if h.j_max is not None and h.j_max < n:
         raise ValueError(f"derivative order {n} unavailable (declared max {h.j_max})")
     u = r * r
-    out = NumericGrassmann(2 * n)
-    for j in range(n + 1):
-        cj = ((-1) ** j / math.factorial(j)) * h.eval_deriv(j, u)
-        blade = NumericGrassmann.from_exact(fermi_pow(fermi_norm_sq(n), j))
-        out = out + blade * cj
-    return out
+    return fermionic_expansion([h.eval_deriv(j, u) for j in range(n + 1)], n)
 
 
 def radial_power(sig: Signature, alpha: RatLike) -> RadialSuperfunction:
@@ -483,7 +432,6 @@ def laplacian_profile(h: RadialProfile, M: int) -> RadialProfile:
     return RadialProfile(
         fn=lambda j, u: 4.0 * u * fn(j + 2, u) + (4 * j + 2 * M) * fn(j + 1, u),
         j_max=None if h.j_max is None else h.j_max - 2,
-        decay=h.decay,
     )
 
 
@@ -508,15 +456,6 @@ def laplacian_commutator_apply(
 # -- orthosymplectic invariance ----------------------------------------------
 
 
-def _nfermi_derivative(v: NumericGrassmann, j: int) -> NumericGrassmann:
-    bit = j - 1
-    out: Dict[int, complex] = {}
-    for mask, c in v.terms.items():
-        if mask >> bit & 1:
-            out[mask ^ (1 << bit)] = c * derivative_sign(mask, bit)
-    return NumericGrassmann(v.ngen, out)
-
-
 def _radial_lower_gradient(
     h: RadialProfile, sig: Signature, coords: Sequence[float]
 ) -> List[NumericGrassmann]:
@@ -530,9 +469,9 @@ def _radial_lower_gradient(
         comps.append(vprime * (2.0 * coords[k]))
     for j in range(1, 2 * n + 1):
         if j % 2 == 1:
-            comps.append(_nfermi_derivative(v, j + 1) * 2.0)
+            comps.append(fermi_derivative(v, j + 1) * 2.0)
         else:
-            comps.append(_nfermi_derivative(v, j - 1) * (-2.0))
+            comps.append(fermi_derivative(v, j - 1) * (-2.0))
     return comps
 
 

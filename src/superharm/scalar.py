@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Mapping, Tuple, Union
 
+from .sparse import Sparse
+
 RatLike = Union[int, Fraction]
 
 
@@ -31,13 +33,13 @@ def _as_fraction(q: RatLike) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(q).__name__}")
 
 
-class ExactScalar:
+class ExactScalar(Sparse):
     """A finite sum  sum_s q_s * pi^(s/2)  (s integer, q_s rational, no zero terms).
 
     Immutable in practice: never mutate ``terms`` after construction.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[int, RatLike] | None = None):
         clean: Dict[int, Fraction] = {}
@@ -69,10 +71,6 @@ class ExactScalar:
     # -- predicates / extraction -----------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def is_rational(self) -> bool:
         return set(self.terms) <= {0}
 
@@ -89,35 +87,18 @@ class ExactScalar:
     __float__ = to_float
 
     # -- ring operations ---------------------------------------------------
+    # ints and Fractions are lifted to rational scalars
 
-    def __add__(self, other):
-        other = ExactScalar.coerce(other)
-        out = dict(self.terms)
-        for s, q in other.terms.items():
-            out[s] = out.get(s, Fraction(0)) + q
-        return ExactScalar(out)
+    _compat = coerce
+    __radd__ = Sparse.__add__
+    __rmul__ = Sparse.__mul__
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ExactScalar({s: -q for s, q in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-ExactScalar.coerce(other))
+    @staticmethod
+    def _key_mul(s1: int, s2: int):
+        return 1, s1 + s2
 
     def __rsub__(self, other):
-        return ExactScalar.coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = ExactScalar.coerce(other)
-        out: Dict[int, Fraction] = {}
-        for s1, q1 in self.terms.items():
-            for s2, q2 in other.terms.items():
-                s = s1 + s2
-                out[s] = out.get(s, Fraction(0)) + q1 * q2
-        return ExactScalar(out)
-
-    __rmul__ = __mul__
+        return -self + other
 
     def __truediv__(self, other):
         other = ExactScalar.coerce(other)
@@ -126,7 +107,7 @@ class ExactScalar:
                 "can only divide by a nonzero monomial scalar q*pi^(s/2)"
             )
         ((s0, q0),) = other.terms.items()
-        return ExactScalar({s - s0: q / q0 for s, q in self.terms.items()})
+        return self._with({s - s0: q / q0 for s, q in self.terms.items()})
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -135,16 +116,6 @@ class ExactScalar:
         for _ in range(k):
             out = out * self
         return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ExactScalar.rational(other)
-        if not isinstance(other, ExactScalar):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
 
     # -- text form ---------------------------------------------------------
     # Grammar (round-trip exact):   scalar := term ('+' term)*
@@ -350,19 +321,6 @@ def binom_frac(top: RatLike, k: int) -> Fraction:
     """binom(top, k) = (top-k+1)_k / k! for rational top, exact."""
     top = _as_fraction(top)
     return pochhammer(top - k + 1, k) / math.factorial(k)
-
-
-def jacobi_p_m(l: int, M: int, t: float) -> float:
-    """Legendre-type kernel polynomial: C_l^{((M-2)/2)}(t) / binom(l+M-3, l).
-
-    Normalized so the value at t=1 is 1; this is the weight-side polynomial of
-    the one-dimensional Funk-Hecke reduction.  Requires the normalizing binomial
-    to be nonzero, i.e. M > 2 - l.
-    """
-    denom = binom_frac(Fraction(l + M - 3), l)
-    if denom == 0:
-        raise ValueError(f"normalizing binomial C({l + M - 3},{l}) vanishes (M={M}, l={l})")
-    return gegenbauer(l, (M - 2) / 2.0, t) / float(denom)
 
 
 # -- Bessel ------------------------------------------------------------------

@@ -22,13 +22,11 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .harmonics import dim_harmonics
 from .radial import RadialProfile
-from .scalar import ExactScalar
+from .scalar import ExactScalar, RatLike
 from .superpoly import Signature
 
 if TYPE_CHECKING:
     import numpy as np
-
-RatLike = int | Fraction
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 from .grassmann import NumericGrassmann, blade_mul, derivative_sign
 from .scalar import ExactScalar, RatLike
+from .sparse import Sparse
 
 TermKey = Tuple[Tuple[int, ...], int]
 
@@ -60,8 +61,10 @@ class Signature:
         return f"R^({self.m}|{2 * self.n})"
 
 
-class SuperPolynomial:
-    __slots__ = ("sig", "copies", "terms")
+class SuperPolynomial(Sparse):
+    __slots__ = ("sig", "copies")
+    _space = ("sig", "copies")
+    _scalars = (int, Fraction, ExactScalar)
 
     def __init__(self, sig: Signature, terms: Dict[TermKey, "ExactScalar | RatLike"] | None = None,
                  copies: int = 1):
@@ -108,10 +111,6 @@ class SuperPolynomial:
 
     # -- bookkeeping -------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coeff(self, bos: Sequence[int], mask: int) -> ExactScalar:
         return self.terms.get((tuple(bos), mask), ExactScalar())
 
@@ -137,52 +136,19 @@ class SuperPolynomial:
         parts: Dict[int, Dict[TermKey, ExactScalar]] = {}
         for key, c in self.terms.items():
             parts.setdefault(self._deg(key, copy), {})[key] = c
-        return {d: SuperPolynomial(self.sig, t, self.copies) for d, t in sorted(parts.items())}
+        return {d: self._with(t) for d, t in sorted(parts.items())}
 
     def map_coeffs(self, fn) -> "SuperPolynomial":
         return SuperPolynomial(self.sig, {k: fn(c) for k, c in self.terms.items()}, self.copies)
 
     # -- ring operations ---------------------------------------------------
 
-    def _compat(self, other: "SuperPolynomial"):
-        if self.sig != other.sig or self.copies != other.copies:
-            raise ValueError("polynomials live on different coordinate sets")
-
-    def __add__(self, other: "SuperPolynomial") -> "SuperPolynomial":
-        self._compat(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, ExactScalar()) + c
-        return SuperPolynomial(self.sig, out, self.copies)
-
-    def __neg__(self):
-        return SuperPolynomial(self.sig, {k: -c for k, c in self.terms.items()}, self.copies)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            c = ExactScalar.coerce(other)
-            return SuperPolynomial(self.sig, {k: v * c for k, v in self.terms.items()}, self.copies)
-        self._compat(other)
-        out: Dict[TermKey, ExactScalar] = {}
-        for (ba, ma), ca in self.terms.items():
-            for (bb, mb), cb in other.terms.items():
-                sm = blade_mul(ma, mb)
-                if sm is None:
-                    continue
-                sign, mask = sm
-                bos = tuple(a + b for a, b in zip(ba, bb))
-                add = ca * cb if sign > 0 else -(ca * cb)
-                key = (bos, mask)
-                out[key] = out.get(key, ExactScalar()) + add
-        return SuperPolynomial(self.sig, out, self.copies)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            return self * other
-        return NotImplemented
+    @staticmethod
+    def _key_mul(ka: TermKey, kb: TermKey):
+        sm = blade_mul(ka[1], kb[1])
+        if sm is None:
+            return None
+        return sm[0], (tuple(a + b for a, b in zip(ka[0], kb[0])), sm[1])
 
     def __pow__(self, p: int):
         if p < 0:
@@ -195,14 +161,6 @@ class SuperPolynomial:
             base = base * base if p > 1 else base
             p >>= 1
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, SuperPolynomial):
-            return NotImplemented
-        return (self.sig, self.copies, self.terms) == (other.sig, other.copies, other.terms)
-
-    def __hash__(self):
-        return hash((self.sig, self.copies, tuple(sorted(self.terms.items()))))
 
     # -- evaluation --------------------------------------------------------
 
@@ -420,13 +378,9 @@ def dbos(f: SuperPolynomial, i: int, copy: int = 0) -> SuperPolynomial:
     out: Dict[TermKey, ExactScalar] = {}
     for (bos, mask), c in f.terms.items():
         e = bos[pos]
-        if not e:
-            continue
-        nb = list(bos)
-        nb[pos] = e - 1
-        key = (tuple(nb), mask)
-        out[key] = out.get(key, ExactScalar()) + c * e
-    return SuperPolynomial(f.sig, out, f.copies)
+        if e:
+            out[(bos[:pos] + (e - 1,) + bos[pos + 1:], mask)] = c * e
+    return f._with(out)
 
 
 def dferm(f: SuperPolynomial, j: int, copy: int = 0) -> SuperPolynomial:
@@ -435,14 +389,11 @@ def dferm(f: SuperPolynomial, j: int, copy: int = 0) -> SuperPolynomial:
     if not 1 <= j <= 2 * n:
         raise ValueError(f"fermionic index {j} out of range")
     bit = copy * 2 * n + j - 1
-    out: Dict[TermKey, ExactScalar] = {}
-    for (bos, mask), c in f.terms.items():
-        if not mask >> bit & 1:
-            continue
-        s = derivative_sign(mask, bit)
-        key = (bos, mask ^ (1 << bit))
-        out[key] = out.get(key, ExactScalar()) + (c if s > 0 else -c)
-    return SuperPolynomial(f.sig, out, f.copies)
+    return f._with({
+        (bos, mask ^ (1 << bit)): c if derivative_sign(mask, bit) > 0 else -c
+        for (bos, mask), c in f.terms.items()
+        if mask >> bit & 1
+    })
 
 
 def mul_coordinate(f: SuperPolynomial, k: int, copy: int = 0) -> SuperPolynomial:
@@ -519,12 +470,9 @@ def laplacian(f: SuperPolynomial, copy: int = 0) -> SuperPolynomial:
 
 def euler(f: SuperPolynomial, copy: int = 0) -> SuperPolynomial:
     """Degree operator sum X_k d_{X_k}: multiplies each term by its degree."""
-    out: Dict[TermKey, ExactScalar] = {}
-    for key, c in f.terms.items():
-        d = f._deg(key, copy)
-        if d:
-            out[key] = c * d
-    return SuperPolynomial(f.sig, out, f.copies)
+    return f._with({
+        key: c * d for key, c in f.terms.items() if (d := f._deg(key, copy))
+    })
 
 
 def laplace_beltrami(f: SuperPolynomial, copy: int = 0) -> SuperPolynomial:

@@ -22,12 +22,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
-from .grassmann import NumericGrassmann, fermi_norm_sq, fermi_pow
+from .grassmann import NumericGrassmann
 from .harmonics import UnsupportedSignatureError
 from .integrate import NonIntegrableError, quad_0_inf
-from .radial import RadialProfile, compose_value, radial_expand
+from .radial import RadialProfile, compose_value, fermionic_expansion, radial_expand
 from .scalar import (
     ExactScalar,
+    RatLike,
     bessel_profile,
     binom_frac,
     gamma_exact,
@@ -37,8 +38,6 @@ from .scalar import (
     sphere_area,
 )
 from .superpoly import Signature, SuperPolynomial, pairing, r_squared
-
-RatLike = int | Fraction
 
 
 class TruncationError(ValueError):
@@ -192,7 +191,10 @@ def funk_hecke_alpha_numeric(
 ) -> List[complex]:
     """alpha_{M,l}[phi] and its first ``n_der`` derivatives (with respect to
     the squared argument) at radius u, by differentiated Gauss-Jacobi
-    quadrature against the weight (1 - t^2)^{(M-3)/2}.  M > 1 only."""
+    quadrature against the weight (1 - t^2)^{(M-3)/2}.  M > 1 only.
+
+    Raises TruncationError when four doublings of the 64-node rule leave the
+    last two values further apart than ``tol``."""
     if M <= 1:
         raise ValueError("sphere-transform quadrature needs M > 1")
     if u <= 0 or u > phi.a:
@@ -240,17 +242,9 @@ def funk_hecke_alpha_numeric(
         ):
             return cur
         prev = cur
-    return prev
-
-
-def _grassmann_expansion(values: Sequence[complex], n: int) -> NumericGrassmann:
-    """sum_k (-1)^k x'^{2k}/k! values[k] on 2n generators (the fermionic
-    Taylor assembly used for profile-level results)."""
-    out = NumericGrassmann(2 * n)
-    for k in range(n + 1):
-        blade = NumericGrassmann.from_exact(fermi_pow(fermi_norm_sq(n), k))
-        out = out + blade * (((-1) ** k / math.factorial(k)) * values[k])
-    return out
+    raise TruncationError(
+        f"Gauss-Jacobi quadrature not converged to {tol:g} at {nn} nodes"
+    )
 
 
 def funk_hecke_apply(
@@ -283,7 +277,7 @@ def funk_hecke_apply(
                 fall *= -l / 2.0 - p
             tot = tot + math.comb(j, i) * alphas[i] * fall * v ** (-l / 2.0 - (j - i))
         beta.append(tot)
-    expansion = _grassmann_expansion(beta, n)
+    expansion = fermionic_expansion(beta, n)
     return expansion * H_l.evaluate_bosonic(ycoords)
 
 
@@ -294,15 +288,16 @@ def hankel(nu, psi: RadialProfile, u: float, tol: float = 1e-10) -> float:
     """Hankel-type transform of the squared-variable profile psi:
     Int_0^inf psi(r^2) (J_nu(ru)/(ru)^nu) r^{2nu+1} dr, by integrate.quad_0_inf.
 
-    Raises NonIntegrableError when psi is not labelled Gaussian or the
-    quadrature does not converge.  The integrand skips the Bessel factor where
-    psi(r^2) == 0.0: J_nu(t)/t^nu is bounded for nu > -1/2.
+    Raises NonIntegrableError unless psi is symbolic with every term damped
+    by exp(-a u), a > 0, or when the quadrature does not converge.  The
+    integrand skips the Bessel factor where psi(r^2) == 0.0: J_nu(t)/t^nu is
+    bounded for nu > -1/2.
     """
     nu = float(nu)
     if nu <= -0.5:
         raise ValueError("order must exceed -1/2")
-    if psi.decay != "gaussian":
-        raise NonIntegrableError("profile decay metadata does not ensure convergence")
+    if psi.sym is None or not all(a > 0 for _, _, a in psi.sym.terms):
+        raise NonIntegrableError("profile is not exponentially decaying in every term")
 
     def integrand(r: float) -> float:
         p = psi(r * r)
@@ -382,7 +377,7 @@ def bochner_transform(
     ry = math.sqrt(sum(c * c for c in ycoords))
     v = ry * ry
     values = [(-0.5) ** i * fourier_bessel(nu + i, psi, v, tol) for i in range(n + 1)]
-    expansion = _grassmann_expansion(values, n)
+    expansion = fermionic_expansion(values, n)
     return expansion * H_k.evaluate_bosonic(ycoords) * (sign * 1j) ** k
 
 

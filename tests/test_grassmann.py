@@ -94,6 +94,8 @@ def test_fermi_derivatives_anticommute(ms, cs, j, k):
 def test_derivative_index_range():
     with pytest.raises(ValueError):
         fermi_derivative(gen(2, 1), 3)
+    with pytest.raises(ValueError, match="outside"):
+        GrassmannElement(2, {0b100: 1})
 
 
 # -- the odd norm -------------------------------------------------------------
@@ -179,3 +181,9 @@ def test_numeric_grassmann_power_and_scalar():
     assert sq.coeff((1 << (2 * n)) - 1) == pytest.approx(math.factorial(n))
     zero = nsq.power(n + 1)
     assert all(abs(v) < 1e-15 for v in zero.terms.values())
+    assert (nsq * 0.0).terms == {} and not nsq * 0.0
+    # the numeric twin used to mix ranks silently
+    with pytest.raises(ValueError):
+        NumericGrassmann(2) + NumericGrassmann(4)
+    with pytest.raises(ValueError):
+        nsq * NumericGrassmann.scalar(2 * n + 2, 1.0)

@@ -57,6 +57,7 @@ def test_profile_parse_round_trip():
         assert p.sym is not None
         q = RadialProfile.parse(t)
         assert (p - q).is_zero
+        assert p.sym == q.sym and hash(p.sym) == hash(q.sym)
     assert RadialProfile.parse("exp(1/2)").to_text() == "1 e^(-1/2u)"
     # a negative rate is a growing exponential, printed without a doubled sign
     assert RadialProfile.parse("exp(-2)").to_text() == "1 e^(2u)"

@@ -18,13 +18,13 @@ from superharm.scalar import (
     gamma_exact,
     gegenbauer,
     gegenbauer_coeffs,
-    jacobi_p_m,
     laguerre,
     laguerre_coeffs,
     pochhammer,
     recip_gamma,
     sphere_area,
 )
+from superharm.zonal import _legendre_kernel
 
 H = Fraction(1, 2)
 
@@ -39,6 +39,7 @@ def test_scalar_basic_arithmetic():
     assert c.terms == {0: Fraction(3, 2), 1: Fraction(1)}
     assert (b * b).terms == {2: Fraction(1)}          # sqrt(pi)^2 = pi
     assert (c - c).is_zero
+    assert (c - c).terms == {} and not (c - c) and c
     assert (b * 0).is_zero
 
 
@@ -198,17 +199,11 @@ def test_binom_frac():
 
 
 def test_jacobi_normalized_at_one():
-    # normalization: value 1 at t = 1
-    for l, M in [(0, 3), (1, 3), (2, 3), (3, 4), (2, 5)]:
-        assert jacobi_p_m(l, M, 1.0) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_jacobi_vanishing_binom_raises():
-    # binom(l+M-3, l) vanishes exactly when 3-l <= M <= 2
-    with pytest.raises(ValueError):
-        jacobi_p_m(2, 1, 0.5)      # binom(0, 2) = 0
-    with pytest.raises(ValueError):
-        jacobi_p_m(3, 2, 0.5)      # binom(2, 3) = 0
+    # normalization: value 1 at t = 1, including the Chebyshev case M = 2
+    for l, M in [(0, 3), (1, 3), (2, 3), (3, 4), (2, 5), (0, 2), (3, 2)]:
+        assert _legendre_kernel(l, M, 1.0) == pytest.approx(1.0, rel=1e-12)
+    # M = 2 is T_l itself
+    assert _legendre_kernel(3, 2, 0.5) == pytest.approx(4 * 0.5**3 - 3 * 0.5, rel=1e-12)
 
 
 # -- Bessel -------------------------------------------------------------------

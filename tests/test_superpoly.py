@@ -56,6 +56,17 @@ def test_signature_validation():
         Signature(0, 1)
     assert Signature(3, 1).superdim == 1
     assert Signature(2, 2).total_vars == 6
+    sig = Signature(2, 1)
+    with pytest.raises(ValueError, match="length"):
+        SuperPolynomial(sig, {((1,), 0): 1})
+    with pytest.raises(ValueError, match="outside"):
+        SuperPolynomial(sig, {((0, 0), 0b100): 1})
+    # results never store a zero coefficient, and zero is falsy
+    x1, f1 = SuperPolynomial.coordinate(sig, 1), SuperPolynomial.coordinate(sig, 3)
+    assert (x1 - x1).terms == {} and (f1 * f1).terms == {}
+    assert not (x1 - x1) and x1
+    with pytest.raises(ValueError):
+        x1 + SuperPolynomial.coordinate(Signature(3, 1), 1)
 
 
 def test_parse_and_to_text_round_trip():

@@ -141,6 +141,11 @@ def test_alpha_numeric_rejects():
     boxed = Z.ZonalProfile.from_evaluator(lambda i, t: 1.0, 4, a=0.5)
     with pytest.raises(ValueError):
         Z.funk_hecke_alpha_numeric(3, 0, boxed, 0.8, 0)
+    # |t|^(1/2) has a kink at 0 that Gauss-Jacobi does not resolve: the last
+    # iterate (8.377710 against 16 pi/3 = 8.377580) must not come back silently
+    kinked = Z.ZonalProfile.from_evaluator(lambda i, t: abs(t) ** 0.5, 0)
+    with pytest.raises(Z.TruncationError):
+        Z.funk_hecke_alpha_numeric(3, 0, kinked, 1.0, 0)
 
 
 def test_apply_matches_polynomial_route():
@@ -210,6 +215,13 @@ def test_hankel_divergence_gating():
         Z.hankel(0.5, RadialProfile.exponential(1) * RadialProfile.exponential(-2), 1.0)
     with pytest.raises(ValueError):
         Z.hankel(-0.7, RadialProfile.exponential(Fraction(1, 2)), 1.0)
+    # decay is read off the terms: a zero profile, symbolic or scaled, transforms to 0
+    assert Z.hankel(0.5, RadialProfile.polynomial([0]), 1.0) == 0.0
+    assert Z.hankel(0.5, RadialProfile.exponential(1) * 0, 1.0) == 0.0
+    for flat in (RadialProfile.exponential(0), RadialProfile.exponential(-1),
+                 RadialProfile.exponential(1) + RadialProfile.polynomial([1])):
+        with pytest.raises(Z.NonIntegrableError):
+            Z.hankel(0.5, flat, 1.0)
 
 
 # -- oscillator eigenfunctions ------------------------------------------------
