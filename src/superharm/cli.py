@@ -99,8 +99,8 @@ _ERROR_SLUGS = {
 }
 
 
-def _error_payload(exc: Exception) -> dict:
-    slug = _ERROR_SLUGS.get(type(exc).__name__, "invalid-config")
+def _error_payload(exc: Exception, fallback: str = "invalid-config") -> dict:
+    slug = _ERROR_SLUGS.get(type(exc).__name__, fallback)
     return {"error": {"type": slug, "message": str(exc)}}
 
 
@@ -418,8 +418,11 @@ def main(argv=None) -> int:
         cfg = _config_from(args)
         payload, passed, fmt = _DISPATCH[args.command](cfg, args)
         text = _render(payload, fmt)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         _write(_render(_error_payload(exc), "json"), out)
+        return 2
+    except Exception as exc:
+        _write(_render(_error_payload(exc, "internal-error"), "json"), out)
         return 2
     _write(text, cfg.out)
     return 0 if passed else 1

@@ -253,24 +253,33 @@ def reproducing_kernel(sig: Signature, k: int, m2_limit: bool = True) -> SuperPo
     return out
 
 
-def kernel_value(M: int, k: int, t: float, u: float) -> float:
-    """Numeric F_k given the invariants t = <x,y> and u = Rx^2 Ry^2.
-
-    Uses the homogenized three-term recurrence, so u = 0 and negative-M cases
-    cost nothing special.
-    """
+def kernel_values(M: int, K: int, t, u, one=1.0) -> list:
+    """F_0 .. F_K given the invariants t = <x,y> and u = Rx^2 Ry^2, by the
+    homogenized three-term recurrence, so u = 0 and negative-M cases cost
+    nothing special.  t, u and their unit ``one`` may be floats or elements of
+    an algebra with +, * and float scaling."""
     if _m_is_degenerate(M):
         raise UnsupportedSignatureError(f"kernel normalization undefined at M = {M}")
     sigma = sphere_area(M).to_float()
-    if k == 0:
-        return 1.0 / sigma
+    out = [one * (1.0 / sigma)]
+    if K == 0:
+        return out
     if M == 2:
-        tm, t0 = 1.0, t                        # homogenized Chebyshev
-        for _ in range(2, k + 1):
-            tm, t0 = t0, 2 * t * t0 - u * tm
-        return 2.0 * t0 / sigma
+        tm, t0 = one, t  # homogenized Chebyshev: the M = 2 limit rule
+        out.append(t0 * (2.0 / sigma))
+        for _ in range(2, K + 1):
+            tm, t0 = t0, t * t0 * 2.0 - u * tm
+            out.append(t0 * (2.0 / sigma))
+        return out
     lam = (M - 2) / 2.0
-    cm, c0 = 1.0, 2 * lam * t
-    for i in range(2, k + 1):
-        cm, c0 = c0, (2 * (i + lam - 1) * t * c0 - (i + 2 * lam - 2) * u * cm) / i
-    return (2 * k + M - 2) / (M - 2) / sigma * c0
+    cm, c0 = one, t * (2 * lam)
+    out.append(c0 * (M / (M - 2) / sigma))
+    for i in range(2, K + 1):
+        cm, c0 = c0, (t * c0 * (2 * (i + lam - 1)) - u * cm * (i + 2 * lam - 2)) * (1.0 / i)
+        out.append(c0 * ((2 * i + M - 2) / (M - 2) / sigma))
+    return out
+
+
+def kernel_value(M: int, k: int, t: float, u: float) -> float:
+    """Numeric F_k given the invariants t = <x,y> and u = Rx^2 Ry^2."""
+    return kernel_values(M, k, t, u)[k]

@@ -5,16 +5,16 @@ associated superfunction is the fermionic Taylor expansion
 
     h(R^2) = sum_{j=0}^n (-1)^j (x'^{2j} / j!) h^{(j)}(r^2),
 
-where x'^2 is the anticommuting norm square and r^2 the bosonic one.  Profiles
-come in two flavours: symbolic elements of the family
+where x'^2 is the anticommuting norm square and r^2 the bosonic one.  A
+``RadialProfile`` is an exact element of the family
 
     u^beta * log(u)^delta * exp(-a u)        (beta, a rational, delta >= 0)
 
 which is closed under d/du and products and covers powers, power-times-log,
-exponentials, Laguerre-times-exponential and polynomials; or an opaque numeric
-evaluator (j, u) -> h^{(j)}(u) with a declared maximal order.  Symbolic
-profiles differentiate exactly and never expire; numeric ones fail fast once
-the declared order is exhausted.
+exponentials, Laguerre-times-exponential and polynomials; it differentiates
+exactly and never expires.  A ``NumericProfile`` is an opaque evaluator
+(j, u) -> h^{(j)}(u) with a declared maximal order; it has no arithmetic and
+fails fast once the declared order is exhausted.
 """
 
 from __future__ import annotations
@@ -35,28 +35,27 @@ from .superpoly import Signature, SuperPolynomial, euler, r_squared
 ProfileKey = Tuple[Fraction, int, Fraction]
 
 
-class SymbolicTerms(Sparse):
+class RadialProfile(Sparse):
     """Exact linear combination over the closed profile family."""
 
     __slots__ = ()
 
+    _scalars = (int, Fraction, ExactScalar)
+    j_max = None  # derivatives of every order are available
+
     def __init__(self, terms: Dict[ProfileKey, ExactScalar] | None = None):
-        self.terms: Dict[ProfileKey, ExactScalar] = {}
-        if terms:
-            for key, c in terms.items():
-                if not c.is_zero:
-                    self.terms[key] = c
+        self.terms = {key: c for key, c in (terms or {}).items() if c}
 
     @staticmethod
     def _key_mul(ka: ProfileKey, kb: ProfileKey):
         return 1, (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2])
 
-    def mul_power(self, delta_beta: RatLike) -> "SymbolicTerms":
-        """Multiply by u^{delta_beta}."""
-        db = _as_fraction(delta_beta)
+    def mul_power(self, delta: RatLike) -> "RadialProfile":
+        """Multiply by u^{delta} (also the exact division route for u-powers)."""
+        db = _as_fraction(delta)
         return self._with({(b + db, d, a): c for (b, d, a), c in self.terms.items()})
 
-    def derivative(self) -> "SymbolicTerms":
+    def derivative(self) -> "RadialProfile":
         out: Dict[ProfileKey, ExactScalar] = {}
 
         def put(key: ProfileKey, c: ExactScalar) -> None:
@@ -69,7 +68,7 @@ class SymbolicTerms(Sparse):
                 put((b - 1, d - 1, a), c * d)
             if a:
                 put((b, d, a), c * (-a))
-        return SymbolicTerms(out)
+        return self._with({k: c for k, c in out.items() if c})
 
     def __call__(self, u: float) -> float:
         if u == 0:
@@ -130,72 +129,48 @@ class SymbolicTerms(Sparse):
             parts.append(s)
         return " + ".join(parts)
 
-
-class RadialProfile:
-    """Scalar radial profile with derivative access.
-
-    Either exact-symbolic (``sym``) or numeric (``fn`` mapping (order, u) to
-    h^{(order)}(u), valid up to ``j_max``).
-    """
-
-    __slots__ = ("sym", "fn", "j_max")
-
-    def __init__(
-        self,
-        sym: SymbolicTerms | None = None,
-        fn: Callable[[int, float], float] | None = None,
-        j_max: int | None = None,
-    ):
-        if (sym is None) == (fn is None):
-            raise ValueError("exactly one of sym/fn required")
-        self.sym = sym
-        self.fn = fn
-        self.j_max = j_max  # None means unlimited (symbolic)
-
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def power(cls, alpha: RatLike) -> "RadialProfile":
         key = (_as_fraction(alpha), 0, Fraction(0))
-        return cls(sym=SymbolicTerms({key: ExactScalar.rational(1)}))
+        return cls({key: ExactScalar.rational(1)})
 
     @classmethod
     def power_log(cls, alpha: RatLike) -> "RadialProfile":
         key = (_as_fraction(alpha), 1, Fraction(0))
-        return cls(sym=SymbolicTerms({key: ExactScalar.rational(1)}))
+        return cls({key: ExactScalar.rational(1)})
 
     @classmethod
     def exponential(cls, a: RatLike = 1) -> "RadialProfile":
         key = (Fraction(0), 0, _as_fraction(a))
-        return cls(sym=SymbolicTerms({key: ExactScalar.rational(1)}))
+        return cls({key: ExactScalar.rational(1)})
 
     @classmethod
     def polynomial(cls, coeffs: Sequence) -> "RadialProfile":
-        terms = {
+        return cls({
             (Fraction(i), 0, Fraction(0)): ExactScalar.coerce(c)
             for i, c in enumerate(coeffs)
-        }
-        return cls(sym=SymbolicTerms(terms))
+        })
 
     @classmethod
     def laguerre_exp(cls, j: int, q: RatLike, a: RatLike = Fraction(1, 2)) -> "RadialProfile":
         """L_j^{(q)}(u) * exp(-a u)."""
         af = _as_fraction(a)
-        terms = {
+        return cls({
             (Fraction(i), 0, af): ExactScalar.rational(c)
             for i, c in enumerate(laguerre_coeffs(j, _as_fraction(q)))
-        }
-        return cls(sym=SymbolicTerms(terms))
+        })
 
     @classmethod
     def from_evaluator(
         cls, fn: Callable[[int, float], float], j_max: int
-    ) -> "RadialProfile":
-        return cls(fn=fn, j_max=j_max)
+    ) -> "NumericProfile":
+        return NumericProfile(fn, j_max)
 
     @classmethod
     def zero(cls) -> "RadialProfile":
-        return cls(sym=SymbolicTerms())
+        return cls()
 
     # -- serialization of the tagged closed-family forms ----------------------
 
@@ -234,90 +209,61 @@ class RadialProfile:
         items = [p.strip() for p in inner[1:-1].split(",") if p.strip()]
         return cls.polynomial([Fraction(p) for p in items])
 
-    # -- evaluation -----------------------------------------------------------
+    # -- evaluation and exact hooks -------------------------------------------
 
     def eval_deriv(self, order: int, u: float) -> float:
-        if self.sym is not None:
-            d = self.sym
-            for _ in range(order):
-                d = d.derivative()
-            return d(u)
-        if self.j_max is not None and order > self.j_max:
-            raise ValueError(
-                f"derivative order {order} unavailable (declared max {self.j_max})"
-            )
-        return self.fn(order, u)
-
-    def __call__(self, u: float) -> float:
-        return self.eval_deriv(0, u)
-
-    def derivative(self) -> "RadialProfile":
-        if self.sym is not None:
-            return RadialProfile(sym=self.sym.derivative())
-        if self.j_max is not None and self.j_max < 1:
-            raise ValueError("derivative order unavailable (declared max 0)")
-        fn = self.fn
-        return RadialProfile(
-            fn=lambda j, u: fn(j + 1, u),
-            j_max=None if self.j_max is None else self.j_max - 1,
-        )
-
-    # -- exact hooks (duck-typed by the integral reduction) -------------------
-
-    def value_exact_at_zero(self) -> Optional[ExactScalar]:
-        return None if self.sym is None else self.sym.value_exact_at_zero()
-
-    def value_exact_at_one(self) -> Optional[ExactScalar]:
-        return None if self.sym is None else self.sym.value_exact_at_one()
+        d = self
+        for _ in range(order):
+            d = d.derivative()
+        return d(u)
 
     @property
     def gaussian_rate(self) -> Optional[Fraction]:
         """a when the profile is exactly exp(-a u) with a > 0."""
-        if self.sym is None or len(self.sym.terms) != 1:
+        if len(self.terms) != 1:
             return None
-        ((b, d, a),) = self.sym.terms.keys()
-        c = next(iter(self.sym.terms.values()))
-        if b == 0 and d == 0 and a > 0 and (c - ExactScalar.rational(1)).is_zero:
+        (((b, d, a), c),) = self.terms.items()
+        if b == 0 and d == 0 and a > 0 and c == 1:
             return a
         return None
 
-    @property
-    def is_zero(self) -> bool:
-        return self.sym is not None and self.sym.is_zero
 
-    def polynomial_coeffs(self) -> Optional[Dict[int, ExactScalar]]:
-        return None if self.sym is None else self.sym.polynomial_coeffs()
+class NumericProfile:
+    """A profile given by an evaluator (order, u) -> h^{(order)}(u), valid up
+    to ``j_max``.  The exact hooks that ``reduce_integral`` and
+    ``osp_invariance_check`` read are all None."""
 
-    # -- arithmetic -----------------------------------------------------------
+    __slots__ = ("_fn", "j_max")
 
-    def _need_sym(self, op: str) -> SymbolicTerms:
-        if self.sym is None:
-            raise ValueError(f"{op} needs a symbolic profile")
-        return self.sym
+    gaussian_rate = None
 
-    def __add__(self, other: "RadialProfile") -> "RadialProfile":
-        return RadialProfile(sym=self._need_sym("+") + other._need_sym("+"))
+    def __init__(self, fn: Callable[[int, float], float], j_max: int):
+        self._fn = fn
+        self.j_max = j_max
 
-    def __sub__(self, other: "RadialProfile") -> "RadialProfile":
-        return self + (-other)
+    def value_exact_at_zero(self) -> None:
+        return None
 
-    def __neg__(self) -> "RadialProfile":
-        return RadialProfile(sym=-self._need_sym("-"))
+    def polynomial_coeffs(self) -> None:
+        return None
 
-    def __mul__(self, other):
-        if isinstance(other, RadialProfile):
-            return RadialProfile(sym=self._need_sym("*") * other._need_sym("*"))
-        return RadialProfile(sym=self._need_sym("*").scale(other))
+    def eval_deriv(self, order: int, u: float) -> float:
+        if order > self.j_max:
+            raise ValueError(
+                f"derivative order {order} unavailable (declared max {self.j_max})"
+            )
+        return self._fn(order, u)
 
-    __rmul__ = __mul__
+    def __call__(self, u: float) -> float:
+        return self.eval_deriv(0, u)
 
-    def mul_power(self, delta: RatLike) -> "RadialProfile":
-        """Multiply by u^{delta} (also the exact division route for u-powers)."""
-        return RadialProfile(sym=self._need_sym("u^k*").mul_power(delta))
+    def derivative(self) -> "NumericProfile":
+        if self.j_max < 1:
+            raise ValueError("derivative order unavailable (declared max 0)")
+        fn = self._fn
+        return NumericProfile(lambda j, u: fn(j + 1, u), self.j_max - 1)
 
     def to_text(self) -> str:
-        if self.sym is not None:
-            return self.sym.to_text()
         return f"<numeric profile, j_max={self.j_max}>"
 
 
@@ -420,18 +366,18 @@ def euler_profile(h: RadialProfile) -> RadialProfile:
     return h.derivative().mul_power(1) * Fraction(2)
 
 
-def laplacian_profile(h: RadialProfile, M: int) -> RadialProfile:
-    """Profile of the Laplacian on radial functions: 4 u h'' + 2 M h'."""
+def laplacian_profile(h: RadialProfile | NumericProfile, M: int):
+    """Profile of the Laplacian on radial functions: 4 u h'' + 2 M h'.  With
+    M + 2k in place of M it is the profile g of lap(h(R^2) H_k) = g(R^2) H_k."""
     d1 = h.derivative()
-    if h.sym is not None:
+    if isinstance(h, RadialProfile):
         return d1.derivative().mul_power(1) * Fraction(4) + d1 * Fraction(2 * M)
     # numeric: g^{(j)}(u) = 4 u h^{(j+2)}(u) + (4j + 2M) h^{(j+1)}(u)
-    if h.j_max is not None and h.j_max < 2:
+    if h.j_max < 2:
         raise ValueError("derivative order unavailable for the radial Laplacian")
-    fn = h.fn
-    return RadialProfile(
-        fn=lambda j, u: 4.0 * u * fn(j + 2, u) + (4 * j + 2 * M) * fn(j + 1, u),
-        j_max=None if h.j_max is None else h.j_max - 2,
+    return NumericProfile(
+        lambda j, u: 4.0 * u * h.eval_deriv(j + 2, u) + (4 * j + 2 * M) * h.eval_deriv(j + 1, u),
+        h.j_max - 2,
     )
 
 

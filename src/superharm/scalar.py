@@ -97,6 +97,12 @@ class ExactScalar(Sparse):
     def _key_mul(s1: int, s2: int):
         return 1, s1 + s2
 
+    def __hash__(self):
+        # equal to its rational value, so it must hash like it
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))
+        return Sparse.__hash__(self)
+
     def __rsub__(self, other):
         return -self + other
 

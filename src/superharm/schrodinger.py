@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .harmonics import dim_harmonics
-from .radial import RadialProfile
+from .radial import RadialProfile, laplacian_profile
 from .scalar import ExactScalar, RatLike
 from .superpoly import Signature
 
@@ -61,11 +61,10 @@ def reduce(sig: Signature, V: RadialProfile, k: int = 0) -> RadialProblem:
 
 def reduction_residual(problem: RadialProblem, f: RadialProfile, E: RatLike) -> RadialProfile:
     """Exact residual -2u f'' - (2k+M) f' + V f - E f as a profile (symbolic
-    profiles only); identically zero iff (E, f) solves the reduced ODE."""
-    d1 = f.derivative()
-    d2 = d1.derivative()
-    out = d2.mul_power(1) * Fraction(-2) + d1 * Fraction(-problem.first_order_coeff)
-    return out + problem.V * f - f * Fraction(E)
+    profiles only), i.e. -lap/2 on the sector at effective dimension M + 2k;
+    identically zero iff (E, f) solves the reduced ODE."""
+    lap = laplacian_profile(f, problem.sector_dimension)
+    return lap * Fraction(-1, 2) + problem.V * f - f * Fraction(E)
 
 
 def reduction_residual_at(problem: RadialProblem, f: RadialProfile, E: float, u: float) -> float:

@@ -23,9 +23,9 @@ from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from .grassmann import NumericGrassmann
-from .harmonics import UnsupportedSignatureError
+from .harmonics import UnsupportedSignatureError, kernel_values
 from .integrate import NonIntegrableError, quad_0_inf
-from .radial import RadialProfile, compose_value, fermionic_expansion, radial_expand
+from .radial import RadialProfile, compose_value, fermionic_expansion, laplacian_profile, radial_expand
 from .scalar import (
     ExactScalar,
     RatLike,
@@ -33,7 +33,6 @@ from .scalar import (
     binom_frac,
     gamma_exact,
     laguerre,
-    laguerre_coeffs,
     recip_gamma,
     sphere_area,
 )
@@ -71,17 +70,15 @@ def euler_alternating_sum(positive_parts: Sequence):
 class ZonalProfile:
     """Scalar kernel phi with derivative access up to ``order_max`` on [-a,a].
 
-    Values may be complex (carried as Python complex, i.e. an (re, im) pair);
-    polynomial profiles keep exact coefficients for the closed-form route.
+    Values may be complex (carried as Python complex, i.e. an (re, im) pair).
     """
 
-    __slots__ = ("fn", "order_max", "a", "poly_coeffs")
+    __slots__ = ("fn", "order_max", "a")
 
-    def __init__(self, fn, order_max, a, poly_coeffs=None):
+    def __init__(self, fn, order_max, a):
         self.fn = fn
         self.order_max = order_max
         self.a = a
-        self.poly_coeffs = poly_coeffs
 
     @classmethod
     def polynomial(cls, coeffs: Sequence[RatLike], a: float = math.inf) -> "ZonalProfile":
@@ -96,7 +93,7 @@ class ZonalProfile:
                 tot += float(cf[p]) * fall * t ** (p - i)
             return tot
 
-        return cls(fn, math.inf, a, poly_coeffs=cf)
+        return cls(fn, math.inf, a)
 
     @classmethod
     def exp_i(cls, v: float, a: float = math.inf) -> "ZonalProfile":
@@ -288,15 +285,15 @@ def hankel(nu, psi: RadialProfile, u: float, tol: float = 1e-10) -> float:
     """Hankel-type transform of the squared-variable profile psi:
     Int_0^inf psi(r^2) (J_nu(ru)/(ru)^nu) r^{2nu+1} dr, by integrate.quad_0_inf.
 
-    Raises NonIntegrableError unless psi is symbolic with every term damped
-    by exp(-a u), a > 0, or when the quadrature does not converge.  The
+    Raises NonIntegrableError unless psi is a RadialProfile with every term
+    damped by exp(-a u), a > 0, or when the quadrature does not converge.  The
     integrand skips the Bessel factor where psi(r^2) == 0.0: J_nu(t)/t^nu is
     bounded for nu > -1/2.
     """
     nu = float(nu)
     if nu <= -0.5:
         raise ValueError("order must exceed -1/2")
-    if psi.sym is None or not all(a > 0 for _, _, a in psi.sym.terms):
+    if not (isinstance(psi, RadialProfile) and all(a > 0 for _, _, a in psi.terms)):
         raise NonIntegrableError("profile is not exponentially decaying in every term")
 
     def integrand(r: float) -> float:
@@ -339,18 +336,12 @@ def clifford_hermite(sig: Signature, j: int, k: int, H_k: SuperPolynomial) -> Ra
     return RadialHarmonic(sig, prof, H_k, k)
 
 
-def harmonic_laplacian_profile(h: RadialProfile, M: int, k: int) -> RadialProfile:
-    """Profile g with lap(h(R^2) H_k) = g(R^2) H_k: g = 4u h'' + (4k+2M) h'."""
-    d1 = h.derivative()
-    return d1.derivative().mul_power(1) * Fraction(4) + d1 * Fraction(4 * k + 2 * M)
-
-
 def oscillator_residual(sig: Signature, j: int, k: int) -> RadialProfile:
     """Exact residual profile of (R^2 - lap)/2 psi_{j,k} = (2j+k+M/2) psi_{j,k};
     identically zero by the Laguerre differential equation."""
     M = sig.superdim
     h = clifford_hermite(sig, j, k, SuperPolynomial.zero(sig)).profile
-    lhs = (h.mul_power(1) - harmonic_laplacian_profile(h, M, k)) * Fraction(1, 2)
+    lhs = (h.mul_power(1) - laplacian_profile(h, M + 2 * k)) * Fraction(1, 2)
     return lhs - h * Fraction(4 * j + 2 * k + M, 2)
 
 
@@ -439,38 +430,17 @@ def _kernel_values(
     sig: Signature, K: int, coords: Sequence[float], m2_limit: bool
 ) -> List[NumericGrassmann]:
     """F_0 .. F_K evaluated over the doubled Grassmann algebra at the bosonic
-    points, via the homogenized three-term recurrence in the pairing t and
-    u = Rx^2 Ry^2 (numeric coefficients; exact-kernel construction grows
-    combinatorially with k and is only worthwhile for small degrees)."""
+    points, by ``harmonics.kernel_values`` in the pairing t and u = Rx^2 Ry^2
+    (numeric coefficients; exact-kernel construction grows combinatorially
+    with k and is only worthwhile for small degrees)."""
     M = sig.superdim
-    if M <= 0 and M % 2 == 0:
-        raise UnsupportedSignatureError(f"kernel normalization undefined at M = {M}")
     if M == 2 and not m2_limit:
         raise UnsupportedSignatureError(
             "kernel prefactor singular at M=2; enable the limit rule"
         )
-    total = 4 * sig.n
     t = pairing(sig).evaluate_bosonic(coords)
     u = r_squared(sig, 2, 0).evaluate_bosonic(coords) * r_squared(sig, 2, 1).evaluate_bosonic(coords)
-    sigma = sphere_area(M).to_float()
-    one = NumericGrassmann.scalar(total, 1.0)
-    out = [one * (1.0 / sigma)]
-    if K == 0:
-        return out
-    if M == 2:
-        tm, t0 = one, t
-        out.append(t0 * (2.0 / sigma))
-        for i in range(2, K + 1):
-            tm, t0 = t0, t * t0 * 2.0 - u * tm
-            out.append(t0 * (2.0 / sigma))
-        return out
-    lam = (M - 2) / 2.0
-    cm, c0 = one, t * (2 * lam)
-    out.append(c0 * (M / (M - 2) / sigma))
-    for i in range(2, K + 1):
-        cm, c0 = c0, (t * c0 * (2 * (i + lam - 1)) - u * cm * (i + 2 * lam - 2)) * (1.0 / i)
-        out.append(c0 * ((2 * i + M - 2) / (M - 2) / sigma))
-    return out
+    return kernel_values(M, K, t, u, NumericGrassmann.scalar(4 * sig.n, 1.0))
 
 
 def mehler_bessel_check(
@@ -542,6 +512,13 @@ def hille_hardy_check(M: int, k: int, u1: float, u2: float, J: int = 60) -> floa
     return abs(lhs - euler_alternating_sum(parts))
 
 
+def _laguerre_expand(j: int, q: float, n: int, u: float) -> NumericGrassmann:
+    """L_j^{(q)}(R^2) at r^2 = u, from d^i/du^i L_j^{(q)} = (-1)^i L_{j-i}^{(q+i)}
+    (DLMF 18.9.14; zero once i > j)."""
+    values = [(-1) ** i * laguerre(j - i, q + i, u) if i <= j else 0.0 for i in range(n + 1)]
+    return fermionic_expansion(values, n)
+
+
 def mehler_expansions_agree(
     sig: Signature,
     xcoords: Sequence[float],
@@ -570,8 +547,7 @@ def mehler_expansions_agree(
     side_a = NumericGrassmann(total)
     side_b = NumericGrassmann(total)
     for k in range(K + 1):
-        nu = M / 2.0 + k - 1.0
-        q = Fraction(M - 2 + 2 * k, 2)
+        nu = M / 2.0 + k - 1.0  # also the Laguerre order q
         Fk = kern[k]
         phase = (sign * 1j) ** k
 
@@ -582,10 +558,9 @@ def mehler_expansions_agree(
 
         parts = []
         for j in range(J):
-            lag = RadialProfile.polynomial(laguerre_coeffs(j, q))
-            lx = _shift_gens(radial_expand(lag, sig, rx), total, 0)
-            ly = _shift_gens(radial_expand(lag, sig, ry), total, 2 * n)
-            c = 2.0 * math.exp(math.lgamma(j + 1) - math.lgamma(j + float(q) + 1))
+            lx = _shift_gens(_laguerre_expand(j, nu, n, rx * rx), total, 0)
+            ly = _shift_gens(_laguerre_expand(j, nu, n, ry * ry), total, 2 * n)
+            c = 2.0 * math.exp(math.lgamma(j + 1) - math.lgamma(j + nu + 1))
             parts.append(lx * ly * gauss * c)
         side_b = side_b + Fk * euler_alternating_sum(parts) * phase
     return side_a.max_abs_diff(side_b)

@@ -61,6 +61,7 @@ from superharm.superpoly import (
     vector_pairing,
 )
 from superharm import zonal as Z
+from superharm.verify import _even_part, _random_homogeneous, _random_poly
 
 SIGS_ALL = [Signature(m, n) for m in range(1, 5) for n in range(3)]
 SIGS_NONDEGENERATE = [s for s in SIGS_ALL if s.superdim > 0 or s.superdim % 2]
@@ -79,38 +80,6 @@ def _basis(sig, k):
     if key not in _BASIS:
         _BASIS[key] = list(harmonic_basis(sig, k).elements)
     return _BASIS[key]
-
-
-def _random_poly(sig, rnd, deg=4, nterms=5):
-    p = SuperPolynomial.zero(sig)
-    for _ in range(nterms):
-        bos = [0] * sig.m
-        for _ in range(rnd.randrange(deg + 1)):
-            bos[rnd.randrange(sig.m)] += 1
-        mask = rnd.randrange(1 << (2 * sig.n))
-        c = Fraction(rnd.randrange(-4, 5))
-        if c:
-            p = p + SuperPolynomial(sig, {(tuple(bos), mask): c})
-    return p
-
-
-def _random_homogeneous(sig, rnd, deg, nterms=6):
-    keys = monomial_keys(sig, deg)
-    p = SuperPolynomial.zero(sig)
-    for _ in range(nterms):
-        key = keys[rnd.randrange(len(keys))]
-        c = Fraction(rnd.randrange(-4, 5))
-        if c:
-            p = p + SuperPolynomial(sig, {key: c})
-    return p
-
-
-def _even_part(f):
-    out = SuperPolynomial.zero(f.sig, f.copies)
-    for (bos, mask), c in f.terms.items():
-        if bin(mask).count("1") % 2 == 0:
-            out = out + SuperPolynomial(f.sig, {(bos, mask): c}, f.copies)
-    return out
 
 
 def test_criterion_01_operator_identities():

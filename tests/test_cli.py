@@ -146,6 +146,24 @@ def test_reduce_integral_gaussian_branches(capsys):
         assert json.loads(out)["error"]["type"] == "non-integrable"
 
 
+def test_arithmetic_overflow_is_structured_error(capsys):
+    # the exponent 1e400 parses exactly but overflows a float: this used to end in a traceback
+    argv = ["spectrum", "--m", "3", "--n", "0", "--V", "pow(1e400)", "--jmax", "1", "--kmax", "0"]
+    code, out = run(argv, capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "invalid-config"
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    def boom(cfg, args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._DISPATCH, "dims", boom)
+    code, out = run(["dims", "--m", "3", "--n", "1", "--k", "2"], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "internal-error", "message": "boom"}
+
+
 def test_fundsol_normalization(capsys):
     code, out = run(["fundsol", "--m", "3", "--n", "1", "--l", "1"], capsys)
     assert code == 0

@@ -54,10 +54,12 @@ def test_profile_parse_round_trip():
     texts = ["pow(1/2)", "powlog(-3/2)", "exp(1)", "exp(1/2)", "lagexp(1,1/2,1/2)", "poly([1,-2,3/4])"]
     for t in texts:
         p = RadialProfile.parse(t)
-        assert p.sym is not None
+        assert isinstance(p, RadialProfile)
         q = RadialProfile.parse(t)
         assert (p - q).is_zero
-        assert p.sym == q.sym and hash(p.sym) == hash(q.sym)
+        assert p == q and hash(p) == hash(q)
+        # a zero profile is falsy, a nonzero one truthy
+        assert p and not (p - q) and not RadialProfile.zero()
     assert RadialProfile.parse("exp(1/2)").to_text() == "1 e^(-1/2u)"
     # a negative rate is a growing exponential, printed without a doubled sign
     assert RadialProfile.parse("exp(-2)").to_text() == "1 e^(2u)"
@@ -110,6 +112,9 @@ def test_numeric_evaluator_fail_fast():
         p.eval_deriv(3, 1.0)
     with pytest.raises(ValueError, match="unavailable"):
         p.derivative().derivative().derivative()
+    # a numeric profile has no arithmetic
+    with pytest.raises(TypeError):
+        p + RadialProfile.power(1)
 
 
 # -- fermionic Taylor expansion ----------------------------------------------
@@ -451,9 +456,9 @@ def test_even_superdimension_branches():
     # below threshold: plain power; at or above: power times log
     low = fundamental_solution(Signature(6, 1), 1)  # M = 4, l < M/2
     assert low.profile.polynomial_coeffs() is None
-    assert all(d == 0 for (_, d, _) in low.profile.sym.terms)
+    assert all(d == 0 for (_, d, _) in low.profile.terms)
     high = fundamental_solution(Signature(6, 1), 2)
-    assert any(d == 1 for (_, d, _) in high.profile.sym.terms)
+    assert any(d == 1 for (_, d, _) in high.profile.terms)
 
 
 def test_degenerate_superdimension_rejected():

@@ -55,6 +55,9 @@ def test_scalar_eq_with_rationals():
     assert ExactScalar.rational(3) == 3
     assert ExactScalar() == 0
     assert ExactScalar.pi_pow(2) != 3
+    # equal to a rational, so hashed like it
+    assert {3: "a"}.get(ExactScalar.rational(3)) == "a"
+    assert hash(ExactScalar()) == hash(0)
 
 
 def test_scalar_float_value():

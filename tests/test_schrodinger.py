@@ -55,6 +55,8 @@ def test_oscillator_eigenprofile_residual_exact():
                 f = Z.clifford_hermite(sig, j, k, one).profile
                 E = Fraction(4 * j + 2 * k + M, 2)
                 assert S.reduction_residual(prob, f, E).is_zero, (m, n, j, k)
+                # the residual is linear in E: one unit more leaves -f
+                assert S.reduction_residual(prob, f, E + 1) == -f, (m, n, j, k)
 
 
 def test_hydrogen_profile_residual_numeric():

@@ -218,8 +218,10 @@ def test_hankel_divergence_gating():
     # decay is read off the terms: a zero profile, symbolic or scaled, transforms to 0
     assert Z.hankel(0.5, RadialProfile.polynomial([0]), 1.0) == 0.0
     assert Z.hankel(0.5, RadialProfile.exponential(1) * 0, 1.0) == 0.0
+    # a numeric profile carries no decay information
+    numeric = RadialProfile.from_evaluator(lambda j, u: (-1) ** j * math.exp(-u), 4)
     for flat in (RadialProfile.exponential(0), RadialProfile.exponential(-1),
-                 RadialProfile.exponential(1) + RadialProfile.polynomial([1])):
+                 RadialProfile.exponential(1) + RadialProfile.polynomial([1]), numeric):
         with pytest.raises(Z.NonIntegrableError):
             Z.hankel(0.5, flat, 1.0)
 
