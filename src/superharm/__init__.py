@@ -12,61 +12,52 @@ radial ones.  The full surface lives in the submodules (``scalar``,
 
 __version__ = "0.1.0"
 
-from .harmonics import (
-    dim_harmonics,
-    dim_polynomials,
-    fischer_decompose,
-    fischer_reconstruct,
-    harmonic_basis,
-    reproducing_kernel,
-)
-from .integrate import pizzetti, reduce_integral, superball_poly
-from .radial import (
-    RadialProfile,
-    RadialSuperfunction,
-    fundamental_solution,
-    radial_expand,
-)
-from .scalar import ExactScalar, recip_gamma, sphere_area
-from .schrodinger import GridSpec, oscillator_spectrum, solve_numeric
-from .superpoly import (
-    Signature,
-    SuperPolynomial,
-    euler,
-    laplace_beltrami,
-    laplacian,
-    osp_generator,
-    r_squared,
-)
-from .zonal import funk_hecke_poly, mehler_bessel_check
+import importlib
 
-__all__ = [
-    "ExactScalar",
-    "GridSpec",
-    "RadialProfile",
-    "RadialSuperfunction",
-    "Signature",
-    "SuperPolynomial",
-    "dim_harmonics",
-    "dim_polynomials",
-    "euler",
-    "fischer_decompose",
-    "fischer_reconstruct",
-    "fundamental_solution",
-    "funk_hecke_poly",
-    "harmonic_basis",
-    "laplace_beltrami",
-    "laplacian",
-    "mehler_bessel_check",
-    "oscillator_spectrum",
-    "osp_generator",
-    "pizzetti",
-    "r_squared",
-    "radial_expand",
-    "recip_gamma",
-    "reduce_integral",
-    "reproducing_kernel",
-    "solve_numeric",
-    "sphere_area",
-    "superball_poly",
-]
+# re-exported name -> submodule; resolved on first access (PEP 562), so that
+# importing the package loads no submodule
+_EXPORTS = {
+    "dim_harmonics": "harmonics",
+    "dim_polynomials": "harmonics",
+    "fischer_decompose": "harmonics",
+    "fischer_reconstruct": "harmonics",
+    "harmonic_basis": "harmonics",
+    "reproducing_kernel": "harmonics",
+    "pizzetti": "integrate",
+    "reduce_integral": "integrate",
+    "superball_poly": "integrate",
+    "RadialProfile": "radial",
+    "RadialSuperfunction": "radial",
+    "fundamental_solution": "radial",
+    "radial_expand": "radial",
+    "ExactScalar": "scalar",
+    "recip_gamma": "scalar",
+    "sphere_area": "scalar",
+    "GridSpec": "schrodinger",
+    "oscillator_spectrum": "schrodinger",
+    "solve_numeric": "schrodinger",
+    "Signature": "superpoly",
+    "SuperPolynomial": "superpoly",
+    "euler": "superpoly",
+    "laplace_beltrami": "superpoly",
+    "laplacian": "superpoly",
+    "osp_generator": "superpoly",
+    "r_squared": "superpoly",
+    "funk_hecke_poly": "zonal",
+    "mehler_bessel_check": "zonal",
+}
+__all__ = sorted(_EXPORTS)
+_SUBMODULES = {
+    "cli", "grassmann", "harmonics", "integrate", "radial", "scalar",
+    "schrodinger", "sparse", "superpoly", "verify", "zonal",
+}
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value

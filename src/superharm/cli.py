@@ -8,6 +8,9 @@ command passes, 1 when a check fails, 2 on invalid configuration — the
 latter with a structured ``{"error": ...}`` object in the output.  The
 environment variable ``SUPERHARM_TOL`` overrides the default numeric
 tolerance; a per-command ``--tol`` overrides both.
+
+Each handler imports the modules its command needs, so a fresh process loads
+only those (``verify`` only for ``verify-all``).
 """
 
 import argparse
@@ -20,32 +23,10 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from . import verify
-from .harmonics import (
-    dim_harmonics,
-    dim_polynomials,
-    fischer_decompose,
-    fischer_reconstruct,
-)
-from .integrate import pizzetti, reduce_integral
-from .radial import (
-    RadialProfile,
-    fundamental_normalization_check,
-    fundamental_solution,
-    laplacian_profile,
-)
-from .scalar import ExactScalar
-from .schrodinger import (
-    GridSpec,
-    numeric_rows,
-    oscillator_spectrum,
-    reduce as reduce_problem,
-    solve_numeric,
-)
-from .superpoly import Signature, SuperPolynomial, laplacian
-from .zonal import funk_hecke_alpha_monomial, hankel, mehler_bessel_check
+if TYPE_CHECKING:
+    from .superpoly import Signature
 
 DEFAULT_TOL_ENV = "SUPERHARM_TOL"
 
@@ -78,7 +59,9 @@ class RunConfig:
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
 
-    def signature(self) -> Signature:
+    def signature(self) -> "Signature":
+        from .superpoly import Signature
+
         return Signature(self.m, self.n)
 
     def check_degree(self, k: int, what: str = "degree") -> int:
@@ -139,6 +122,8 @@ Result = Tuple[dict, bool, str]
 
 
 def _cmd_dims(cfg: RunConfig, args) -> Result:
+    from .harmonics import dim_harmonics, dim_polynomials
+
     sig = cfg.signature()
     if args.kmax is not None:
         cfg.check_degree(args.kmax, "--kmax")
@@ -156,6 +141,9 @@ def _cmd_dims(cfg: RunConfig, args) -> Result:
 
 
 def _cmd_pizzetti(cfg: RunConfig, args) -> Result:
+    from .integrate import pizzetti
+    from .superpoly import SuperPolynomial
+
     sig = cfg.signature()
     f = SuperPolynomial.parse(args.poly, sig)
     if f.terms and f.degree() > cfg.deg_max:
@@ -164,6 +152,9 @@ def _cmd_pizzetti(cfg: RunConfig, args) -> Result:
 
 
 def _cmd_fischer(cfg: RunConfig, args) -> Result:
+    from .harmonics import fischer_decompose, fischer_reconstruct
+    from .superpoly import SuperPolynomial, laplacian
+
     sig = cfg.signature()
     f = SuperPolynomial.parse(args.poly, sig)
     if not f.terms:
@@ -184,6 +175,8 @@ def _cmd_fischer(cfg: RunConfig, args) -> Result:
 
 
 def _cmd_funk_hecke(cfg: RunConfig, args) -> Result:
+    from .zonal import funk_hecke_alpha_monomial
+
     sig = cfg.signature()
     M = sig.superdim
     l = cfg.check_degree(args.l, "--l")
@@ -206,6 +199,9 @@ def _cmd_funk_hecke(cfg: RunConfig, args) -> Result:
 
 
 def _cmd_bochner(cfg: RunConfig, args) -> Result:
+    from .radial import RadialProfile
+    from .zonal import hankel
+
     sig = cfg.signature()
     k = cfg.check_degree(args.k, "--k")
     psi = RadialProfile.parse(args.profile)
@@ -215,6 +211,8 @@ def _cmd_bochner(cfg: RunConfig, args) -> Result:
 
 
 def _cmd_mehler(cfg: RunConfig, args) -> Result:
+    from .zonal import mehler_bessel_check
+
     sig = cfg.signature()
     K = args.kmax
     if K < 0 or K > 80:
@@ -236,6 +234,8 @@ def _cmd_mehler(cfg: RunConfig, args) -> Result:
 
 
 def _cmd_fundsol(cfg: RunConfig, args) -> Result:
+    from .radial import fundamental_normalization_check, fundamental_solution, laplacian_profile
+
     sig = cfg.signature()
     l = args.l
     if l < 1 or l > 6:
@@ -261,6 +261,11 @@ def _cmd_fundsol(cfg: RunConfig, args) -> Result:
 
 
 def _cmd_spectrum(cfg: RunConfig, args) -> Result:
+    from .radial import RadialProfile
+    from .schrodinger import (
+        GridSpec, numeric_rows, oscillator_spectrum, reduce as reduce_problem, solve_numeric,
+    )
+
     sig = cfg.signature()
     jmax = cfg.check_degree(args.jmax, "--jmax")
     kmax = cfg.check_degree(args.kmax, "--kmax")
@@ -281,6 +286,10 @@ def _cmd_spectrum(cfg: RunConfig, args) -> Result:
 
 
 def _cmd_reduce_integral(cfg: RunConfig, args) -> Result:
+    from .integrate import reduce_integral
+    from .radial import RadialProfile
+    from .scalar import ExactScalar
+
     sig = cfg.signature()
     prof = RadialProfile.parse(args.profile)
     val = reduce_integral(prof, sig, cfg.tol)
@@ -292,6 +301,8 @@ def _cmd_reduce_integral(cfg: RunConfig, args) -> Result:
 
 
 def _cmd_verify_all(cfg: RunConfig, args) -> Result:
+    from . import verify
+
     report = verify.run_all(seed=cfg.seed, tol=cfg.tol, names=args.suite or None)
     return report, bool(report["passed"]), "json"
 
@@ -311,6 +322,17 @@ _DISPATCH = {
 
 
 # -- argument parsing ---------------------------------------------------------
+
+
+def _suite_name(name: str) -> str:
+    """argparse type of --suite: a name from verify.SUITES."""
+    from . import verify
+
+    if name not in verify.SUITES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(sorted(verify.SUITES))})"
+        )
+    return name
 
 
 def _add_sig(p: argparse.ArgumentParser):
@@ -392,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run the seeded property-check suites")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--suite", action="append", choices=sorted(verify.SUITES),
+    p.add_argument("--suite", action="append", type=_suite_name,
                    help="restrict to one or more suites (repeatable)")
     _add_common(p)
 
@@ -417,15 +439,18 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from(args)
         payload, passed, fmt = _DISPATCH[args.command](cfg, args)
-        text = _render(payload, fmt)
-    except (ValueError, ArithmeticError) as exc:
-        _write(_render(_error_payload(exc), "json"), out)
-        return 2
+        _write(_render(payload, fmt), out)
+        return 0 if passed else 1
+    except (ValueError, ArithmeticError, OSError) as exc:
+        error = _error_payload(exc)
     except Exception as exc:
-        _write(_render(_error_payload(exc, "internal-error"), "json"), out)
-        return 2
-    _write(text, cfg.out)
-    return 0 if passed else 1
+        error = _error_payload(exc, "internal-error")
+    text = _render(error, "json")
+    try:
+        _write(text, out)
+    except OSError:  # an unwritable --out: the error goes to stdout
+        _write(text, None)
+    return 2
 
 
 if __name__ == "__main__":

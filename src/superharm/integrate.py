@@ -129,10 +129,9 @@ class RadicalScalar:
     radicand: Fraction
 
     def __post_init__(self):
-        r = Fraction(self.radicand)
-        sn, sd = math.isqrt(r.numerator), math.isqrt(r.denominator)
-        if sn * sn == r.numerator and sd * sd == r.denominator and not self.rad.is_zero:
-            self.rat = self.rat + self.rad * Fraction(sn, sd)
+        root = _rational_sqrt(Fraction(self.radicand))
+        if root is not None and not self.rad.is_zero:
+            self.rat = self.rat + self.rad * root
             self.rad = ExactScalar()
 
     def to_float(self) -> float:
@@ -151,6 +150,14 @@ class RadicalScalar:
         if self.rad.is_zero:
             return f"RadicalScalar({self.rat.to_text()!r})"
         return f"RadicalScalar({self.rat.to_text()!r} + ({self.rad.to_text()})*sqrt({self.radicand}))"
+
+
+def _rational_sqrt(q: Fraction) -> Fraction | None:
+    """sqrt(q) when it is rational (q >= 0), else None."""
+    sn, sd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if sn * sn == q.numerator and sd * sd == q.denominator:
+        return Fraction(sn, sd)
+    return None
 
 
 def _gauss_moment(e: int, a: Fraction) -> Tuple[Fraction, Fraction] | None:
@@ -295,32 +302,30 @@ def dimensional_continuation_check(
 
 
 def reduce_integral(profile, sig: Signature, tol: float = 1e-12):
-    """Full-space integral of h(R^2) by super-dimension branch.
+    """Full-space integral of h(R^2) by super-dimension branch, with
+    I_M[h] = integral_0^inf v^{M-1} h(v^2) dv:
 
-    M > 0:        sigma_M * integral v^{M-1} h(v^2) dv        (quadrature)
+    M > 0:        sigma_M I_M[h]
     M in -2N:     (-pi)^{M/2} h^{(-M/2)}(0)                   (exact-leaning)
-    M odd, < 0:   2 (-pi)^{(M-1)/2} integral h^{((1-M)/2)}(r^2) dr
+    M odd, < 0:   2 (-pi)^{(M-1)/2} I_1[h^{((1-M)/2)}]
+
+    For a RadialProfile, divergence is decided from the exponents of its terms
+    c u^b log(u)^d e^{-au}: a term with a <= 0, or without log factor b <= -M/2,
+    raises NonIntegrableError, even where another term would cancel its
+    divergence.  Without log factors, I_M is the sum of Gamma moments
+    (DLMF 5.2.1)
+
+        integral_0^inf v^{M-1} v^{2b} e^{-a v^2} dv = Gamma(b+M/2) / (2 a^{b+M/2}),
+
+    an ExactScalar when b + M/2 is a half-integer and a^{b+M/2} rational for
+    every term, a float otherwise.  Profiles with log factors and evaluators
+    go through quad_0_inf.
 
     ``profile`` duck-types the radial-profile interface: callable on floats,
-    .derivative() -> profile, .value_exact_at_zero() -> ExactScalar or None,
-    .gaussian_rate -> a (Fraction) when h = exp(-a u) else None.  Returns an
-    ExactScalar on the exact paths, float otherwise.
+    .derivative() -> profile, .value_exact_at_zero() -> ExactScalar or None.
     """
     M = sig.superdim
-    a = getattr(profile, "gaussian_rate", None)
-    if a is not None:
-        a = Fraction(a)
-    if M > 0:
-        if a == 1:
-            return ExactScalar.pi_pow(M)
-        if a is not None and M % 2 == 0:
-            # sigma_M Gamma(M/2) / (2 a^{M/2}) = pi^{M/2} a^{-M/2}, rational a-power
-            return ExactScalar.pi_pow(M, a ** (-(M // 2)))
-        if a is not None:
-            return math.pi ** (M / 2) * float(a) ** (-M / 2)
-        sig_M = sphere_area(M).to_float()
-        return sig_M * quad_0_inf(lambda v: v ** (M - 1) * profile(v * v), tol)
-    if M % 2 == 0:
+    if M <= 0 and M % 2 == 0:
         j = -M // 2
         d = profile
         for _ in range(j):
@@ -330,9 +335,44 @@ def reduce_integral(profile, sig: Signature, tol: float = 1e-12):
         if val0 is not None:
             return ExactScalar.pi_pow(M, sign) * val0
         return float(sign) * math.pi ** (M / 2) * d(0.0)
-    j = (1 - M) // 2
-    d = profile
-    for _ in range(j):
-        d = d.derivative()
-    q = quad_0_inf(lambda r: d(r * r), tol)
-    return 2.0 * (-1.0) ** ((M - 1) // 2) * math.pi ** ((M - 1) / 2) * q
+    if M > 0:
+        pre, moment = sphere_area(M), _radial_moment(profile, M, tol)
+    else:
+        j = (1 - M) // 2
+        d = profile
+        for _ in range(j):
+            d = d.derivative()
+        pre, moment = ExactScalar.pi_pow(M - 1, 2 * (-1) ** j), _radial_moment(d, 1, tol)
+    return pre * moment if isinstance(moment, ExactScalar) else pre.to_float() * moment
+
+
+def _radial_moment(h, M: int, tol: float):
+    """I_M[h] = integral_0^inf v^{M-1} h(v^2) dv, M > 0: summed Gamma moments
+    for a log-free RadialProfile, quad_0_inf otherwise."""
+    from .radial import RadialProfile  # here: pizzetti's callers need no radial
+
+    symbolic = isinstance(h, RadialProfile)
+    if symbolic and not all(a > 0 for _, _, a in h.terms):
+        raise NonIntegrableError("profile is not exponentially decaying in every term")
+    if not symbolic or any(d for _, d, _ in h.terms):
+        return quad_0_inf(lambda v: v ** (M - 1) * h(v * v), tol)
+    exact, approx = ExactScalar(), None
+    for (b, _, a), c in h.terms.items():
+        s = b + Fraction(M, 2)
+        if s <= 0:
+            raise NonIntegrableError(
+                f"u^{b} diverges at the origin against v^{M - 1} (needs b > {Fraction(-M, 2)})"
+            )
+        if s.denominator > 2:
+            term = c.to_float() * math.gamma(s) * float(a) ** -float(s) / 2
+        else:
+            whole = math.floor(s)
+            term = gamma_exact(s) * c * (a**-whole / 2)
+            if s != whole:
+                root = _rational_sqrt(a)
+                term = term / root if root is not None else term.to_float() / math.sqrt(a)
+        if isinstance(term, ExactScalar):
+            exact = exact + term
+        else:
+            approx = term if approx is None else approx + term
+    return exact if approx is None else exact.to_float() + approx

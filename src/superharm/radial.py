@@ -217,16 +217,6 @@ class RadialProfile(Sparse):
             d = d.derivative()
         return d(u)
 
-    @property
-    def gaussian_rate(self) -> Optional[Fraction]:
-        """a when the profile is exactly exp(-a u) with a > 0."""
-        if len(self.terms) != 1:
-            return None
-        (((b, d, a), c),) = self.terms.items()
-        if b == 0 and d == 0 and a > 0 and c == 1:
-            return a
-        return None
-
 
 class NumericProfile:
     """A profile given by an evaluator (order, u) -> h^{(order)}(u), valid up
@@ -234,8 +224,6 @@ class NumericProfile:
     ``osp_invariance_check`` read are all None."""
 
     __slots__ = ("_fn", "j_max")
-
-    gaussian_rate = None
 
     def __init__(self, fn: Callable[[int, float], float], j_max: int):
         self._fn = fn

@@ -70,10 +70,6 @@ class ExactScalar(Sparse):
 
     # -- predicates / extraction -----------------------------------------
 
-    @property
-    def is_rational(self) -> bool:
-        return set(self.terms) <= {0}
-
     def as_fraction(self) -> Fraction:
         if not self.terms:
             return Fraction(0)

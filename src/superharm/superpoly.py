@@ -138,9 +138,6 @@ class SuperPolynomial(Sparse):
             parts.setdefault(self._deg(key, copy), {})[key] = c
         return {d: self._with(t) for d, t in sorted(parts.items())}
 
-    def map_coeffs(self, fn) -> "SuperPolynomial":
-        return SuperPolynomial(self.sig, {k: fn(c) for k, c in self.terms.items()}, self.copies)
-
     # -- ring operations ---------------------------------------------------
 
     @staticmethod

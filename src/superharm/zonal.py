@@ -33,6 +33,7 @@ from .scalar import (
     binom_frac,
     gamma_exact,
     laguerre,
+    pochhammer,
     recip_gamma,
     sphere_area,
 )
@@ -283,18 +284,63 @@ def funk_hecke_apply(
 
 def hankel(nu, psi: RadialProfile, u: float, tol: float = 1e-10) -> float:
     """Hankel-type transform of the squared-variable profile psi:
-    Int_0^inf psi(r^2) (J_nu(ru)/(ru)^nu) r^{2nu+1} dr, by integrate.quad_0_inf.
+    Int_0^inf psi(r^2) (J_nu(ru)/(ru)^nu) r^{2nu+1} dr.
+
+    When every term is c u^b e^{-au} with integer b >= 0 (no log factor), the
+    transform is closed form: Weber's first exponential integral (DLMF
+    §10.22(v)) followed by Kummer's transformation (DLMF 13.2.39) give
+
+      (nu+1)_b / (2^{nu+1} a^{nu+b+1}) e^{-z} M(-b, nu+1, z),  z = u^2/(4a),
+
+    where M(-b, nu+1, z) is a finite Laguerre sum.  nu, u and a are exact
+    dyadic or rational numbers, so that sum and the combination of terms with
+    one rate are formed in Fractions: no cancellation at large b z.  Past
+    z = 700, where e^{-z} leaves the float range, the exact sum meets e^{-z}
+    in logarithms (relative error about z times the float epsilon).  Other
+    profiles (non-integer b, log factors) go through the quadrature
+    ``_hankel_quad``.
 
     Raises NonIntegrableError unless psi is a RadialProfile with every term
-    damped by exp(-a u), a > 0, or when the quadrature does not converge.  The
-    integrand skips the Bessel factor where psi(r^2) == 0.0: J_nu(t)/t^nu is
-    bounded for nu > -1/2.
+    damped by exp(-a u), a > 0, or when the quadrature does not converge.
     """
     nu = float(nu)
     if nu <= -0.5:
         raise ValueError("order must exceed -1/2")
     if not (isinstance(psi, RadialProfile) and all(a > 0 for _, _, a in psi.terms)):
         raise NonIntegrableError("profile is not exponentially decaying in every term")
+    if not all(d == 0 and b.denominator == 1 and b >= 0 for b, d, _ in psi.terms):
+        return _hankel_quad(nu, psi, u, tol)
+    nq = Fraction(nu)
+    z_rate = Fraction(u) ** 2 / 4
+    by_rate = {}
+    for (b, _, a), c in psi.terms.items():
+        b = int(b)
+        z = z_rate / a
+        laguerre_sum, t = Fraction(0), Fraction(1)
+        for i in range(b + 1):
+            laguerre_sum += t
+            t = t * (i - b) * z / ((nq + 1 + i) * (i + 1))
+        part = c * (pochhammer(nq + 1, b) * laguerre_sum / a**b)
+        by_rate[a] = by_rate[a] + part if a in by_rate else part
+    total = 0.0
+    for a, part in by_rate.items():
+        z = z_rate / a
+        if z < 700:
+            total += (part * Fraction(math.exp(-z))).to_float() * float(2 * a) ** -(nu + 1)
+            continue
+        # e^{-z} leaves the float range: combine each magnitude with it in logs
+        log_pre = -(float(z) if z < 10**300 else math.inf) - (nu + 1) * math.log(2 * a)
+        for s, q in part.terms.items():
+            log_q = math.log(abs(q.numerator)) - math.log(q.denominator) + s / 2 * math.log(math.pi)
+            total += math.exp(log_q + log_pre) * (1.0 if q > 0 else -1.0)
+    return total
+
+
+def _hankel_quad(nu: float, psi: RadialProfile, u: float, tol: float) -> float:
+    """The transform by integrate.quad_0_inf with a 30-digit Bessel factor: the
+    route for profiles without a closed form, and the oracle for it.  The
+    integrand skips the Bessel factor where psi(r^2) == 0.0: J_nu(t)/t^nu is
+    bounded for nu > -1/2."""
 
     def integrand(r: float) -> float:
         p = psi(r * r)
@@ -385,11 +431,9 @@ def bochner_oracle(
     """Direct route for cross-checking: superpolar decomposition of the
     Fourier integral, radial quadrature over the sphere transform of the
     exp(ivt) kernel at each radius (the nested two-quadrature chain)."""
-    import scipy.special
-
     M = sig.superdim
     n = sig.n
-    xs, ws = scipy.special.roots_legendre(nodes)
+    xs, ws = _jacobi_rule(nodes, 0.0)
     acc = NumericGrassmann(2 * n)
     for t, w in zip(xs, ws):
         r = rmax * (t + 1) / 2

@@ -1,12 +1,17 @@
 """Command-line front end: output formats, exit codes, determinism."""
 
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import superharm
 from superharm import cli
@@ -121,6 +126,16 @@ def test_bochner_gaussian_self_reciprocal(capsys):
         assert abs(row["value"] - math.exp(-row["u"] ** 2 / 2)) < 1e-8
 
 
+def test_bochner_laguerre_profile_converges(capsys):
+    # the quadrature route refused this convergent transform ("error estimate 6")
+    code, out = run(
+        ["bochner", "--m", "3", "--n", "0", "--k", "0", "--profile", "lagexp(6,4,1/4)"], capsys
+    )
+    assert code == 0
+    rows = {row["u"]: row["value"] for row in json.loads(out)["rows"]}
+    assert abs(rows[2.0] - 5.571856382789) < 1e-9
+
+
 def test_bochner_rejects_growth(capsys):
     # exp(a) with a <= 0 used to count as decaying: a wrong value, or an OverflowError
     for n, k, profile in (("0", "0", "poly([0,1])"), ("1", "1", "exp(0)"), ("1", "1", "exp(-1)")):
@@ -138,9 +153,11 @@ def test_reduce_integral_gaussian_branches(capsys):
     code, out = run(["reduce-integral", "--m", "3", "--n", "1", "--profile", "exp(1)"], capsys)
     assert code == 0
     assert json.loads(out)["value"] == "pi^(1/2)"
-    # divergent integrals on the quadrature branches used to print 5.4e171 and
-    # 1.4e102, and e^u to raise OverflowError
-    for m, n, profile in (("3", "0", "pow(1)"), ("1", "1", "pow(-1)"), ("3", "0", "exp(-1)")):
+    # divergent integrals on the quadrature branches used to print 5.4e171,
+    # 1.4e102 and (scaled below the absolute error floor) 1.76e-7, and e^u to
+    # raise OverflowError
+    for m, n, profile in (("3", "0", "pow(1)"), ("1", "1", "pow(-1)"), ("3", "0", "exp(-1)"),
+                          ("1", "0", "1/1000000000*pow(-1/2)")):
         code, out = run(["reduce-integral", "--m", m, "--n", n, "--profile", profile], capsys)
         assert code == 2, profile
         assert json.loads(out)["error"]["type"] == "non-integrable"
@@ -276,6 +293,16 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text()) == {"dim": 12}
 
 
+def test_unwritable_out_reports_on_stdout(tmp_path, capsys):
+    # the payload used to be written after the handlers: a FileNotFoundError traceback
+    missing = tmp_path / "no-such-dir" / "x.json"
+    code, out = run(["dims", "--m", "3", "--n", "1", "--k", "2", "--out", str(missing)], capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "invalid-config"
+    assert "no-such-dir" in error["message"]
+
+
 def test_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit):
         cli.main(["verify-all", "--suite", "no-such-suite"])
@@ -305,17 +332,18 @@ def test_verify_subset_deterministic(capsys):
 
 # -- import boundary ----------------------------------------------------------
 
-_HEAVY_PROBE = """
+_PROBE = """
 import contextlib, io, json, sys
 import superharm, superharm.cli
-heavy = ("numpy", "scipy", "mpmath")
-report = {"import": {"exit": 0, "loaded": [m for m in heavy if m in sys.modules]}}
+watched = json.loads(sys.argv[2])
+report = {"import": {"exit": 0, "loaded": [m for m in watched if m in sys.modules]}}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = superharm.cli.main(argv)
-    report[" ".join(argv)] = {"exit": code, "loaded": [m for m in heavy if m in sys.modules]}
+    report[" ".join(argv)] = {"exit": code, "loaded": [m for m in watched if m in sys.modules]}
 print(json.dumps(report))
 """
+_NUMERIC_STACK = ("numpy", "scipy", "mpmath")
 
 
 def test_exact_commands_load_no_numeric_stack():
@@ -333,27 +361,138 @@ def test_exact_commands_load_no_numeric_stack():
     assert all(step == {"exit": 0, "loaded": []} for step in report.values()), report
 
 
-def test_half_line_commands_load_mpmath_only():
-    # the Hankel transform and the reduced integral integrate on (0, inf) with mpmath
+def test_half_line_commands_load_no_numeric_stack():
+    # CLI profiles have closed-form Hankel transforms and Gamma moments
     commands = [
         ["bochner", "--m", "3", "--n", "1", "--k", "1", "--profile", "exp(1/2)"],
+        ["bochner", "--m", "4", "--n", "1", "--k", "0", "--profile", "exp(1)"],
+        ["reduce-integral", "--m", "3", "--n", "1", "--profile", "exp(1)"],
         ["reduce-integral", "--m", "1", "--n", "1", "--profile", "exp(1)"],
+        ["reduce-integral", "--m", "2", "--n", "2", "--profile", "exp(1)"],
+        ["reduce-integral", "--m", "3", "--n", "0", "--profile", "pow(1)"],
     ]
     report = _probe_imports(commands)
-    assert len(report) == len(commands) + 1
-    for argv, step in zip(commands, list(report.values())[1:]):
-        assert step["exit"] == 0, argv
-        assert "numpy" not in step["loaded"] and "scipy" not in step["loaded"], (argv, step)
+    assert [step["exit"] for step in report.values()] == [0, 0, 0, 0, 0, 0, 2], report
+    assert all(step["loaded"] == [] for step in report.values()), report
 
 
-def _probe_imports(commands):
-    """Run the commands in one fresh interpreter (this test process has numpy
-    loaded already) and report the heavy modules loaded after each step."""
+def test_exact_commands_load_only_their_modules():
+    watched = ["superharm.radial", "superharm.zonal", "superharm.schrodinger", "superharm.verify"]
+    sig = ["--m", "3", "--n", "1"]
+    commands = [
+        ["dims"] + sig + ["--k", "2"],
+        ["pizzetti"] + sig + ["--poly", "x1^2 f1 f2 + 1"],
+        ["fischer"] + sig + ["--poly", "x1^2"],
+        ["dims", "--m", "9", "--n", "1", "--k", "2"],
+    ]
+    report = _probe_imports(commands, watched)
+    assert [step["exit"] for step in report.values()] == [0, 0, 0, 0, 2], report
+    assert all(step["loaded"] == [] for step in report.values()), report
+
+
+def _probe_imports(commands, watched=_NUMERIC_STACK):
+    """Run the commands in one fresh interpreter (this test process has every
+    module loaded already) and report the watched modules loaded after each
+    step."""
     src = str(Path(superharm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", _HEAVY_PROBE, json.dumps(commands)],
+        [sys.executable, "-c", _PROBE, json.dumps(commands), json.dumps(list(watched))],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+# -- the argv grammar, fuzzed -------------------------------------------------
+
+_RATIONALS = st.sampled_from(["0", "1", "-1", "1/2", "-1/2", "3/2", "1/4", "2", "-3", "5/3"])
+_TAGGED = st.one_of(
+    st.builds("exp({})".format, _RATIONALS),
+    st.builds("pow({})".format, _RATIONALS),
+    st.builds("powlog({})".format, _RATIONALS),
+    st.builds("lagexp({},{},{})".format, st.integers(-1, 9), _RATIONALS, _RATIONALS),
+    st.builds(lambda cs: "poly([" + ",".join(cs) + "])", st.lists(_RATIONALS, max_size=4)),
+)
+_PROFILES = st.one_of(_TAGGED, st.builds("{}*{}".format, _RATIONALS, _TAGGED), st.text(max_size=10))
+_POLYS = st.one_of(
+    st.sampled_from(["1", "0", "x1^2", "x1^2 + -1/3 x1 f1 f2 + 1", "x1^2 x2 + 2 x3 f1 f2",
+                     "x1^2 + x2", "x4", "f3", "x1 f0", "x1^13"]),
+    st.text(max_size=10),
+)
+_DEGREES = st.integers(-2, 14).map(str)
+
+
+def _frag(*parts):
+    """The argv fragment of ``parts``: strings as they are, strategies drawn."""
+    return st.tuples(*(st.just(p) if isinstance(p, str) else p for p in parts)).map(list)
+
+
+def _opt(*parts):
+    """Either nothing or the fragment of ``parts``."""
+    return st.one_of(st.just([]), _frag(*parts))
+
+
+_SIGNATURES = _frag("--m", st.integers(-1, 8).map(str), "--n", st.integers(-1, 4).map(str))
+_COMMANDS = st.one_of(
+    st.tuples(_frag("dims"), _SIGNATURES, st.one_of(_opt("--k", _DEGREES), _frag("--kmax", _DEGREES)),
+              _opt("--format", st.sampled_from(["json", "csv", "xml"]))),
+    st.tuples(_frag(st.sampled_from(["pizzetti", "fischer"]), "--poly", _POLYS), _SIGNATURES),
+    st.tuples(_frag("funk-hecke", "--l", _DEGREES), _SIGNATURES,
+              st.one_of(_opt("--k", _DEGREES),
+                        _frag("--profile", st.sampled_from(["1,0,2", "0,1,0,1/2", "", "a,b"])))),
+    st.tuples(_frag("bochner", "--k", _DEGREES, "--profile", _PROFILES), _SIGNATURES),
+    st.tuples(_frag("mehler"), _SIGNATURES, _opt("--kmax", st.integers(-1, 90).map(str)),
+              _opt("--seed", st.integers(0, 20).map(str))),
+    st.tuples(_frag("fundsol", "--l", st.integers(-1, 8).map(str)), _SIGNATURES),
+    st.tuples(_frag("spectrum", "--V", st.one_of(st.just("osc"), _PROFILES),
+                    "--jmax", st.integers(-1, 2).map(str), "--kmax", st.integers(-1, 2).map(str),
+                    "--nodes", st.integers(0, 60).map(str)), _SIGNATURES,
+              _opt("--rmax", st.sampled_from(["8", "-5", "nan", "1e400"])), _opt("--box"),
+              _opt("--format", st.sampled_from(["json", "csv"]))),
+    st.tuples(_frag("reduce-integral", "--profile", _PROFILES), _SIGNATURES),
+    # every suite (no --suite) would take seconds
+    st.tuples(_frag("verify-all", "--suite", st.sampled_from(["scalar-exact", "no-such-suite"]))),
+    st.tuples(st.lists(st.text(max_size=6), max_size=3)),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(argv=_COMMANDS,
+       tol=_opt("--tol", st.sampled_from(["1e-8", "0", "-1", "nan", "junk"])),
+       out=st.sampled_from([None, "file", "missing"]))
+def test_argv_grammar_fuzz(argv, tol, out):
+    with tempfile.TemporaryDirectory() as tmp:
+        target = {None: None, "file": os.path.join(tmp, "out.txt"),
+                  "missing": os.path.join(tmp, "no-such-dir", "out.txt")}[out]
+        argv = argv + tol + (["--out", target] if target else [])
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(argv)
+                parsed = True
+            except SystemExit as exc:  # argparse refusal
+                code, parsed = exc.code, False
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in stderr.getvalue(), argv
+        text = stdout.getvalue()
+        if not parsed:
+            assert text == "", argv
+            return
+        if out == "file" and text == "":
+            with open(target) as fh:
+                text = fh.read()
+        _assert_json_or_csv(text, argv)
+
+
+def _assert_json_or_csv(text, argv):
+    """A JSON document or a CSV table; an error is never an unexpected
+    exception (which a handler missing one of its imports would raise)."""
+    try:
+        payload = json.loads(text)
+    except ValueError:
+        rows = list(csv.reader(io.StringIO(text)))
+        assert len(rows) >= 2 and len({len(r) for r in rows}) == 1, (argv, text[:200])
+        return
+    error = payload.get("error") if isinstance(payload, dict) else None
+    assert error is None or error["type"] != "internal-error", (argv, error)

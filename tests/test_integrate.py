@@ -30,6 +30,7 @@ from superharm.integrate import (
     reduce_integral,
     superball_poly,
 )
+from superharm.radial import RadialProfile
 
 SIGS = [Signature(1, 0), Signature(3, 0), Signature(1, 1), Signature(2, 1),
         Signature(3, 1), Signature(2, 2)]
@@ -274,7 +275,6 @@ class _GaussProfile:
 
     def __init__(self, c=1.0):
         self.c = c
-        self.gaussian_rate = Fraction(1) if c == 1.0 else None
 
     def __call__(self, u):
         return self.c * math.exp(-u)
@@ -301,8 +301,37 @@ def test_reduced_integral_gaussian_all_branches(sig):
         assert abs(got - want) < 1e-10
 
 
+@pytest.mark.parametrize("sig", [Signature(1, 0), Signature(2, 0), Signature(3, 0),
+                                 Signature(5, 0), Signature(1, 1), Signature(1, 2)])
+def test_reduce_integral_gamma_moments_match_quadrature(sig):
+    M = sig.superdim
+    j = max(0, (1 - M) // 2)  # derivatives taken on the odd negative branch
+    if M > 0:
+        pre, power = sphere_area(M).to_float(), M - 1
+    else:
+        pre, power = 2 * (-1) ** j * math.pi ** ((M - 1) / 2), 0
+    for a in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)):
+        for psi in [RadialProfile.exponential(a)] + [
+            RadialProfile.laguerre_exp(deg, Fraction(deg % 3, 2), a) for deg in (1, 4, 9)
+        ]:
+            got = reduce_integral(psi, sig)
+            # exact unless an odd power of sqrt(a) is left over
+            assert isinstance(got, ExactScalar) == (M % 2 == 0 or a in (Fraction(1, 4), 1))
+            d = psi
+            for _ in range(j):
+                d = d.derivative()
+            want = pre * quad_0_inf(lambda v: v**power * d(v * v), 1e-12)
+            got = got.to_float() if isinstance(got, ExactScalar) else got
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (a, psi.to_text())
+
+
 def test_quadrature_helper_known_integral():
     assert abs(quad_0_inf(lambda v: math.exp(-v * v)) - math.sqrt(math.pi) / 2) < 1e-12
     # a divergent integral comes back with mpmath's capped error estimate
     with pytest.raises(NonIntegrableError):
         quad_0_inf(lambda v: v**4)
+    # far nodes must not overflow u^9 where e^{-u} underflows, and the value
+    # Gamma(21/2) / 2 ~ 5.6e5 needs a relative error estimate
+    h = RadialProfile.power(9) * RadialProfile.exponential(1)
+    want = math.gamma(10.5) / 2
+    assert abs(quad_0_inf(lambda v: v**2 * h(v * v), 1e-10) - want) < 1e-12 * want

@@ -84,11 +84,6 @@ def test_profile_exact_hooks():
     assert p.value_exact_at_one().as_fraction() == 5
     assert RadialProfile.exponential(1).value_exact_at_one() is None
 
-    assert RadialProfile.exponential(1).gaussian_rate == 1
-    assert RadialProfile.exponential(Fraction(1, 2)).gaussian_rate == Fraction(1, 2)
-    assert (RadialProfile.exponential(1) * Fraction(2)).gaussian_rate is None
-    assert RadialProfile.polynomial([1]).gaussian_rate is None
-
 
 def test_profile_derivative_and_product():
     # d/du on u^{3/2} log(u) e^{-u}: product rule across all three factors
@@ -509,8 +504,7 @@ def test_reduce_integral_moments():
     got = reduce_integral(RadialProfile.exponential(1), Signature(1, 1), 1e-10)
     assert abs(_tofl(got) - math.pi**-0.5) < 1e-12
 
-    # u^9 e^{-u}: far quadrature nodes must not overflow u^9, and the value
-    # 4 pi Gamma(21/2) / 2 ~ 7e6 needs a relative error estimate
+    # u^9 e^{-u}: the Gamma moment 4 pi Gamma(21/2) / 2 ~ 7e6
     prof = RadialProfile.power(9) * RadialProfile.exponential(1)
     got = reduce_integral(prof, Signature(3, 0), 1e-10)
     want = 2 * math.pi * math.gamma(10.5)

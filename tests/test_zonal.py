@@ -207,6 +207,33 @@ def test_hankel_zero_argument_finite():
     assert abs(Z.hankel(0.5, g, 0.0) - 1.0) < 1e-10
 
 
+def test_hankel_closed_form_matches_quadrature():
+    # every nu, rate and u meets exp(a) and a Laguerre profile with j up to 9
+    compared = refused = 0
+    for i, nu in enumerate((0.0, 0.5, 1.0, 1.5, 2.5, 4.0)):
+        for k, a in enumerate((Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2))):
+            j = (4 * i + 3 * k) % 10
+            q = Fraction((i + k) % 4, 2)
+            for psi in (RadialProfile.exponential(a), RadialProfile.laguerre_exp(j, q, a)):
+                for u in (0.0, 0.5, 1.0, 2.0, 4.0):
+                    closed = Z.hankel(nu, psi, u)
+                    try:
+                        quad = Z._hankel_quad(nu, psi, u, 1e-10)
+                    except Z.NonIntegrableError:
+                        refused += 1
+                        assert math.isfinite(closed)
+                        continue
+                    compared += 1
+                    assert abs(closed - quad) <= 1e-9 * max(1.0, abs(quad)), (nu, a, j, q, u)
+    assert compared >= 220 and compared + refused == 240
+    # past z = u^2/(4a) = 700, e^{-z} leaves the float range: u^150 e^{-u/4} at
+    # z = 1000 is 4.40320624490259e94 (the closed form at 40 digits in mpmath),
+    # and far out the transform underflows to 0.0 where u^2 overflows a float
+    psi = RadialProfile.power(150) * RadialProfile.exponential(Fraction(1, 4))
+    assert abs(Z.hankel(0.5, psi, math.sqrt(1000)) / 4.40320624490259e94 - 1) < 1e-9
+    assert Z.hankel(1.5, RadialProfile.laguerre_exp(3, 1, Fraction(1, 4)), 1e200) == 0.0
+
+
 def test_hankel_divergence_gating():
     with pytest.raises(Z.NonIntegrableError):
         Z.hankel(0.5, RadialProfile.power(Fraction(1)), 1.0)
