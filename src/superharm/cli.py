@@ -6,8 +6,7 @@ Exact scalars appear in the canonical ``p/q*pi^(s/2)`` sum form produced by
 ``ExactScalar.to_text``.  Exit status: 0 when every check in the invoked
 command passes, 1 when a check fails, 2 on invalid configuration — the
 latter with a structured ``{"error": ...}`` object in the output.  The
-environment variable ``SUPERHARM_TOL`` overrides the default numeric
-tolerance; a per-command ``--tol`` overrides both.
+numeric tolerance is ``--tol`` (default 1e-10), a positive finite number.
 
 Each handler imports the modules its command needs, so a fresh process loads
 only those (``verify`` only for ``verify-all``).
@@ -17,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import re
 import sys
@@ -28,14 +26,8 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 if TYPE_CHECKING:
     from .superpoly import Signature
 
-DEFAULT_TOL_ENV = "SUPERHARM_TOL"
-
-
-def _default_tol() -> float:
-    try:
-        return float(os.environ.get(DEFAULT_TOL_ENV, "1e-10"))
-    except ValueError:
-        return 1e-10
+DEG_MAX = 12  # cap on input polynomial degrees
+K_MAX = 12  # cap on harmonic, kernel and quantum-number degrees
 
 
 @dataclass(frozen=True)
@@ -44,8 +36,6 @@ class RunConfig:
 
     m: int = 1
     n: int = 0
-    deg_max: int = 12
-    k_max: int = 12
     tol: float = 1e-10
     fmt: str = "json"
     seed: int = 7
@@ -56,8 +46,8 @@ class RunConfig:
             raise ValueError("signature outside supported caps (m <= 6, n <= 3)")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.fmt!r}")
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tol < float("inf"):
+            raise ValueError("tolerance must be positive and finite")
 
     def signature(self) -> "Signature":
         from .superpoly import Signature
@@ -65,8 +55,8 @@ class RunConfig:
         return Signature(self.m, self.n)
 
     def check_degree(self, k: int, what: str = "degree") -> int:
-        if k < 0 or k > self.k_max:
-            raise ValueError(f"{what} {k} outside supported range 0..{self.k_max}")
+        if k < 0 or k > K_MAX:
+            raise ValueError(f"{what} {k} outside supported range 0..{K_MAX}")
         return k
 
 
@@ -146,8 +136,8 @@ def _cmd_pizzetti(cfg: RunConfig, args) -> Result:
 
     sig = cfg.signature()
     f = SuperPolynomial.parse(args.poly, sig)
-    if f.terms and f.degree() > cfg.deg_max:
-        raise ValueError(f"polynomial degree {f.degree()} above cap {cfg.deg_max}")
+    if f.terms and f.degree() > DEG_MAX:
+        raise ValueError(f"polynomial degree {f.degree()} above cap {DEG_MAX}")
     return {"value": pizzetti(f).to_text()}, True, "json"
 
 
@@ -159,8 +149,8 @@ def _cmd_fischer(cfg: RunConfig, args) -> Result:
     f = SuperPolynomial.parse(args.poly, sig)
     if not f.terms:
         return {"degree": 0, "blocks": [], "round_trip": True}, True, "json"
-    if f.degree() > cfg.deg_max:
-        raise ValueError(f"polynomial degree {f.degree()} above cap {cfg.deg_max}")
+    if f.degree() > DEG_MAX:
+        raise ValueError(f"polynomial degree {f.degree()} above cap {DEG_MAX}")
     if len(f.homogeneous_components()) > 1:
         raise ValueError("fischer needs a homogeneous polynomial")
     blocks = fischer_decompose(f)
@@ -182,8 +172,8 @@ def _cmd_funk_hecke(cfg: RunConfig, args) -> Result:
     l = cfg.check_degree(args.l, "--l")
     if args.profile is not None:
         coeffs = _parse_coeffs(args.profile)
-        if len(coeffs) - 1 > cfg.k_max:
-            raise ValueError(f"kernel degree {len(coeffs) - 1} above cap {cfg.k_max}")
+        if len(coeffs) - 1 > K_MAX:
+            raise ValueError(f"kernel degree {len(coeffs) - 1} above cap {K_MAX}")
         values = []
         for k, c in enumerate(coeffs):
             if not c:
@@ -341,7 +331,7 @@ def _add_sig(p: argparse.ArgumentParser):
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--tol", type=float, default=None, help="numeric tolerance (default from SUPERHARM_TOL)")
+    p.add_argument("--tol", type=float, default=1e-10, help="numeric tolerance (default 1e-10)")
     p.add_argument("--out", default=None, help="write the result to this file instead of stdout")
 
 
@@ -349,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="superharm",
         description="Exact and numeric harmonic analysis on R^{m|2n}.",
-        epilog=f"Default tolerance comes from ${DEFAULT_TOL_ENV} (fallback 1e-10).",
+        epilog="--tol sets the numeric tolerance (default 1e-10; positive and finite).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -422,11 +412,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> RunConfig:
-    tol = args.tol if getattr(args, "tol", None) is not None else _default_tol()
     return RunConfig(
         m=getattr(args, "m", 1),
         n=getattr(args, "n", 0),
-        tol=tol,
+        tol=getattr(args, "tol", 1e-10),
         fmt=getattr(args, "fmt", "json"),
         seed=getattr(args, "seed", 7),
         out=getattr(args, "out", None),

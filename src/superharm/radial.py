@@ -13,8 +13,10 @@ where x'^2 is the anticommuting norm square and r^2 the bosonic one.  A
 which is closed under d/du and products and covers powers, power-times-log,
 exponentials, Laguerre-times-exponential and polynomials; it differentiates
 exactly and never expires.  A ``NumericProfile`` is an opaque evaluator
-(j, u) -> h^{(j)}(u) with a declared maximal order; it has no arithmetic and
-fails fast once the declared order is exhausted.
+(j, t) -> phi^{(j)}(t) with a declared maximal order; it has no arithmetic and
+fails fast once the declared order is exhausted.  It is the one numeric
+function type: radial profiles, zonal kernels phi(<x,y>) and Bessel factors
+alike, composed through the nilpotent Taylor series of ``compose_value``.
 """
 
 from __future__ import annotations
@@ -163,12 +165,6 @@ class RadialProfile(Sparse):
         })
 
     @classmethod
-    def from_evaluator(
-        cls, fn: Callable[[int, float], float], j_max: int
-    ) -> "NumericProfile":
-        return NumericProfile(fn, j_max)
-
-    @classmethod
     def zero(cls) -> "RadialProfile":
         return cls()
 
@@ -219,15 +215,34 @@ class RadialProfile(Sparse):
 
 
 class NumericProfile:
-    """A profile given by an evaluator (order, u) -> h^{(order)}(u), valid up
-    to ``j_max``.  The exact hooks that ``reduce_integral`` and
-    ``osp_invariance_check`` read are all None."""
+    """A function given by an evaluator (order, t) -> phi^{(order)}(t), valid
+    up to ``j_max`` (math.inf: every order); values may be complex.  The exact
+    hooks that ``reduce_integral`` and ``osp_invariance_check`` read are all
+    None."""
 
     __slots__ = ("_fn", "j_max")
 
-    def __init__(self, fn: Callable[[int, float], float], j_max: int):
+    def __init__(self, fn: Callable[[int, float], complex], j_max: float):
         self._fn = fn
         self.j_max = j_max
+
+    @classmethod
+    def polynomial(cls, coeffs: Sequence[RatLike]) -> "NumericProfile":
+        cf = [Fraction(c) for c in coeffs]
+
+        def fn(i: int, t: float):
+            tot = 0.0
+            for p in range(i, len(cf)):
+                tot += float(cf[p]) * math.perm(p, i) * t ** (p - i)
+            return tot
+
+        return cls(fn, math.inf)
+
+    @classmethod
+    def exp_i(cls, v: float) -> "NumericProfile":
+        """phi(t) = exp(i v t)."""
+        return cls(lambda i, t: (1j * v) ** i * complex(math.cos(v * t), math.sin(v * t)),
+                   math.inf)
 
     def value_exact_at_zero(self) -> None:
         return None

@@ -5,8 +5,8 @@ finite sum  sum_s q_s * pi^(s/2)  with rational q_s and integer s.  This is clos
 under products of gamma-function values at half-integers, which is all the exact
 layer ever needs (sphere areas, Pizzetti weights, Funk-Hecke multipliers, ...).
 
-Numeric special functions (Laguerre, Gegenbauer, normalized Jacobi, Bessel J) live
-here too so the higher modules share one implementation.
+Numeric special functions (Laguerre, Gegenbauer, Bessel J and the Bessel profile)
+live here too so the higher modules share one implementation.
 """
 
 from __future__ import annotations
@@ -330,20 +330,11 @@ def binom_frac(top: RatLike, k: int) -> Fraction:
 _MP_DPS = 30
 
 
-@lru_cache(maxsize=100_000)
-def _bessel_j_cached(nu: float, t: float) -> float:
-    import mpmath
-
-    with mpmath.workdps(_MP_DPS):
-        return float(mpmath.besselj(mpmath.mpf(nu), mpmath.mpf(t)))
-
-
 def bessel_j(nu: RatLike | float, t: float) -> float:
-    """J_nu(t) for t >= 0.  Backed by arbitrary-precision evaluation so the
-    ascending series' cancellation never costs accuracy at desk-scale t."""
+    """J_nu(t) = t^nu W_nu(t^2) for t >= 0, through ``bessel_profile``."""
     if t < 0:
         raise ValueError("bessel_j expects t >= 0")
-    return _bessel_j_cached(float(nu), float(t))
+    return t ** float(nu) * bessel_profile(float(nu), float(t) ** 2)
 
 
 @lru_cache(maxsize=100_000)

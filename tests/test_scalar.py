@@ -209,6 +209,20 @@ def test_jacobi_normalized_at_one():
     assert _legendre_kernel(3, 2, 0.5) == pytest.approx(4 * 0.5**3 - 3 * 0.5, rel=1e-12)
 
 
+def test_legendre_kernel_matches_jacobi_oracle():
+    # the kernel recurrence against the normalized Jacobi form it replaced;
+    # the values are bounded by their value 1 at t = 1
+    import scipy.special
+
+    for M in range(2, 9):
+        a = (M - 3) / 2
+        for l in range(9):
+            norm = float(binom_frac(Fraction(M - 3, 2) + l, l))
+            for t in [k / 10 - 1 for k in range(21)]:
+                want = float(scipy.special.eval_jacobi(l, a, a, t)) / norm
+                assert abs(_legendre_kernel(l, M, t) - want) <= 1e-12 * max(1.0, abs(want)), (M, l, t)
+
+
 # -- Bessel -------------------------------------------------------------------
 
 
@@ -224,6 +238,12 @@ def test_bessel_small_argument_limit():
         t = 1e-6
         lim = 1 / (2**nu * math.gamma(nu + 1))
         assert bessel_j(nu, t) / t**nu == pytest.approx(lim, rel=1e-8)
+
+
+def test_bessel_at_zero():
+    assert bessel_j(0, 0.0) == 1.0
+    for nu in (H, 1, 2.5, 4):
+        assert bessel_j(nu, 0.0) == 0.0
 
 
 def test_bessel_negative_argument_rejected():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from superharm.harmonics import dim_harmonics, dim_polynomials
-from superharm.radial import RadialProfile
+from superharm.radial import NumericProfile, RadialProfile
 from superharm.superpoly import Signature, SuperPolynomial
 from superharm import schrodinger as S
 from superharm import zonal as Z
@@ -75,7 +75,7 @@ def test_hydrogen_profile_residual_numeric():
             return -0.5 * e / s
         return (0.25 / u + 0.25 / u / s) * e
 
-    f = RadialProfile.from_evaluator(fn, j_max=2)
+    f = NumericProfile(fn, j_max=2)
     for u in (0.3, 1.0, 2.7, 6.25):
         assert abs(S.reduction_residual_at(prob, f, -0.5, u)) < 1e-8
 

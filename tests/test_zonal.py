@@ -15,7 +15,7 @@ from superharm.harmonics import (
     reproducing_kernel,
 )
 from superharm.integrate import pizzetti
-from superharm.radial import RadialProfile, radial_expand
+from superharm.radial import NumericProfile, RadialProfile, radial_expand
 from superharm.scalar import ExactScalar, bessel_j, laguerre, sphere_area
 from superharm.superpoly import Signature, SuperPolynomial, osp_generator, pairing
 from superharm import zonal as Z
@@ -135,17 +135,25 @@ def test_alpha_numeric_rejects():
     phi = Z.ZonalProfile.polynomial([1, 1])
     with pytest.raises(ValueError):
         Z.funk_hecke_alpha_numeric(1, 0, phi, 1.0, 0)
-    capped = Z.ZonalProfile.from_evaluator(lambda i, t: math.sin(t) if i == 0 else math.cos(t), 1)
+    capped = NumericProfile(lambda i, t: math.sin(t) if i == 0 else math.cos(t), 1)
     with pytest.raises(ValueError):
         Z.funk_hecke_alpha_numeric(3, 0, capped, 1.0, 2)
-    boxed = Z.ZonalProfile.from_evaluator(lambda i, t: 1.0, 4, a=0.5)
-    with pytest.raises(ValueError):
-        Z.funk_hecke_alpha_numeric(3, 0, boxed, 0.8, 0)
     # |t|^(1/2) has a kink at 0 that Gauss-Jacobi does not resolve: the last
     # iterate (8.377710 against 16 pi/3 = 8.377580) must not come back silently
-    kinked = Z.ZonalProfile.from_evaluator(lambda i, t: abs(t) ** 0.5, 0)
+    kinked = NumericProfile(lambda i, t: abs(t) ** 0.5, 0)
     with pytest.raises(Z.TruncationError):
         Z.funk_hecke_alpha_numeric(3, 0, kinked, 1.0, 0)
+
+
+def test_jacobi_rule_integrates_even_moments():
+    # sum_i w_i t_i^{2k} = Int t^{2k} (1-t^2)^a dt = Gamma(k+1/2) Gamma(a+1) / Gamma(a+k+3/2)
+    for a in (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5):
+        for nn in (64, 128, 256, 512, 1024):
+            nodes, weights = Z._jacobi_rule(nn, a)
+            for k in (0, 1, 5, 20, 50):
+                want = math.gamma(k + 0.5) * math.gamma(a + 1) / math.gamma(a + k + 1.5)
+                got = math.fsum(w * t ** (2 * k) for t, w in zip(nodes, weights))
+                assert abs(got - want) <= 1e-11 * want, (a, nn, k)
 
 
 def test_apply_matches_polynomial_route():
@@ -165,9 +173,7 @@ def test_apply_classical_quadrature_oracle():
     """Purely bosonic case against direct quadrature of the classical
     one-variable reduction."""
     sig = Signature(3, 0)
-    phi = Z.ZonalProfile.from_evaluator(
-        lambda i, t: math.tanh(t) if i == 0 else 1 / math.cosh(t) ** 2, 1
-    )
+    phi = NumericProfile(lambda i, t: math.tanh(t) if i == 0 else 1 / math.cosh(t) ** 2, 1)
     y = [0.3, 0.2, -0.6]
     ry = math.sqrt(sum(c * c for c in y))
     got = Z.funk_hecke_apply(sig, phi, SuperPolynomial.constant(sig, 1), 0, y).coeff(0).real
@@ -246,7 +252,7 @@ def test_hankel_divergence_gating():
     assert Z.hankel(0.5, RadialProfile.polynomial([0]), 1.0) == 0.0
     assert Z.hankel(0.5, RadialProfile.exponential(1) * 0, 1.0) == 0.0
     # a numeric profile carries no decay information
-    numeric = RadialProfile.from_evaluator(lambda j, u: (-1) ** j * math.exp(-u), 4)
+    numeric = NumericProfile(lambda j, u: (-1) ** j * math.exp(-u), 4)
     for flat in (RadialProfile.exponential(0), RadialProfile.exponential(-1),
                  RadialProfile.exponential(1) + RadialProfile.polynomial([1]), numeric):
         with pytest.raises(Z.NonIntegrableError):
