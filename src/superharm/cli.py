@@ -19,7 +19,6 @@ import json
 import random
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
@@ -30,24 +29,20 @@ DEG_MAX = 12  # cap on input polynomial degrees
 K_MAX = 12  # cap on harmonic, kernel and quantum-number degrees
 
 
-@dataclass(frozen=True)
 class RunConfig:
     """Resolved settings for one command invocation."""
 
-    m: int = 1
-    n: int = 0
-    tol: float = 1e-10
-    fmt: str = "json"
-    seed: int = 7
-    out: Optional[str] = None
+    __slots__ = ("m", "n", "tol", "fmt", "seed", "out")
 
-    def __post_init__(self):
-        if self.m > 6 or self.n > 3:
+    def __init__(self, m: int = 1, n: int = 0, tol: float = 1e-10, fmt: str = "json",
+                 seed: int = 7, out: Optional[str] = None):
+        if m > 6 or n > 3:
             raise ValueError("signature outside supported caps (m <= 6, n <= 3)")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
-        if not 0 < self.tol < float("inf"):
+        if fmt not in ("json", "csv"):
+            raise ValueError(f"unknown output format {fmt!r}")
+        if not 0 < tol < float("inf"):
             raise ValueError("tolerance must be positive and finite")
+        self.m, self.n, self.tol, self.fmt, self.seed, self.out = m, n, tol, fmt, seed, out
 
     def signature(self) -> "Signature":
         from .superpoly import Signature

@@ -16,7 +16,6 @@ and raise UnsupportedSignatureError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -90,11 +89,11 @@ def monomial_keys(sig: Signature, k: int) -> List[TermKey]:
     return out
 
 
-@dataclass
 class HarmonicBasis:
-    sig: Signature
-    k: int
-    elements: List[SuperPolynomial]
+    __slots__ = ("sig", "k", "elements")
+
+    def __init__(self, sig: Signature, k: int, elements: List[SuperPolynomial]):
+        self.sig, self.k, self.elements = sig, k, elements
 
     def __len__(self):
         return len(self.elements)

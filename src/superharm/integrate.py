@@ -14,7 +14,6 @@ extraction, with sqrt(a) entering iff m is odd.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
@@ -116,7 +115,6 @@ def greens_check(f: SuperPolynomial) -> Tuple[List[ExactScalar], List[ExactScala
 # -- full superspace: polynomial x Gaussian -----------------------------------
 
 
-@dataclass
 class RadicalScalar:
     """rat + rad * sqrt(radicand), with exact pi-power parts.
 
@@ -124,15 +122,13 @@ class RadicalScalar:
     the bosonic dimension is odd, and never mixes with the rational part.
     """
 
-    rat: ExactScalar
-    rad: ExactScalar
-    radicand: Fraction
+    __slots__ = ("rat", "rad", "radicand")
 
-    def __post_init__(self):
-        root = _rational_sqrt(Fraction(self.radicand))
-        if root is not None and not self.rad.is_zero:
-            self.rat = self.rat + self.rad * root
-            self.rad = ExactScalar()
+    def __init__(self, rat: ExactScalar, rad: ExactScalar, radicand: Fraction):
+        root = _rational_sqrt(Fraction(radicand))
+        if root is not None and not rad.is_zero:
+            rat, rad = rat + rad * root, ExactScalar()
+        self.rat, self.rad, self.radicand = rat, rad, radicand
 
     def to_float(self) -> float:
         return self.rat.to_float() + self.rad.to_float() * math.sqrt(self.radicand)

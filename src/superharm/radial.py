@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .grassmann import NumericGrassmann, fermi_derivative, fermi_norm_sq, fermi_pow
 from .harmonics import UnsupportedSignatureError
@@ -270,8 +269,7 @@ class NumericProfile:
         return f"<numeric profile, j_max={self.j_max}>"
 
 
-@dataclass(frozen=True)
-class RadialSuperfunction:
+class RadialSuperfunction(NamedTuple):
     """h(R^2) for a profile h on a fixed signature."""
 
     sig: Signature
@@ -452,8 +450,7 @@ def _numeric_generator_residual(
     return worst
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     max_residual: float
     exact: bool
 

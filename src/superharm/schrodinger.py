@@ -9,28 +9,27 @@ so eigenpairs of the M-dimensional bosonic radial problem lift verbatim to
 superspace.  This module carries the reduction object, the exact oscillator
 spectrum with super-degeneracies, and a finite-difference eigensolver for the
 reduced equation (working in r, where the sector equation is a radial
-Laplacian at effective dimension M + 2k).
+Laplacian at effective dimension M + 2k).  The eigensolver is Sturm-count
+bisection on the tridiagonal finite-difference matrix in plain Python, the
+algorithm of LAPACK's dstebz, with eigenvalues accurate to about ulp |T|
+(|T| ~ 2 nodes^2 / r_max^2); it needs no numpy or scipy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .harmonics import dim_harmonics
 from .radial import RadialProfile, laplacian_profile
 from .scalar import ExactScalar, RatLike
 from .superpoly import Signature
 
-if TYPE_CHECKING:
-    import numpy as np
 
-
-@dataclass(frozen=True)
-class RadialProblem:
+class RadialProblem(NamedTuple):
     """The reduced one-dimensional eigenproblem in the squared radius."""
 
     sig: Signature
@@ -80,8 +79,7 @@ def reduction_residual_at(problem: RadialProblem, f: RadialProfile, E: float, u:
 # -- exact oscillator spectrum ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
     j: int
     k: int
     E: Fraction
@@ -132,47 +130,113 @@ def oscillator_level_count(sig: Signature, q: int) -> Tuple[int, int]:
 # -- numeric eigensolver ------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class GridSpec:
     """Uniform staggered grid in r on (0, r_max) with a Dirichlet box at
     r_max.  ``box`` acknowledges the truncation for potentials that do not
     grow at the edge (bound states of wells, Coulomb tails, V = 0)."""
 
-    r_max: float
-    nodes: int = 2000
-    box: bool = False
+    __slots__ = ("r_max", "nodes", "box")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.r_max) and self.r_max > 0):
-            raise ValueError(f"grid extent r_max must be finite and positive, got {self.r_max}")
-        if self.nodes < 2:
-            raise ValueError(f"grid needs at least 2 nodes, got {self.nodes}")
+    def __init__(self, r_max: float, nodes: int = 2000, box: bool = False):
+        if not (math.isfinite(r_max) and r_max > 0):
+            raise ValueError(f"grid extent r_max must be finite and positive, got {r_max}")
+        if nodes < 2:
+            raise ValueError(f"grid needs at least 2 nodes, got {nodes}")
+        self.r_max, self.nodes, self.box = r_max, nodes, box
 
 
-def _fd_eigenvalues(problem: RadialProblem, r_max: float, nodes: int, count: int) -> np.ndarray:
+_ULP = sys.float_info.epsilon  # LAPACK's dlamch('P')
+_MAX_BISECTIONS = 128  # halving a Gershgorin bracket (about 2 |T| wide) to ulp |T| takes 54
+
+
+def _sturm_count(diag: List[float], off2: List[float], x: float, pivmin: float) -> int:
+    """Number of eigenvalues of T below x (one at x may count either way):
+    the negative pivots of T - x I = L D L^T, by Sylvester's inertia.
+    ``off2`` holds the squared off-diagonal behind a leading 0; a pivot of
+    size <= pivmin is taken as -pivmin, LAPACK's guard against a zero pivot."""
+    q, below = 1.0, 0
+    for d, e2 in zip(diag, off2):
+        q = d - x - e2 / q
+        if q <= pivmin:
+            if q > -pivmin:
+                q = -pivmin
+            below += 1
+    return below
+
+
+def _fd_eigenvalues(
+    problem: RadialProblem, r_max: float, nodes: int, count: int, guesses: Sequence[float] = ()
+) -> List[float]:
     """Lowest eigenvalues of the sector equation
     -1/2 (phi'' + (Meff-1)/r phi') + V(r^2) phi = E phi on a staggered grid.
 
     Flux form with weight w = r^{Meff-1}, symmetrized by phi -> sqrt(w) phi;
     cell centers at (i+1/2)h keep the origin off the grid and the zero flux
-    through r = 0 encodes the regular branch."""
-    import numpy as np
-    import scipy.linalg
-
+    through r = 0 encodes the regular branch.  The tridiagonal matrix goes to
+    ``_lowest_eigenvalues``."""
+    if count > nodes:
+        raise ValueError(f"{count} levels requested from a {nodes}-node grid, which has {nodes}")
     Meff = problem.sector_dimension
     h = r_max / nodes
-    centers = (np.arange(nodes) + 0.5) * h
-    edges = np.arange(nodes + 1) * h
-    w_c = centers ** (Meff - 1)
-    w_e = edges ** (Meff - 1)
+    centers = [(i + 0.5) * h for i in range(nodes)]
+    w_c = [c ** (Meff - 1) for c in centers]
+    w_e = [(i * h) ** (Meff - 1) for i in range(nodes + 1)]
     w_e[0] = 0.0  # no flux through the origin (regular solution)
-    Vvals = np.array([problem.V(u) for u in centers**2])
-    diag = (w_e[:-1] + w_e[1:]) / (2.0 * w_c * h * h) + Vvals
+    diag = [
+        (a + b) / (2.0 * w * h * h) + problem.V(c * c)
+        for a, b, w, c in zip(w_e, w_e[1:], w_c, centers)
+    ]
     diag[-1] += w_e[-1] / (2.0 * w_c[-1] * h * h)  # Dirichlet wall at r_max itself
-    off = -w_e[1:-1] / (2.0 * h * h * np.sqrt(w_c[:-1] * w_c[1:]))
-    return scipy.linalg.eigvalsh_tridiagonal(
-        diag, off, select="i", select_range=(0, count - 1)
-    )
+    off = [-e / (2.0 * h * h * math.sqrt(a * b)) for e, a, b in zip(w_e[1:], w_c, w_c[1:])]
+    return _lowest_eigenvalues(diag, off, count, guesses)
+
+
+def _lowest_eigenvalues(
+    diag: List[float], off: List[float], count: int, guesses: Sequence[float] = ()
+) -> List[float]:
+    """The ``count`` lowest eigenvalues of the symmetric tridiagonal matrix T
+    with diagonal ``diag`` and off-diagonal ``off``, ascending.
+
+    Sturm-count bisection (Barth, Martin and Wilkinson, Numer. Math. 9 (1967)
+    386), the algorithm of LAPACK's dstebz: brackets start from the Gershgorin
+    bounds, and each eigenvalue is the midpoint of a bracket narrower than
+    max(ulp |T|, 2 ulp |bound|), so it is accurate to about ulp |T| (for the
+    finite-difference operator |T| ~ 2 nodes^2 / r_max^2).  Every Sturm count
+    narrows the bracket of every wanted eigenvalue.  ``guesses`` (say the
+    eigenvalues on a coarser grid) are probed at g -+ 1e-3 (1 + |g|) first;
+    a probe that misses its eigenvalue still narrows some bracket."""
+    if not all(map(math.isfinite, diag + off)):
+        raise ValueError("finite-difference matrix has infinite or NaN entries")
+    off2 = [0.0] + [e * e for e in off]
+    radius = [abs(a) + abs(b) for a, b in zip([0.0] + off, off + [0.0])]
+    gl = min(d - r for d, r in zip(diag, radius))
+    gu = max(d + r for d, r in zip(diag, radius))
+    tnorm = max(abs(gl), abs(gu))
+    pivmin = sys.float_info.min * max(1.0, max(off2))
+    pad = 2.1 * (tnorm * _ULP * len(diag) + 2.0 * pivmin)
+    atol = max(_ULP * tnorm, pivmin)
+    lo, hi = [gl - pad] * count, [gu + pad] * count
+
+    def probe(x: float) -> None:
+        below = _sturm_count(diag, off2, x, pivmin)
+        for j in range(min(below, count)):
+            hi[j] = min(hi[j], x)
+        for j in range(below, count):
+            lo[j] = max(lo[j], x)
+
+    for g in guesses:
+        delta = 1e-3 * (1.0 + abs(g))
+        probe(g - delta)
+        probe(g + delta)
+    for j in range(count):
+        for _ in range(_MAX_BISECTIONS):
+            a, b = lo[j], hi[j]
+            if b - a < max(atol, 2.0 * _ULP * max(abs(a), abs(b))):
+                break
+            probe(0.5 * (a + b))
+        else:
+            raise ArithmeticError(f"bisection for level {j} did not converge")
+    return [0.5 * (a + b) for a, b in zip(lo, hi)]
 
 
 def solve_numeric(
@@ -184,12 +248,24 @@ def solve_numeric(
     """Lowest eigenvalues of the reduced problem with a grid-halving error
     estimate: solved at nodes and 2*nodes, Richardson-extrapolated, the
     spread |E_2h - E_h|/3 reported as the error.  Returns (E, err) pairs,
-    optionally filtered to ``e_window``."""
-    if problem.sector_dimension < 1:
+    optionally filtered to ``e_window``.
+
+    A symbolic V with a term u^beta, D + 2 beta <= 0 (D = M + 2k), is refused:
+    V(r^2) r^{D-1} is not integrable at r = 0 and the levels depend on the
+    grid (the 1-D hydrogen problem at D = 1)."""
+    D = problem.sector_dimension
+    if D < 1:
         raise ValueError(
-            f"effective dimension M + 2k = {problem.sector_dimension} < 1: the origin "
+            f"effective dimension M + 2k = {D} < 1: the origin "
             "term of the sector equation is too singular for this grid scheme"
         )
+    if isinstance(problem.V, RadialProfile):
+        for beta, _, _ in problem.V.terms:
+            if D + 2 * beta <= 0:
+                raise ValueError(
+                    f"potential term u^{beta} is too singular at r = 0 for effective "
+                    f"dimension M + 2k = {D}: V(r^2) r^{D - 1} is not integrable"
+                )
     u_edge = grid.r_max**2
     if not grid.box:
         grows = problem.V(u_edge) > problem.V(u_edge / 4) and problem.V(u_edge) > 0
@@ -199,7 +275,7 @@ def solve_numeric(
                 "accept the Dirichlet truncation"
             )
     e1 = _fd_eigenvalues(problem, grid.r_max, grid.nodes, count)
-    e2 = _fd_eigenvalues(problem, grid.r_max, 2 * grid.nodes, count)
+    e2 = _fd_eigenvalues(problem, grid.r_max, 2 * grid.nodes, count, e1)
     out = []
     for a, b in zip(e1, e2):
         extrapolated = (4.0 * b - a) / 3.0

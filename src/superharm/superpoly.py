@@ -27,9 +27,8 @@ Multi-term scalars are parenthesized; scalars follow ExactScalar.to_text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from .grassmann import NumericGrassmann, blade_mul, derivative_sign
 from .scalar import ExactScalar, RatLike
@@ -38,16 +37,23 @@ from .sparse import Sparse
 TermKey = Tuple[Tuple[int, ...], int]
 
 
-@dataclass(frozen=True)
-class Signature:
-    """m bosonic coordinates, 2n anticommuting generators."""
-
+class _SignatureFields(NamedTuple):
     m: int
     n: int
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 0:
-            raise ValueError(f"need m >= 1, n >= 0; got m={self.m}, n={self.n}")
+
+class Signature(_SignatureFields):
+    """m bosonic coordinates, 2n anticommuting generators.
+
+    An immutable pair: equality and hashing are the tuple's, which
+    ``Sparse._compat`` relies on for every algebra operation."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, n: int):
+        if m < 1 or n < 0:
+            raise ValueError(f"need m >= 1, n >= 0; got m={m}, n={n}")
+        return tuple.__new__(cls, (m, n))
 
     @property
     def superdim(self) -> int:

@@ -19,10 +19,9 @@ carried as complex numbers at the scalar level; all exact fields stay real.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .grassmann import NumericGrassmann
 from .harmonics import UnsupportedSignatureError, kernel_values
@@ -319,8 +318,7 @@ def fourier_bessel(nu, psi: RadialProfile, u2: float, tol: float = 1e-10) -> flo
 # -- oscillator eigenfunctions ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RadialHarmonic:
+class RadialHarmonic(NamedTuple):
     """A product h(R^2) H_k with h an exact-symbolic radial profile."""
 
     sig: Signature

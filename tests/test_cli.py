@@ -276,6 +276,35 @@ def test_spectrum_numeric_needs_confinement(capsys):
     assert "box" in json.loads(out)["error"]["message"]
 
 
+def test_spectrum_refuses_one_dimensional_hydrogen(capsys):
+    # D = M + 2k = 1 at k = 0: V(r^2) = -1/r is not integrable against r^0
+    code, out = run(
+        ["spectrum", "--m", "3", "--n", "1", "--V=-1*pow(-1/2)", "--box", "--rmax", "60",
+         "--window", "-1", "0", "--jmax", "2", "--kmax", "1"], capsys
+    )
+    assert code == 2
+    assert "too singular" in json.loads(out)["error"]["message"]
+
+
+def test_spectrum_refuses_more_levels_than_nodes(capsys):
+    code, out = run(
+        ["spectrum", "--m", "3", "--n", "0", "--V", "poly([0,1/2])", "--jmax", "5",
+         "--kmax", "0", "--nodes", "2"], capsys
+    )
+    assert code == 2
+    assert "6 levels requested from a 2-node grid" in json.loads(out)["error"]["message"]
+
+
+def test_spectrum_refuses_non_finite_matrix(capsys):
+    # 1e300 u^4 overflows to inf at the outer nodes
+    code, out = run(
+        ["spectrum", "--m", "3", "--n", "0", "--V", "poly([0,0,0,0,1e300])", "--jmax", "1",
+         "--kmax", "0"], capsys
+    )
+    assert code == 2
+    assert "infinite or NaN" in json.loads(out)["error"]["message"]
+
+
 @pytest.mark.parametrize("grid", [["--rmax", "-5"], ["--rmax", "0"], ["--rmax", "nan"],
                                   ["--rmax", "inf"], ["--nodes", "1"]])
 def test_spectrum_rejects_bad_grid(grid, capsys):
@@ -385,6 +414,35 @@ def test_half_line_commands_load_no_numeric_stack():
     ]
     report = _probe_imports(commands)
     assert [step["exit"] for step in report.values()] == [0, 0, 0, 0, 0, 0, 2], report
+    assert all(step["loaded"] == [] for step in report.values()), report
+
+
+def test_numeric_spectrum_loads_no_numpy_or_scipy():
+    commands = [
+        ["spectrum", "--m", "3", "--n", "0", "--V", "poly([0,1/2])", "--jmax", "1", "--kmax", "1"],
+        ["spectrum", "--m", "3", "--n", "1", "--V", "poly([0,1/2])", "--jmax", "1", "--kmax", "1",
+         "--format", "csv"],
+    ]
+    report = _probe_imports(commands, ("numpy", "scipy"))
+    assert all(step == {"exit": 0, "loaded": []} for step in report.values()), report
+
+
+def test_no_command_loads_dataclasses_or_inspect():
+    sig = ["--m", "3", "--n", "1"]
+    commands = [
+        ["dims"] + sig + ["--k", "2"],
+        ["pizzetti"] + sig + ["--poly", "x1^2 f1 f2 + 1"],
+        ["fischer"] + sig + ["--poly", "x1^2"],
+        ["funk-hecke"] + sig + ["--k", "2", "--l", "0"],
+        ["bochner"] + sig + ["--k", "1", "--profile", "exp(1/2)"],
+        ["mehler"] + sig + ["--kmax", "40"],
+        ["fundsol"] + sig + ["--l", "1"],
+        ["spectrum"] + sig + ["--V", "poly([0,1/2])", "--jmax", "1", "--kmax", "1"],
+        ["reduce-integral"] + sig + ["--profile", "exp(1)"],
+        ["verify-all", "--suite", "scalar-exact"],
+    ]
+    report = _probe_imports(commands, ("dataclasses", "inspect"))
+    assert [step["exit"] for step in report.values()] == [0] * 11, report
     assert all(step["loaded"] == [] for step in report.values()), report
 
 

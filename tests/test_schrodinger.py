@@ -209,3 +209,80 @@ def test_numeric_rows_format():
     assert [r["j"] for r in rows] == [0, 1]
     assert all(r["k"] == 1 and r["degeneracy"] == dim_harmonics(sig, 1) for r in rows)
     assert all(r["err"] > 0 for r in rows)
+
+
+@pytest.mark.parametrize("m,n,k,Z", [(3, 1, 1, 1), (3, 1, 1, 2), (2, 2, 2, 1), (2, 2, 3, 1)])
+def test_numeric_kepler_closed_form(m, n, k, Z):
+    """V = -Z u^(-1/2) at sector dimension D = M + 2k > 1 has the levels
+    E_j = -Z^2 / (2 (j + (D-1)/2)^2); M = -2 on R^{2|4} gives D = 2 and 4."""
+    prob = S.reduce(Signature(m, n), RadialProfile.power(Fraction(-1, 2)) * -Z, k)
+    D = prob.sector_dimension
+    res = S.solve_numeric(prob, S.GridSpec(60.0, 3000, box=True), count=3)
+    for j, (E, _) in enumerate(res):
+        assert abs(E + Z * Z / (2 * (j + (D - 1) / 2) ** 2)) < 1e-6, (D, j, E)
+
+
+@pytest.mark.parametrize("V,sig,k", [
+    (RadialProfile.power(Fraction(-1, 2)) * -1, Signature(3, 1), 0),  # 1-D hydrogen
+    (RadialProfile.power(Fraction(-1)), Signature(2, 0), 0),  # u^-1 against r^1
+    (RadialProfile.power_log(Fraction(-3, 2)), Signature(3, 0), 0),
+])
+def test_numeric_refuses_potential_singular_at_origin(V, sig, k):
+    with pytest.raises(ValueError, match="too singular"):
+        S.solve_numeric(S.reduce(sig, V, k), S.GridSpec(60.0, 200, box=True), count=2)
+
+
+def _scipy_fd_levels(prob, r_max, nodes, count):
+    """The finite-difference matrix with numpy and its lowest eigenvalues with
+    LAPACK's dstebz (scipy), plus the matrix inf-norm."""
+    import numpy as np
+    import scipy.linalg
+
+    Meff = prob.sector_dimension
+    h = r_max / nodes
+    centers = (np.arange(nodes) + 0.5) * h
+    w_c = centers ** (Meff - 1)
+    w_e = (np.arange(nodes + 1) * h) ** (Meff - 1)
+    w_e[0] = 0.0
+    diag = (w_e[:-1] + w_e[1:]) / (2.0 * w_c * h * h) + [prob.V(float(c * c)) for c in centers]
+    diag[-1] += w_e[-1] / (2.0 * w_c[-1] * h * h)
+    off = -w_e[1:-1] / (2.0 * h * h * np.sqrt(w_c[:-1] * w_c[1:]))
+    norm = max(abs(diag) + np.r_[0, abs(off)] + np.r_[abs(off), 0])
+    levels = scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
+    return list(levels), norm
+
+
+@pytest.mark.parametrize("nodes", [2, 3, 17, 1500, 3000])
+def test_fd_eigenvalues_match_lapack(nodes):
+    """Sturm bisection against dstebz on the same matrices: oscillator and
+    Coulomb potentials at sector dimensions 1, 2, 3 and 6, cold and seeded
+    with nearby guesses as the 2n-node solve of ``solve_numeric`` is."""
+    coulomb = RadialProfile.power(Fraction(-1, 2)) * -1
+    for sig, k in ((Signature(1, 0), 0), (Signature(2, 0), 0), (Signature(3, 0), 0),
+                   (Signature(4, 0), 1)):
+        for V, r_max in ((OSC, 10.0), (coulomb, 40.0)):
+            prob = S.reduce(sig, V, k)
+            count = min(4, nodes)
+            want, norm = _scipy_fd_levels(prob, r_max, nodes, count)
+            for guesses in ((), [w + 1e-4 for w in want]):
+                got = S._fd_eigenvalues(prob, r_max, nodes, count, guesses)
+                assert len(got) == count
+                for a, b in zip(got, want):
+                    assert abs(a - b) <= 4 * 2.0**-52 * norm, (prob.sector_dimension, nodes, a, b)
+
+
+def test_tridiagonal_zero_pivot_and_refusals():
+    # the first midpoint of the Gershgorin bracket is 0 = diag[0]: a zero pivot
+    r2 = math.sqrt(2.0)
+    got = S._lowest_eigenvalues([0.0, 0.0, 0.0], [1.0, 1.0], 3)
+    assert got == pytest.approx([-r2, 0.0, r2], abs=1e-15)
+    got = S._lowest_eigenvalues([-1.0, 0.0, 1.0], [0.0, 0.0], 3)
+    assert got == pytest.approx([-1.0, 0.0, 1.0], abs=1e-15)
+    # coarse-grid guesses that miss every level still give the right levels
+    got = S._lowest_eigenvalues([0.0, 0.0, 0.0], [1.0, 1.0], 2, [5.0, 7.0])
+    assert got == pytest.approx([-r2, 0.0], abs=1e-15)
+    for diag, off in (([1.0, math.nan], [0.5]), ([1.0, 2.0], [math.inf])):
+        with pytest.raises(ValueError, match="infinite or NaN"):
+            S._lowest_eigenvalues(diag, off, 1)
+    with pytest.raises(ValueError, match="3 levels requested from a 2-node grid"):
+        S._fd_eigenvalues(S.reduce(Signature(3, 0), OSC, 0), 8.0, 2, 3)
