@@ -164,13 +164,13 @@ class NumericGrassmann(Sparse):
     _scalars = (int, float, complex)
     _key_mul = staticmethod(blade_mul)
 
-    def __init__(self, ngen: int, terms: Dict[int, complex] | None = None, tol: float = 0.0):
+    def __init__(self, ngen: int, terms: Dict[int, complex] | None = None):
         self.ngen = ngen
         self.terms: Dict[int, complex] = {}
         if terms:
             for mask, c in terms.items():
                 c = complex(c)
-                if abs(c) > tol:
+                if abs(c) > 0.0:
                     self.terms[mask] = c
 
     @classmethod

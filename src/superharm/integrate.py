@@ -1,21 +1,21 @@
 """Integration functionals: sphere (Pizzetti), ball, full space, reduction branches.
 
-The sphere integral of a polynomial is the finite Pizzetti sum
+The sphere and the Gaussian integral of a polynomial are weights on the
+Laplacian powers at the origin,
 
-    T(f) = sum_k  2 pi^{M/2} / (2^{2k} k! Gamma(k + M/2)) * (lap^k f)(0),
+    T(f)             = sum_k 2 pi^{M/2} / (2^{2k} k! Gamma(k + M/2)) (lap^k f)(0),
+    int f e^{-a R^2} = (pi/a)^{M/2} sum_k (lap^k f)(0) / (k! (4a)^k),
 
-exact in the pi-power field, and valid verbatim at negative and zero M (the
-gamma reciprocals vanish at the poles).  Ball integration of a homogeneous
-piece of degree d divides by M + d; the full-space integral of a polynomial
-times exp(-a R^2) factorizes into 1D Gaussian moments times a Berezin top
-extraction, with sqrt(a) entering iff m is odd.
+exact in the pi-power field and valid verbatim at every M: the gamma
+reciprocals vanish at the poles, and the radial moments' Gamma cancels them.
+The ball integral follows by homogeneity: the degree-d piece gives T / (M + d).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, List, Tuple
 
 from .scalar import ExactScalar, RatLike, gamma_exact, recip_gamma, sphere_area
 from .superpoly import (
@@ -57,6 +57,15 @@ def _at_copy_zero(f: SuperPolynomial, copy: int) -> SuperPolynomial:
     return SuperPolynomial(f.sig, keep, f.copies)
 
 
+def _laplacian_powers(f: SuperPolynomial, copy: int = 0):
+    """(k, lap^k f) on the chosen copy while lap^k f is nonzero."""
+    k = 0
+    while not f.is_zero:
+        yield k, f
+        f = laplacian(f, copy)
+        k += 1
+
+
 def pizzetti(f: SuperPolynomial, copy: int = 0):
     """Sphere integral over the chosen copy's supersphere.
 
@@ -64,14 +73,10 @@ def pizzetti(f: SuperPolynomial, copy: int = 0):
     is a polynomial in the remaining copy's variables.
     """
     M = f.sig.superdim
-    g = f
-    k = 0
     acc = SuperPolynomial.zero(f.sig, f.copies)
-    while not g.is_zero:
+    for k, g in _laplacian_powers(f, copy):
         w = pizzetti_weight(M, k)
         acc = acc + _at_copy_zero(g, copy) * w
-        g = laplacian(g, copy)
-        k += 1
     if f.copies == 1:
         return acc.constant_term()
     return acc
@@ -156,26 +161,11 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-def _gauss_moment(e: int, a: Fraction) -> Tuple[Fraction, Fraction] | None:
-    """integral x^e exp(-a x^2) dx over R as (coeff of pi^{1/2}, power of a), or None if odd e.
-
-    Gamma(s + 1/2) = (2s)!/(4^s s!) sqrt(pi), so the value is
-    (2s)!/(4^s s!) * sqrt(pi) * a^{-s-1/2} with s = e/2.
-    """
-    if e % 2 == 1:
-        return None
-    s = e // 2
-    q = Fraction(math.factorial(2 * s), 4**s * math.factorial(s))
-    return q, Fraction(-2 * s - 1, 2)
-
-
 def integrate_superspace(f: SuperPolynomial, gaussian_a: RatLike | None = None) -> RadicalScalar:
-    """Full-space integral of f * exp(-gaussian_a * R^2), exact.
-
-    exp(-a R^2) expands as exp(-a r^2) * sum_j (a nsq)^j / j!; the Berezin
-    integral keeps the top Grassmann coefficient and the bosonic factors reduce
-    to 1D Gaussian moments.  A bare polynomial (no Gaussian) is not integrable.
-    """
+    """Full-space integral of f * exp(-gaussian_a * R^2), exact, by the
+    Laplacian series of the module docstring; a^{-M/2} = a^{-ceil(M/2)} sqrt(a)
+    when M is odd.  Odd-degree terms integrate to zero against the even
+    Gaussian and are dropped first.  A bare polynomial is not integrable."""
     if f.copies != 1:
         raise ValueError("integrate_superspace works on single-copy polynomials")
     if gaussian_a is None:
@@ -183,47 +173,13 @@ def integrate_superspace(f: SuperPolynomial, gaussian_a: RatLike | None = None) 
     a = Fraction(gaussian_a)
     if a <= 0:
         raise NonIntegrableError("Gaussian weight needs a > 0")
-    m, n = f.sig.m, f.sig.n
-    top = (1 << (2 * n)) - 1
-    # fermionic factor: sum_j a^j nsq^j / j!; multiply into f and keep top blades
-    from .superpoly import fermi_norm_poly
-
-    expanded = SuperPolynomial.zero(f.sig)
-    nsq = fermi_norm_poly(f.sig)
-    power = SuperPolynomial.constant(f.sig, 1)
-    for j in range(n + 1):
-        expanded = expanded + f * power * Fraction(a**j, math.factorial(j))
-        power = power * nsq
-    # every surviving term carries pi^{m/2} from the m moment factors and
-    # pi^{-n} from Berezin; a-powers collect separately per term
-    parts: Dict[Fraction, ExactScalar] = {}
-    for (bos, mask), c in expanded.terms.items():
-        if mask != top:
-            continue
-        q = Fraction(1)
-        apow = Fraction(0)
-        ok = True
-        for e in bos:
-            mom = _gauss_moment(e, a)
-            if mom is None:
-                ok = False
-                break
-            q *= mom[0]
-            apow += mom[1]
-        if not ok:
-            continue
-        parts[apow] = parts.get(apow, ExactScalar()) + c * q
-    rat = ExactScalar()
-    rad = ExactScalar()
-    pref = ExactScalar.pi_pow(m - 2 * n)
-    for apow, c in parts.items():
-        ipart = math.floor(apow)
-        term = c * pref * (a**ipart)
-        if apow == ipart:
-            rat = rat + term
-        else:  # half-integer exponent: one factor sqrt(a) left over
-            rad = rad + term
-    return RadicalScalar(rat, rad, a)
+    M = f.sig.superdim
+    even = f._with({key: c for key, c in f.terms.items() if f._deg(key, None) % 2 == 0})
+    total = ExactScalar()
+    for k, g in _laplacian_powers(even):
+        total = total + g.constant_term() * Fraction(1, math.factorial(k) * (4 * a) ** k)
+    value = total * ExactScalar.pi_pow(M, a ** -((M + 1) // 2))
+    return RadicalScalar(ExactScalar(), value, a) if M % 2 else RadicalScalar(value, ExactScalar(), a)
 
 
 # -- 1D quadrature ------------------------------------------------------------
@@ -306,10 +262,11 @@ def reduce_integral(profile, sig: Signature, tol: float = 1e-12):
     M odd, < 0:   2 (-pi)^{(M-1)/2} I_1[h^{((1-M)/2)}]
 
     For a RadialProfile, divergence is decided from the exponents of its terms
-    c u^b log(u)^d e^{-au}: a term with a <= 0, or without log factor b <= -M/2,
+    c u^b log(u)^d e^{-au}, after the derivatives of the M <= 0 branches: a
+    term with a <= 0, or on an I_M branch a log-free term with b <= -M/2,
     raises NonIntegrableError, even where another term would cancel its
-    divergence.  Without log factors, I_M is the sum of Gamma moments
-    (DLMF 5.2.1)
+    divergence or the integral is zero.  Without log factors, I_M is the sum
+    of Gamma moments (DLMF 5.2.1)
 
         integral_0^inf v^{M-1} v^{2b} e^{-a v^2} dv = Gamma(b+M/2) / (2 a^{b+M/2}),
 
@@ -321,36 +278,40 @@ def reduce_integral(profile, sig: Signature, tol: float = 1e-12):
     .derivative() -> profile, .value_exact_at_zero() -> ExactScalar or None.
     """
     M = sig.superdim
-    if M <= 0 and M % 2 == 0:
-        j = -M // 2
-        d = profile
-        for _ in range(j):
-            d = d.derivative()
+    j = (1 - M) // 2  # the derivative order on both M <= 0 branches
+    d = profile
+    for _ in range(j):
+        d = d.derivative()
+    if M > 0:
+        pre, moment = sphere_area(M), _radial_moment(profile, M, tol)
+    elif M % 2:
+        pre, moment = ExactScalar.pi_pow(M - 1, 2 * (-1) ** j), _radial_moment(d, 1, tol)
+    else:
+        _is_symbolic(d)
         val0 = d.value_exact_at_zero()
         sign = Fraction((-1) ** j)
         if val0 is not None:
             return ExactScalar.pi_pow(M, sign) * val0
         return float(sign) * math.pi ** (M / 2) * d(0.0)
-    if M > 0:
-        pre, moment = sphere_area(M), _radial_moment(profile, M, tol)
-    else:
-        j = (1 - M) // 2
-        d = profile
-        for _ in range(j):
-            d = d.derivative()
-        pre, moment = ExactScalar.pi_pow(M - 1, 2 * (-1) ** j), _radial_moment(d, 1, tol)
     return pre * moment if isinstance(moment, ExactScalar) else pre.to_float() * moment
+
+
+def _is_symbolic(h) -> bool:
+    """Whether h is a RadialProfile; raises NonIntegrableError for one with a
+    term that does not decay exponentially."""
+    from .radial import RadialProfile  # here: pizzetti's callers need no radial
+
+    if not isinstance(h, RadialProfile):
+        return False
+    if not all(a > 0 for _, _, a in h.terms):
+        raise NonIntegrableError("profile is not exponentially decaying in every term")
+    return True
 
 
 def _radial_moment(h, M: int, tol: float):
     """I_M[h] = integral_0^inf v^{M-1} h(v^2) dv, M > 0: summed Gamma moments
     for a log-free RadialProfile, quad_0_inf otherwise."""
-    from .radial import RadialProfile  # here: pizzetti's callers need no radial
-
-    symbolic = isinstance(h, RadialProfile)
-    if symbolic and not all(a > 0 for _, _, a in h.terms):
-        raise NonIntegrableError("profile is not exponentially decaying in every term")
-    if not symbolic or any(d for _, d, _ in h.terms):
+    if not _is_symbolic(h) or any(d for _, d, _ in h.terms):
         return quad_0_inf(lambda v: v ** (M - 1) * h(v * v), tol)
     exact, approx = ExactScalar(), None
     for (b, _, a), c in h.terms.items():

@@ -39,7 +39,7 @@ ProfileKey = Tuple[Fraction, int, Fraction]
 class RadialProfile(Sparse):
     """Exact linear combination over the closed profile family."""
 
-    __slots__ = ()
+    __slots__ = ("_floats",)  # the terms as floats, set on the first call
 
     _scalars = (int, Fraction, ExactScalar)
     j_max = None  # derivatives of every order are available
@@ -77,13 +77,19 @@ class RadialProfile(Sparse):
             if v is None:
                 raise ValueError("profile diverges at u = 0")
             return v.to_float()
+        try:
+            terms = self._floats
+        except AttributeError:
+            terms = self._floats = [
+                (c.to_float(), float(b), d, float(a)) for (b, d, a), c in self.terms.items()
+            ]
         total = 0.0
         lu = math.log(u)
-        for (b, d, a), c in self.terms.items():
-            damping = math.exp(-float(a) * u)
+        for c, b, d, a in terms:
+            damping = math.exp(-a * u)
             if damping == 0.0:
                 continue  # below the float range; u^b alone may overflow here
-            total += c.to_float() * u ** float(b) * lu**d * damping
+            total += c * u**b * lu**d * damping
         return total
 
     def value_exact_at_zero(self) -> Optional[ExactScalar]:

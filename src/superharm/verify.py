@@ -72,7 +72,7 @@ from .superpoly import (
 )
 
 Check = Dict[str, object]
-Suite = Callable[[random.Random, float], List[Check]]
+Suite = Callable[[random.Random], List[Check]]
 
 
 def _row(check: str, passed: bool, detail: str = "") -> Check:
@@ -119,7 +119,7 @@ def _even_part(f):
 # -- per-module suites --------------------------------------------------------
 
 
-def _suite_scalar(rnd: random.Random, tol: float) -> List[Check]:
+def _suite_scalar(rnd: random.Random) -> List[Check]:
     rows = []
     zs = [Fraction(k, 2) for k in range(-7, 8) if k != 0]
     ok = all(recip_gamma(z + 1) == recip_gamma(z) * (Fraction(1) / z) for z in zs)
@@ -140,7 +140,7 @@ def _suite_scalar(rnd: random.Random, tol: float) -> List[Check]:
     return rows
 
 
-def _suite_grassmann(rnd: random.Random, tol: float) -> List[Check]:
+def _suite_grassmann(rnd: random.Random) -> List[Check]:
     rows = []
 
     def draw(ngen, parity=None):
@@ -186,7 +186,7 @@ def _suite_grassmann(rnd: random.Random, tol: float) -> List[Check]:
     return rows
 
 
-def _suite_operators(rnd: random.Random, tol: float) -> List[Check]:
+def _suite_operators(rnd: random.Random) -> List[Check]:
     sigs = [Signature(2, 1), Signature(3, 1), Signature(2, 2)]
     ok_a = ok_b = ok_c = ok_d = ok_e = ok_f = True
     trials = 0
@@ -221,7 +221,7 @@ def _suite_operators(rnd: random.Random, tol: float) -> List[Check]:
     ]
 
 
-def _suite_harmonics(rnd: random.Random, tol: float) -> List[Check]:
+def _suite_harmonics(rnd: random.Random) -> List[Check]:
     rows = []
     ok = True
     for sig in (Signature(3, 1), Signature(2, 2)):
@@ -260,7 +260,7 @@ def _suite_harmonics(rnd: random.Random, tol: float) -> List[Check]:
     return rows
 
 
-def _suite_integrate(rnd: random.Random, tol: float) -> List[Check]:
+def _suite_integrate(rnd: random.Random) -> List[Check]:
     sigs = [Signature(3, 1), Signature(2, 1), Signature(2, 2)]
     rows = []
 
@@ -321,7 +321,7 @@ def _suite_integrate(rnd: random.Random, tol: float) -> List[Check]:
     return rows
 
 
-def _suite_radial(rnd: random.Random, tol: float) -> List[Check]:
+def _suite_radial(rnd: random.Random) -> List[Check]:
     rows = []
     g = RadialProfile.exponential(Fraction(1, 2))
     h = RadialProfile.power(Fraction(3, 2))
@@ -379,7 +379,7 @@ def _suite_radial(rnd: random.Random, tol: float) -> List[Check]:
     return rows
 
 
-def _suite_zonal(rnd: random.Random, tol: float) -> List[Check]:
+def _suite_zonal(rnd: random.Random) -> List[Check]:
     rows = []
     ok = True
     for (m, n) in ((3, 1), (2, 1)):
@@ -433,7 +433,7 @@ def _suite_zonal(rnd: random.Random, tol: float) -> List[Check]:
     return rows
 
 
-def _suite_spectrum(rnd: random.Random, tol: float) -> List[Check]:
+def _suite_spectrum(rnd: random.Random) -> List[Check]:
     rows = []
     ok = True
     for sig in (Signature(3, 1), Signature(2, 2), Signature(1, 1)):
@@ -473,11 +473,11 @@ SUITES: Dict[str, Suite] = {
 }
 
 
-def run_suite(name: str, seed: int = 7, tol: float = 1e-10) -> Dict[str, object]:
+def run_suite(name: str, seed: int = 7) -> Dict[str, object]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     rnd = random.Random(f"{seed}:{name}")
-    checks = SUITES[name](rnd, tol)
+    checks = SUITES[name](rnd)
     return {
         "suite": name,
         "passed": all(c["passed"] for c in checks),
@@ -487,7 +487,7 @@ def run_suite(name: str, seed: int = 7, tol: float = 1e-10) -> Dict[str, object]
 
 def run_all(seed: int = 7, tol: float = 1e-10, names: List[str] | None = None) -> Dict[str, object]:
     chosen = sorted(SUITES) if names is None else sorted(names)
-    suites = [run_suite(name, seed, tol) for name in chosen]
+    suites = [run_suite(name, seed) for name in chosen]
     return {
         "seed": seed,
         "tolerance": tol,

@@ -162,30 +162,31 @@ def funk_hecke_alpha_numeric(
     v = u * u
     a = (M - 3) / 2.0
 
-    # derivative structure in the squared variable: each entry
-    # (i, ta, b2) -> c represents c * v^{b2/2} * Int phi^{(i)}(sqrt(v) t) t^{ta} P w
-    layers: List[dict] = [{(0, 0, 0): 1.0}]
-    for _ in range(n_der):
+    # derivative structure in the squared variable: entry i -> c of layer j
+    # represents c * v^{(i - 2j)/2} * S_i with S_i = Int phi^{(i)}(sqrt(v) t) t^i P w
+    layers: List[dict] = [{0: 1.0}]
+    for j in range(n_der):
         nxt: dict = {}
-        for (i, ta, b2), c in layers[-1].items():
-            key1 = (i + 1, ta + 1, b2 - 1)
-            nxt[key1] = nxt.get(key1, 0.0) + c * 0.5
-            if b2:
-                key2 = (i, ta, b2 - 2)
-                nxt[key2] = nxt.get(key2, 0.0) + c * (b2 / 2.0)
+        for i, c in layers[-1].items():
+            nxt[i + 1] = nxt.get(i + 1, 0.0) + c * 0.5
+            if i != 2 * j:
+                nxt[i] = nxt.get(i, 0.0) + c * ((i - 2 * j) / 2.0)
         layers.append(nxt)
 
     def eval_all(nn: int) -> List[complex]:
         nodes, weights = _jacobi_rule(nn, a)
         pl = _legendre_table(l, M, nn)
+        sums = []
+        for i in range(n_der + 1):
+            s = 0.0
+            for t, w, p in zip(nodes, weights, pl):
+                s = s + w * p * t**i * phi.eval_deriv(i, u * t)
+            sums.append(s)
         out = []
-        for layer in layers:
+        for j, layer in enumerate(layers):
             tot = 0.0
-            for (i, ta, b2), c in layer.items():
-                s = 0.0
-                for t, w, p in zip(nodes, weights, pl):
-                    s = s + w * p * t**ta * phi.eval_deriv(i, u * t)
-                tot = tot + c * v ** (b2 / 2.0) * s
+            for i, c in layer.items():
+                tot = tot + c * v ** ((i - 2 * j) / 2.0) * sums[i]
             out.append(sigma * tot)
         return out
 

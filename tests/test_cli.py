@@ -163,6 +163,21 @@ def test_reduce_integral_gaussian_branches(capsys):
         assert json.loads(out)["error"]["type"] == "non-integrable"
 
 
+def test_reduce_integral_refuses_non_decaying_profiles_at_even_negative_superdim(capsys):
+    # on R^{2|4} (M = -2) the value is -h'(0)/pi, which used to be printed for
+    # profiles whose derivative does not decay: -1*pi^-1 for u, e^u and 1 + u,
+    # 0 for u^3 and u^2 log u (the true integrals are 0, 0, and divergent)
+    sig = ["--m", "2", "--n", "2"]
+    for profile in ("pow(1)", "exp(-1)", "poly([1,1])", "pow(3)", "powlog(2)"):
+        code, out = run(["reduce-integral"] + sig + ["--profile", profile], capsys)
+        assert code == 2, profile
+        assert json.loads(out)["error"]["type"] == "non-integrable", profile
+    for profile, value in (("exp(0)", "0"), ("exp(1)", "pi^-1"), ("lagexp(2,1,1/2)", "9/2*pi^-1")):
+        code, out = run(["reduce-integral"] + sig + ["--profile", profile], capsys)
+        assert code == 0, profile
+        assert json.loads(out)["value"] == value, profile
+
+
 def test_arithmetic_overflow_is_structured_error(capsys):
     # the exponent 1e400 parses exactly but overflows a float: this used to end in a traceback
     argv = ["spectrum", "--m", "3", "--n", "0", "--V", "pow(1e400)", "--jmax", "1", "--kmax", "0"]
@@ -411,9 +426,10 @@ def test_half_line_commands_load_no_numeric_stack():
         ["reduce-integral", "--m", "1", "--n", "1", "--profile", "exp(1)"],
         ["reduce-integral", "--m", "2", "--n", "2", "--profile", "exp(1)"],
         ["reduce-integral", "--m", "3", "--n", "0", "--profile", "pow(1)"],
+        ["reduce-integral", "--m", "2", "--n", "2", "--profile", "pow(1)"],
     ]
     report = _probe_imports(commands)
-    assert [step["exit"] for step in report.values()] == [0, 0, 0, 0, 0, 0, 2], report
+    assert [step["exit"] for step in report.values()] == [0, 0, 0, 0, 0, 0, 2, 2], report
     assert all(step["loaded"] == [] for step in report.values()), report
 
 

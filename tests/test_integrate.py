@@ -256,6 +256,38 @@ def test_gaussian_fermionic_moment():
     assert (got.rat - ExactScalar.pi_pow(1)).is_zero and got.rad.is_zero
 
 
+# Identities the Laplacian series does not build in: Green's formula against
+# lap exp(-a R^2) = (4 a^2 R^2 - 2 a M) exp(-a R^2), and the osp invariance of
+# the Gaussian.
+PROPERTY_SIGS = GAUSS_SIGS + [Signature(2, 0), Signature(4, 1), Signature(3, 2)]
+
+
+@pytest.mark.parametrize("sig", PROPERTY_SIGS)
+def test_gaussian_integral_green_identity(sig):
+    rnd = random.Random(f"green:{sig}")
+    M = sig.superdim
+    nonzero = 0
+    for a in (Fraction(1, 3), Fraction(1), Fraction(9, 4)):
+        weight = r_squared(sig) * (4 * a * a) + SuperPolynomial.constant(sig, -2 * a * M)
+        for _ in range(4):
+            f = random_poly(sig, rnd, deg=5, nterms=6)
+            lhs = integrate_superspace(laplacian(f), a)
+            assert lhs == integrate_superspace(f * weight, a), (a, f)
+            nonzero += lhs != 0
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("sig", PROPERTY_SIGS)
+def test_gaussian_integral_rotation_invariance(sig):
+    rnd = random.Random(f"rotation:{sig}")
+    tv = sig.total_vars
+    for a in (Fraction(1, 3), Fraction(1), Fraction(9, 4)):
+        for _ in range(4):
+            f = random_poly(sig, rnd, deg=5, nterms=6)
+            i, j = rnd.randrange(1, tv + 1), rnd.randrange(1, tv + 1)
+            assert integrate_superspace(osp_generator(f, i, j), a) == 0, (a, f, i, j)
+
+
 def test_dimensional_continuation_polynomial_times_gaussian():
     rnd = random.Random(53)
     for sig in [Signature(3, 0), Signature(3, 1), Signature(5, 2)]:
