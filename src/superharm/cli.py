@@ -397,7 +397,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True, help='radial profile, e.g. "exp(1)"')
     _add_common(p)
 
-    p = sub.add_parser("verify-all", help="run the seeded property-check suites")
+    p = sub.add_parser(
+        "verify-all",
+        help="run the seeded property-check suites (fixed thresholds; --tol is only recorded)",
+        description="Run the seeded property-check suites.  Every check uses its own fixed "
+        "threshold; --tol is only recorded in the report's tolerance field.",
+    )
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--suite", action="append", type=_suite_name,
                    help="restrict to one or more suites (repeatable)")

@@ -10,10 +10,12 @@ the nilpotent part of the pairing as
 The kernel phi is a ``radial.NumericProfile``, the same numeric function type
 as a radial profile, and the expansion is ``radial.compose_value``.  The
 sphere transform sends phi to alpha_{M,l}[phi]; for polynomials alpha has an
-exact closed form, for general kernels it is a Gauss-Jacobi quadrature
-against the weight (1-t^2)^{(M-3)/2} (M > 1 only), with the Gegenbauer factor
-from ``harmonics.kernel_values``.  Complex-valued kernels (exp(ivt)) are
-carried as complex numbers at the scalar level; all exact fields stay real.
+exact closed form, for general kernels it is a quadrature against the weight
+(1-t^2)^{(M-3)/2} (M > 1 only) on the Chebyshev points (Gauss-Chebyshev for
+even M, Fejer's first rule for odd M, the weight folded into the weights),
+with the Gegenbauer factor from ``harmonics.kernel_values``.  Complex-valued
+kernels (exp(ivt)) are carried as complex numbers at the scalar level; all
+exact fields stay real.
 """
 
 from __future__ import annotations
@@ -120,10 +122,36 @@ def funk_hecke_poly(
 
 @lru_cache(maxsize=64)
 def _jacobi_rule(nn: int, a: float) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-    import scipy.special
+    """Nodes t_j and weights w_j with sum_j w_j g(t_j) ~ Int_{-1}^{1} g(t)
+    (1-t^2)^a dt, for an integer or half-integer a >= -1/2 (a = (M-3)/2), on
+    the Chebyshev points t_j = cos(theta_j), theta_j = (2j+1) pi / (2N), with
+    the weight folded into w_j.
 
-    nodes, weights = scipy.special.roots_jacobi(nn, a, a)
-    return tuple(nodes), tuple(weights)
+    Half-integer a: Gauss-Chebyshev on N = nn points, w_j = (pi/N)
+    sin(theta_j)^(2a+1); exact for polynomials g of degree <= 2 nn - 2 - 2a.
+
+    Integer a: Fejer's first rule on N = 2 nn points (Waldvogel, BIT 46 (2006)
+    195), w_j = (2/N) (1 - 2 sum_{k=1}^{N/2} cos(2k theta_j) / (4k^2 - 1))
+    sin(theta_j)^(2a); exact for polynomials g of degree <= 2 nn - 1 - 2a.
+    The cosine sum runs by the Chebyshev recurrence over half the nodes and
+    is mirrored onto the other half.
+    """
+    N = nn if a != int(a) else 2 * nn
+    thetas = [(2 * j + 1) * math.pi / (2 * N) for j in range(N)]
+    nodes = tuple(math.cos(th) for th in thetas)
+    if a != int(a):
+        return nodes, tuple(math.pi / N * math.sin(th) ** (2 * a + 1) for th in thetas)
+    coeffs = [2.0 / (4 * k * k - 1) for k in range(1, nn + 1)]
+    half = []
+    for th in thetas[:nn]:
+        x = math.cos(2 * th)
+        x2 = 2 * x
+        c_prev, c, s = 1.0, x, 0.0
+        for d in coeffs:
+            s += d * c
+            c_prev, c = c, x2 * c - c_prev
+        half.append(2 / N * (1 - s) * math.sin(th) ** (2 * a))
+    return nodes, tuple(half + half[::-1])
 
 
 def _legendre_kernel(l: int, M: int, t: float) -> float:
@@ -147,11 +175,12 @@ def funk_hecke_alpha_numeric(
     tol: float = 1e-12,
 ) -> List[complex]:
     """alpha_{M,l}[phi] and its first ``n_der`` derivatives (with respect to
-    the squared argument) at radius u, by differentiated Gauss-Jacobi
-    quadrature against the weight (1 - t^2)^{(M-3)/2}.  M > 1 only.
+    the squared argument) at radius u, by differentiated quadrature against
+    the weight (1 - t^2)^{(M-3)/2} (``_jacobi_rule``: Gauss-Chebyshev for even
+    M, Fejer's first rule for odd M).  M > 1 only.
 
-    Raises TruncationError when four doublings of the 64-node rule leave the
-    last two values further apart than ``tol``."""
+    Raises TruncationError when four doublings of the rule at nn = 64 leave
+    the last two values further apart than ``tol``."""
     if M <= 1:
         raise ValueError("sphere-transform quadrature needs M > 1")
     if u <= 0:
@@ -201,7 +230,7 @@ def funk_hecke_alpha_numeric(
             return cur
         prev = cur
     raise TruncationError(
-        f"Gauss-Jacobi quadrature not converged to {tol:g} at {nn} nodes"
+        f"sphere-transform quadrature not converged to {tol:g} at nn = {nn}"
     )
 
 
@@ -375,32 +404,6 @@ def bochner_transform(
     values = [(-0.5) ** i * fourier_bessel(nu + i, psi, v, tol) for i in range(n + 1)]
     expansion = fermionic_expansion(values, n)
     return expansion * H_k.evaluate_bosonic(ycoords) * (sign * 1j) ** k
-
-
-def bochner_oracle(
-    sig: Signature,
-    H_k: SuperPolynomial,
-    k: int,
-    psi: RadialProfile,
-    ycoords: Sequence[float],
-    sign: int = 1,
-    rmax: float = 10.0,
-    nodes: int = 240,
-) -> NumericGrassmann:
-    """Direct route for cross-checking: superpolar decomposition of the
-    Fourier integral, radial quadrature over the sphere transform of the
-    exp(ivt) kernel at each radius (the nested two-quadrature chain)."""
-    M = sig.superdim
-    n = sig.n
-    xs, ws = _jacobi_rule(nodes, 0.0)
-    acc = NumericGrassmann(2 * n)
-    for t, w in zip(xs, ws):
-        r = rmax * (t + 1) / 2
-        if r <= 0:
-            continue
-        inner = funk_hecke_apply(sig, NumericProfile.exp_i(sign * r), H_k, k, ycoords)
-        acc = acc + inner * (w * (rmax / 2) * psi(r * r) * r ** (M + k - 1))
-    return acc * (2 * math.pi) ** (-M / 2.0)
 
 
 # -- the Bessel expansion of the Fourier kernel -------------------------------

@@ -1,5 +1,6 @@
 """Command-line front end: output formats, exit codes, determinism."""
 
+import ast
 import contextlib
 import csv
 import io
@@ -441,6 +442,32 @@ def test_numeric_spectrum_loads_no_numpy_or_scipy():
     ]
     report = _probe_imports(commands, ("numpy", "scipy"))
     assert all(step == {"exit": 0, "loaded": []} for step in report.values()), report
+
+
+def test_verify_all_loads_no_numpy_or_scipy():
+    # the sphere-transform quadrature builds its rule on the Chebyshev points
+    commands = [
+        ["verify-all", "--seed", "7"],
+        ["verify-all", "--suite", "zonal-transform"],
+    ]
+    report = _probe_imports(commands, ("numpy", "scipy"))
+    assert all(step == {"exit": 0, "loaded": []} for step in report.values()), report
+
+
+def test_package_source_imports_no_numpy_or_scipy():
+    """Static guard: no module of the package imports numpy or scipy, also
+    inside a function on a path the import probes do not reach."""
+    found = []
+    for path in sorted(Path(superharm.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [(path.name, name) for name in names if name.split(".")[0] in ("numpy", "scipy")]
+    assert found == []
 
 
 def test_no_command_loads_dataclasses_or_inspect():

@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 import scipy.integrate
+import scipy.special
 
+from superharm.grassmann import NumericGrassmann
 from superharm.harmonics import (
     UnsupportedSignatureError,
     harmonic_basis,
@@ -138,8 +140,8 @@ def test_alpha_numeric_rejects():
     capped = NumericProfile(lambda i, t: math.sin(t) if i == 0 else math.cos(t), 1)
     with pytest.raises(ValueError):
         Z.funk_hecke_alpha_numeric(3, 0, capped, 1.0, 2)
-    # |t|^(1/2) has a kink at 0 that Gauss-Jacobi does not resolve: the last
-    # iterate (8.377710 against 16 pi/3 = 8.377580) must not come back silently
+    # |t|^(1/2) has a kink at 0 that the quadrature does not resolve: the last
+    # iterate (8.377626 against 8 pi/3 = 8.377580) must not come back silently
     kinked = NumericProfile(lambda i, t: abs(t) ** 0.5, 0)
     with pytest.raises(Z.TruncationError):
         Z.funk_hecke_alpha_numeric(3, 0, kinked, 1.0, 0)
@@ -154,6 +156,14 @@ def test_jacobi_rule_integrates_even_moments():
                 want = math.gamma(k + 0.5) * math.gamma(a + 1) / math.gamma(a + k + 1.5)
                 got = math.fsum(w * t ** (2 * k) for t, w in zip(nodes, weights))
                 assert abs(got - want) <= 1e-11 * want, (a, nn, k)
+        # a small rule is exact for t^{2k} up to the degree its docstring
+        # claims, 2 nn - 1 - 2a (integer a) or 2 nn - 2 - 2a (half-integer a)
+        nn = 8
+        nodes, weights = Z._jacobi_rule(nn, a)
+        for k in range(nn - math.ceil(a)):
+            want = math.gamma(k + 0.5) * math.gamma(a + 1) / math.gamma(a + k + 1.5)
+            got = math.fsum(w * t ** (2 * k) for t, w in zip(nodes, weights))
+            assert abs(got - want) <= 1e-13 * want, (a, nn, k)
 
 
 def test_apply_matches_polynomial_route():
@@ -331,8 +341,23 @@ def test_bochner_matches_nested_quadrature(sign):
     H1 = harmonic_basis(sig, 1).elements[0]
     g = RadialProfile.exponential(Fraction(1, 2))
     got = Z.bochner_transform(sig, H1, 1, g, y, sign=sign)
-    oracle = Z.bochner_oracle(sig, H1, 1, g, y, sign=sign)
+    oracle = _bochner_oracle(sig, H1, 1, g, y, sign=sign)
     assert got.max_abs_diff(oracle) < 1e-8
+
+
+def _bochner_oracle(sig, H_k, k, psi, ycoords, sign):
+    """Superpolar decomposition of the Fourier integral: 240-point
+    Gauss-Legendre over the radius in [0, 10] of the sphere transform of the
+    exp(ivt) kernel at each radius (the nested two-quadrature chain)."""
+    M = sig.superdim
+    rmax = 10.0
+    xs, ws = scipy.special.roots_legendre(240)
+    acc = NumericGrassmann(2 * sig.n)
+    for t, w in zip(xs.tolist(), ws.tolist()):
+        r = rmax * (t + 1) / 2
+        inner = Z.funk_hecke_apply(sig, NumericProfile.exp_i(sign * r), H_k, k, ycoords)
+        acc = acc + inner * (w * (rmax / 2) * psi(r * r) * r ** (M + k - 1))
+    return acc * (2 * math.pi) ** (-M / 2.0)
 
 
 def test_bochner_rejects():
