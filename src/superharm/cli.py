@@ -191,7 +191,7 @@ def _cmd_bochner(cfg: RunConfig, args) -> Result:
     k = cfg.check_degree(args.k, "--k")
     psi = RadialProfile.parse(args.profile)
     nu = k + sig.superdim / 2.0 - 1.0
-    rows = [{"u": u, "value": hankel(nu, psi, u, cfg.tol)} for u in (0.5, 1.0, 1.5, 2.0)]
+    rows = [{"u": u, "value": hankel(nu, psi, u)} for u in (0.5, 1.0, 1.5, 2.0)]
     return {"nu": nu, "profile": args.profile, "rows": rows}, True, "json"
 
 
@@ -362,7 +362,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", default=None, help='polynomial kernel coefficients "c0,c1,..."')
     _add_common(p)
 
-    p = sub.add_parser("bochner", help="radial transform values for a decaying profile")
+    p = sub.add_parser(
+        "bochner",
+        help="radial transform values for a decaying profile (closed form; --tol is not read)",
+        description="Hankel transform values of a radial profile at u = 0.5, 1, 1.5, 2.  "
+        "The values are closed form; --tol is not read.",
+    )
     _add_sig(p)
     p.add_argument("--k", type=int, required=True, help="harmonic degree (sets the transform order)")
     p.add_argument("--profile", required=True, help='radial profile, e.g. "exp(1/2)"')

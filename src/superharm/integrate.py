@@ -186,68 +186,44 @@ def integrate_superspace(f: SuperPolynomial, gaussian_a: RatLike | None = None) 
 
 
 def quad_0_inf(fn: Callable[[float], float], tol: float = 1e-12) -> float:
-    """Integral of fn over (0, inf) by tanh-sinh quadrature (mpmath, 15 digits).
+    """Integral of fn over (0, inf) by exp-sinh quadrature (Takahasi-Mori,
+    Publ. RIMS 9 (1974) 721): the trapezoid rule in t after the substitution
+    x = exp(pi/2 sinh t), on |t| <= 5 (x from 2.6e-51 to 3.9e50), with the
+    step halved from 1/2 down to 2^-9 until two levels agree to tol.
 
-    mpmath's error estimate is absolute and capped at 1.0, the value a
-    divergent integral comes back with.  When the first pass gives |value| > 1,
-    a second pass integrates fn / |value|, so that the estimate is relative.
-    Raises NonIntegrableError when the integrand overflows, the value is not
-    finite, or the estimate of the last pass exceeds
-    max(50 tol, 1e-8 min(1, |value|)) in its units.
+    The error estimate is the difference of the last two levels plus the
+    trapezoid weight of the two end nodes, which a tail cut off at the ends
+    (a divergent integral, such as that of 1/x) leaves large.  When |value| > 1
+    the estimate is taken in units of |value|.  Raises NonIntegrableError when
+    the integrand overflows, the value is not finite, or the estimate exceeds
+    max(50 tol, 1e-8 min(1, |value|)) in those units.
     """
-    import mpmath
 
-    def tanh_sinh(scale: float) -> Tuple[float, float]:
-        try:
-            with mpmath.workdps(15):
-                val, err = mpmath.quad(lambda t: fn(float(t)) / scale, [0, mpmath.inf], error=True)
-        except OverflowError as exc:
-            raise NonIntegrableError(f"integrand overflows on (0, inf): {exc}") from exc
-        return float(val), float(err)
+    def g(t: float) -> float:
+        x = math.exp(math.pi / 2 * math.sinh(t))
+        return fn(x) * x * (math.pi / 2 * math.cosh(t))
 
-    scale = 1.0
-    val, err = tanh_sinh(scale)
-    if math.isfinite(val) and abs(val) > 1.0:
-        scale = abs(val)
-        val, err = tanh_sinh(scale)
-    if not math.isfinite(val) or err > max(50 * tol, 1e-8 * min(1.0, abs(val))):
+    h, n = 0.5, 10  # n h = 5
+    try:
+        lo, hi = g(-5.0), g(5.0)
+        total = lo + hi + g(0.0) + sum(g(j * h) + g(-j * h) for j in range(1, n))
+        val = h * total
+        for _ in range(8):
+            h, n = h / 2, 2 * n
+            total += sum(g(j * h) + g(-j * h) for j in range(1, n, 2))
+            prev, val = val, h * total
+            err = abs(val - prev) + h * (abs(lo) + abs(hi))
+            if err <= tol * max(1.0, abs(val)):
+                break
+    except OverflowError as exc:
+        raise NonIntegrableError(f"integrand overflows on (0, inf): {exc}") from exc
+    scale = max(1.0, abs(val))
+    if not math.isfinite(val) or err > scale * max(50 * tol, 1e-8 * min(1.0, abs(val))):
         raise NonIntegrableError(
-            f"integral over (0, inf) did not converge (value {val * scale:.3g}, "
-            f"error estimate {err * scale:.1g})"
+            f"integral over (0, inf) did not converge (value {val:.3g}, "
+            f"error estimate {err:.1g})"
         )
-    return val * scale
-
-
-# -- dimensional continuation (radial split of the full-space integral) -------
-
-
-def dimensional_continuation_check(
-    g: SuperPolynomial,
-    h: Callable[[float], float],
-    gaussian_a: RatLike | None = None,
-    lhs: float | None = None,
-    tol: float = 1e-12,
-) -> Tuple[float, float]:
-    """Full-space integral of h(R^2) g two ways: direct vs radial shells.
-
-    rhs = sum_d T(g_d) * integral_0^inf v^{M-1+d} h(v^2) dv; lhs is the exact
-    Gaussian path when h = exp(-a u) (pass gaussian_a), or a caller-provided
-    value.  Only defined for M > 0.
-    """
-    M = g.sig.superdim
-    if M <= 0:
-        raise ValueError("radial shell decomposition needs M > 0")
-    if lhs is None:
-        if gaussian_a is None:
-            raise ValueError("need either gaussian_a or an explicit lhs")
-        lhs = integrate_superspace(g, gaussian_a).to_float()
-    rhs = 0.0
-    for d, part in g.homogeneous_components().items():
-        w = pizzetti(part).to_float()
-        if w == 0.0:
-            continue
-        rhs += w * quad_0_inf(lambda v, _d=d: v ** (M - 1 + _d) * h(v * v), tol)
-    return lhs, rhs
+    return val
 
 
 # -- reduction of a purely radial full-space integral -------------------------

@@ -66,16 +66,6 @@ def reduction_residual(problem: RadialProblem, f: RadialProfile, E: RatLike) -> 
     return lap * Fraction(-1, 2) + problem.V * f - f * Fraction(E)
 
 
-def reduction_residual_at(problem: RadialProblem, f: RadialProfile, E: float, u: float) -> float:
-    """Numeric residual of the reduced ODE at one point, for profiles without
-    symbolic derivatives."""
-    return (
-        -2 * u * f.eval_deriv(2, u)
-        - problem.first_order_coeff * f.eval_deriv(1, u)
-        + (problem.V(u) - E) * f(u)
-    )
-
-
 # -- exact oscillator spectrum ------------------------------------------------
 
 

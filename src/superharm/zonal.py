@@ -16,6 +16,11 @@ even M, Fejer's first rule for odd M, the weight folded into the weights),
 with the Gegenbauer factor from ``harmonics.kernel_values``.  Complex-valued
 kernels (exp(ivt)) are carried as complex numbers at the scalar level; all
 exact fields stay real.
+
+The Hankel transform of a profile c u^b e^{-au} is closed form (Weber's
+integral and a Kummer series, ``hankel``), and the Bessel factor of the
+kernel expansion is the power series ``scalar.bessel_profile``: no routine
+here integrates numerically over the half line.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 from .grassmann import NumericGrassmann
 from .harmonics import UnsupportedSignatureError, kernel_values
-from .integrate import NonIntegrableError, quad_0_inf
+from .integrate import NonIntegrableError
 from .radial import (
     NumericProfile,
     RadialProfile,
@@ -271,47 +276,68 @@ def funk_hecke_apply(
 # -- Hankel / Fourier-Bessel transform ----------------------------------------
 
 
-def hankel(nu, psi: RadialProfile, u: float, tol: float = 1e-10) -> float:
+def hankel(nu, psi: RadialProfile, u: float) -> float:
     """Hankel-type transform of the squared-variable profile psi:
-    Int_0^inf psi(r^2) (J_nu(ru)/(ru)^nu) r^{2nu+1} dr.
+    Int_0^inf psi(r^2) (J_nu(ru)/(ru)^nu) r^{2nu+1} dr, in closed form.
 
-    When every term is c u^b e^{-au} with integer b >= 0 (no log factor), the
-    transform is closed form: Weber's first exponential integral (DLMF
-    §10.22(v)) followed by Kummer's transformation (DLMF 13.2.39) give
+    For a term c u^b e^{-au} with a > 0 and rational b > -nu-1, Weber's first
+    exponential integral (DLMF §10.22(v)) followed by Kummer's transformation
+    (DLMF 13.2.39) give
 
-      (nu+1)_b / (2^{nu+1} a^{nu+b+1}) e^{-z} M(-b, nu+1, z),  z = u^2/(4a),
+      (nu+1)_b / (2^{nu+1} a^{nu+b+1}) e^{-z} M(-b, nu+1, z),  z = u^2/(4a).
 
-    where M(-b, nu+1, z) is a finite Laguerre sum.  nu, u and a are exact
-    dyadic or rational numbers, so that sum and the combination of terms with
-    one rate are formed in Fractions: no cancellation at large b z.  Past
+    The terms of M(-b, nu+1, z) (DLMF 13.2.2) alternate in sign up to index b
+    and have one sign after it.  nu, u and a are exact dyadic or rational
+    numbers, so the alternating head is summed in Fractions: no cancellation
+    at large b z.  For integer b >= 0 the head is all of M, a Laguerre
+    polynomial, and the terms with one rate are combined exactly; past
     z = 700, where e^{-z} leaves the float range, the exact sum meets e^{-z}
-    in logarithms (relative error about z times the float epsilon).  Other
-    profiles (non-integer b, log factors) go through the quadrature
-    ``_hankel_quad``.
+    in logarithms (relative error about z times the float epsilon).  For
+    other b the one-signed tail is summed in floats until its terms
+    fall below the float epsilon of the sum and halve at each step, and
+    (nu+1)_b = Gamma(nu+b+1)/Gamma(nu+1) comes from lgamma.
 
     Raises NonIntegrableError unless psi is a RadialProfile with every term
-    damped by exp(-a u), a > 0, or when the quadrature does not converge.
+    damped by exp(-a u), a > 0, and b > -nu-1; for a term with a log factor;
+    and for other b past z = 700, where the float series overflows.
     """
     nu = float(nu)
     if nu <= -0.5:
         raise ValueError("order must exceed -1/2")
     if not (isinstance(psi, RadialProfile) and all(a > 0 for _, _, a in psi.terms)):
         raise NonIntegrableError("profile is not exponentially decaying in every term")
-    if not all(d == 0 and b.denominator == 1 and b >= 0 for b, d, _ in psi.terms):
-        return _hankel_quad(nu, psi, u, tol)
     nq = Fraction(nu)
     z_rate = Fraction(u) ** 2 / 4
     by_rate = {}
-    for (b, _, a), c in psi.terms.items():
-        b = int(b)
-        z = z_rate / a
-        laguerre_sum, t = Fraction(0), Fraction(1)
-        for i in range(b + 1):
-            laguerre_sum += t
-            t = t * (i - b) * z / ((nq + 1 + i) * (i + 1))
-        part = c * (pochhammer(nq + 1, b) * laguerre_sum / a**b)
-        by_rate[a] = by_rate[a] + part if a in by_rate else part
     total = 0.0
+    for (b, d, a), c in psi.terms.items():
+        if d or b <= -nq - 1:
+            raise NonIntegrableError(
+                f"no closed-form transform of the term u^{b} log(u)^{d} e^(-{a}u) at order {nu}"
+            )
+        z = z_rate / a
+        head, t, i = Fraction(0), Fraction(1), 0
+        while i <= b:
+            head += t
+            t = t * (i - b) * z / ((nq + 1 + i) * (i + 1))
+            i += 1
+        if b >= 0 and b.denominator == 1:
+            part = c * (pochhammer(nq + 1, int(b)) * head / a ** int(b))
+            by_rate[a] = by_rate[a] + part if a in by_rate else part
+            continue
+        if z > 700:
+            raise NonIntegrableError(
+                f"u^{b} e^(-{a}u) at u = {u:g}: z = u^2/(4a) > 700 leaves the float range"
+            )
+        zf, bf, series, t = float(z), float(b), float(head), float(t)
+        while True:
+            series += t
+            t *= (i - bf) * zf / ((nu + 1 + i) * (i + 1))
+            i += 1
+            if i >= 2 * zf and abs(t) <= 2.0**-53 * abs(series):
+                break
+        poch = math.exp(math.lgamma(nu + bf + 1) - math.lgamma(nu + 1))
+        total += c.to_float() * (series * math.exp(-zf)) * poch / (float(a) ** (nu + bf + 1) * 2 ** (nu + 1))
     for a, part in by_rate.items():
         z = z_rate / a
         if z < 700:
@@ -325,24 +351,9 @@ def hankel(nu, psi: RadialProfile, u: float, tol: float = 1e-10) -> float:
     return total
 
 
-def _hankel_quad(nu: float, psi: RadialProfile, u: float, tol: float) -> float:
-    """The transform by integrate.quad_0_inf with a 30-digit Bessel factor: the
-    route for profiles without a closed form, and the oracle for it.  The
-    integrand skips the Bessel factor where psi(r^2) == 0.0: J_nu(t)/t^nu is
-    bounded for nu > -1/2."""
-
-    def integrand(r: float) -> float:
-        p = psi(r * r)
-        if p == 0.0:
-            return 0.0
-        return p * bessel_profile(nu, (r * u) ** 2) * r ** (2 * nu + 1)
-
-    return quad_0_inf(integrand, tol)
-
-
-def fourier_bessel(nu, psi: RadialProfile, u2: float, tol: float = 1e-10) -> float:
+def fourier_bessel(nu, psi: RadialProfile, u2: float) -> float:
     """The transform in the squared variable: value at u2 = u^2."""
-    return hankel(nu, psi, math.sqrt(u2), tol)
+    return hankel(nu, psi, math.sqrt(u2))
 
 
 # -- oscillator eigenfunctions ------------------------------------------------
@@ -389,7 +400,6 @@ def bochner_transform(
     psi: RadialProfile,
     ycoords: Sequence[float],
     sign: int = 1,
-    tol: float = 1e-10,
 ) -> NumericGrassmann:
     """Fourier transform of H_k(x) psi(R^2): (+-i)^k H_k(y) F_{k+M/2-1}[psi](R_y^2),
     assembled from the Hankel transform and the fermionic expansion of the
@@ -401,7 +411,7 @@ def bochner_transform(
     nu = k + M / 2.0 - 1.0
     ry = math.sqrt(sum(c * c for c in ycoords))
     v = ry * ry
-    values = [(-0.5) ** i * fourier_bessel(nu + i, psi, v, tol) for i in range(n + 1)]
+    values = [(-0.5) ** i * fourier_bessel(nu + i, psi, v) for i in range(n + 1)]
     expansion = fermionic_expansion(values, n)
     return expansion * H_k.evaluate_bosonic(ycoords) * (sign * 1j) ** k
 

