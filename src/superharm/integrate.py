@@ -234,24 +234,27 @@ def reduce_integral(profile, sig: Signature, tol: float = 1e-12):
     I_M[h] = integral_0^inf v^{M-1} h(v^2) dv:
 
     M > 0:        sigma_M I_M[h]
-    M in -2N:     (-pi)^{M/2} h^{(-M/2)}(0)                   (exact-leaning)
+    M in -2N:     (-pi)^{M/2} h^{(-M/2)}(0)                   (exact)
     M odd, < 0:   2 (-pi)^{(M-1)/2} I_1[h^{((1-M)/2)}]
 
     For a RadialProfile, divergence is decided from the exponents of its terms
     c u^b log(u)^d e^{-au}, after the derivatives of the M <= 0 branches: a
     term with a <= 0, or on an I_M branch a log-free term with b <= -M/2,
     raises NonIntegrableError, even where another term would cancel its
-    divergence or the integral is zero.  Without log factors, I_M is the sum
-    of Gamma moments (DLMF 5.2.1)
+    divergence or the integral is zero.  On the M in -2N branch the value at
+    0 alone gives the integral, so it is trusted only where decay can be read:
+    any other profile (an evaluator) raises NonIntegrableError there, and so
+    does an infinite h^{(-M/2)}(0).  Without log factors, I_M is the sum of
+    Gamma moments (DLMF 5.2.1)
 
         integral_0^inf v^{M-1} v^{2b} e^{-a v^2} dv = Gamma(b+M/2) / (2 a^{b+M/2}),
 
     an ExactScalar when b + M/2 is a half-integer and a^{b+M/2} rational for
     every term, a float otherwise.  Profiles with log factors and evaluators
-    go through quad_0_inf.
+    on the other branches go through quad_0_inf.
 
-    ``profile`` duck-types the radial-profile interface: callable on floats,
-    .derivative() -> profile, .value_exact_at_zero() -> ExactScalar or None.
+    On the other branches ``profile`` may be any evaluator with the
+    radial-profile interface: callable on floats, .derivative() -> profile.
     """
     M = sig.superdim
     j = (1 - M) // 2  # the derivative order on both M <= 0 branches
@@ -263,12 +266,12 @@ def reduce_integral(profile, sig: Signature, tol: float = 1e-12):
     elif M % 2:
         pre, moment = ExactScalar.pi_pow(M - 1, 2 * (-1) ** j), _radial_moment(d, 1, tol)
     else:
-        _is_symbolic(d)
+        if not _is_symbolic(d):
+            raise NonIntegrableError(f"M = {M} reads h^({j})(0) alone: an evaluator's decay is unknown")
         val0 = d.value_exact_at_zero()
-        sign = Fraction((-1) ** j)
-        if val0 is not None:
-            return ExactScalar.pi_pow(M, sign) * val0
-        return float(sign) * math.pi ** (M / 2) * d(0.0)
+        if val0 is None:
+            raise NonIntegrableError(f"h^({j}) diverges at u = 0")
+        return ExactScalar.pi_pow(M, Fraction((-1) ** j)) * val0
     return pre * moment if isinstance(moment, ExactScalar) else pre.to_float() * moment
 
 

@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .grassmann import NumericGrassmann, fermi_derivative, fermi_norm_sq, fermi_pow
+from .grassmann import NumericGrassmann, fermi_derivative
 from .harmonics import UnsupportedSignatureError
 from .scalar import ExactScalar, RatLike, _as_fraction, gamma_exact, laguerre_coeffs
 from .sparse import Sparse
@@ -308,10 +308,10 @@ class RadialSuperfunction(NamedTuple):
 def fermionic_expansion(values: Sequence[complex], n: int) -> NumericGrassmann:
     """sum_j (-1)^j x'^{2j}/j! values[j] on 2n generators: the fermionic
     Taylor assembly of a profile from its derivatives values[j] at r^2."""
+    nsq = NumericGrassmann(2 * n, {3 << (2 * k): 1.0 for k in range(n)})
     out = NumericGrassmann(2 * n)
     for j in range(n + 1):
-        blade = NumericGrassmann.from_exact(fermi_pow(fermi_norm_sq(n), j))
-        out = out + blade * (((-1) ** j / math.factorial(j)) * values[j])
+        out = out + nsq.power(j) * (((-1) ** j / math.factorial(j)) * values[j])
     return out
 
 

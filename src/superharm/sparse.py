@@ -1,8 +1,8 @@
 """One sparse-term core under every algebra of the package.
 
-Exact scalars, Grassmann elements (exact and numeric), symbolic radial
-profiles and superpolynomials are all a dict from a graded key to a
-coefficient.  ``Sparse`` holds that dict and the arithmetic over it; a
+Exact scalars, numeric Grassmann elements, symbolic radial profiles and
+superpolynomials (whose purely odd part is the exact Grassmann algebra) are
+all a dict from a graded key to a coefficient.  ``Sparse`` holds that dict and the arithmetic over it; a
 subclass supplies only what is its own:
 
 * ``_space``: the names of the attributes that fix the algebra (``ngen``,

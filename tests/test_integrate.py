@@ -29,7 +29,7 @@ from superharm.integrate import (
     reduce_integral,
     superball_poly,
 )
-from superharm.radial import RadialProfile
+from superharm.radial import NumericProfile, RadialProfile
 
 SIGS = [Signature(1, 0), Signature(3, 0), Signature(1, 1), Signature(2, 1),
         Signature(3, 1), Signature(2, 2)]
@@ -248,7 +248,7 @@ def test_gaussian_second_moments(sig):
 
 def test_gaussian_fermionic_moment():
     # f1 f2 exp(-R^2) = exp(-r^2) f1 f2 (the fermionic expansion dies on f1f2),
-    # so the full integral is berezin(f1f2) * int exp(-r^2) = pi^{-1} * pi^{3/2}
+    # so the full integral is (Berezin integral of f1f2) * int exp(-r^2) = pi^{-1} * pi^{3/2}
     sig = Signature(3, 1)
     f12 = SuperPolynomial(sig, {((0, 0, 0), 0b11): Fraction(1)})
     got = integrate_superspace(f12, gaussian_a=1)
@@ -327,9 +327,6 @@ class _GaussProfile:
     def derivative(self):
         return _GaussProfile(-self.c)
 
-    def value_exact_at_zero(self):
-        return ExactScalar.rational(Fraction(self.c)) if self.c == int(self.c) else None
-
 
 @pytest.mark.parametrize(
     "sig",
@@ -338,12 +335,29 @@ class _GaussProfile:
 )
 def test_reduced_integral_gaussian_all_branches(sig):
     M = sig.superdim
+    if M <= 0 and M % 2 == 0:
+        # the branch reads h^(-M/2)(0) alone; an evaluator's decay cannot be read
+        with pytest.raises(NonIntegrableError):
+            reduce_integral(_GaussProfile(), sig)
+        return
     got = reduce_integral(_GaussProfile(), sig)
     want = math.pi ** (M / 2)
     if isinstance(got, ExactScalar):
         assert (got - ExactScalar.pi_pow(M)).is_zero
     else:
         assert abs(got - want) < 1e-10
+
+
+def test_reduce_integral_refuses_evaluators_at_even_nonpositive_superdim():
+    # On M = -2 the value h'(0) alone would be returned: -1/pi for 1 + u,
+    # whose integral is 0, and -0.0 for the divergent u^3.
+    sig = Signature(2, 2)
+    for coeffs in ([1, 1], [0, 0, 0, 1]):
+        with pytest.raises(NonIntegrableError):
+            reduce_integral(NumericProfile.polynomial(coeffs), sig)
+    # a decaying symbolic profile whose derivative is infinite at 0
+    with pytest.raises(NonIntegrableError, match="diverges"):
+        reduce_integral(RadialProfile.power(Fraction(1, 2)) * RadialProfile.exponential(1), sig)
 
 
 @pytest.mark.parametrize("sig", [Signature(1, 0), Signature(2, 0), Signature(3, 0),
