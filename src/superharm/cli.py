@@ -100,6 +100,16 @@ def _parse_coeffs(text: str) -> List[Fraction]:
     return [Fraction(t) for t in toks]
 
 
+def _parse_profile(text: str):
+    """``RadialProfile.parse``, but a lagexp degree above K_MAX is refused first."""
+    from .radial import RadialProfile
+
+    for j in re.findall(r"lagexp\s*\(([^,)]*)", text):
+        if int(j) > K_MAX:
+            raise ValueError(f"lagexp degree {int(j)} above cap {K_MAX}")
+    return RadialProfile.parse(text)
+
+
 # -- command handlers ---------------------------------------------------------
 
 
@@ -184,12 +194,11 @@ def _cmd_funk_hecke(cfg: RunConfig, args) -> Result:
 
 
 def _cmd_bochner(cfg: RunConfig, args) -> Result:
-    from .radial import RadialProfile
     from .zonal import hankel
 
     sig = cfg.signature()
     k = cfg.check_degree(args.k, "--k")
-    psi = RadialProfile.parse(args.profile)
+    psi = _parse_profile(args.profile)
     nu = k + sig.superdim / 2.0 - 1.0
     rows = [{"u": u, "value": hankel(nu, psi, u)} for u in (0.5, 1.0, 1.5, 2.0)]
     return {"nu": nu, "profile": args.profile, "rows": rows}, True, "json"
@@ -246,7 +255,6 @@ def _cmd_fundsol(cfg: RunConfig, args) -> Result:
 
 
 def _cmd_spectrum(cfg: RunConfig, args) -> Result:
-    from .radial import RadialProfile
     from .schrodinger import (
         GridSpec, numeric_rows, oscillator_spectrum, reduce as reduce_problem, solve_numeric,
     )
@@ -258,7 +266,7 @@ def _cmd_spectrum(cfg: RunConfig, args) -> Result:
         entries = oscillator_spectrum(sig, jmax, kmax)
         rows = [e.as_row() for e in entries]
     else:
-        V = RadialProfile.parse(args.V)
+        V = _parse_profile(args.V)
         grid = GridSpec(r_max=args.rmax, nodes=args.nodes, box=args.box)
         rows = []
         window = tuple(args.window) if args.window else None
@@ -272,11 +280,10 @@ def _cmd_spectrum(cfg: RunConfig, args) -> Result:
 
 def _cmd_reduce_integral(cfg: RunConfig, args) -> Result:
     from .integrate import reduce_integral
-    from .radial import RadialProfile
     from .scalar import ExactScalar
 
     sig = cfg.signature()
-    prof = RadialProfile.parse(args.profile)
+    prof = _parse_profile(args.profile)
     val = reduce_integral(prof, sig, cfg.tol)
     if isinstance(val, ExactScalar):
         payload = {"superdim": sig.superdim, "value": val.to_text(), "float": val.to_float()}

@@ -14,6 +14,7 @@ so the square of the radius reads  r^2 - nsq  with a minus sign.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict
 
 from .sparse import Sparse
@@ -69,7 +70,7 @@ class NumericGrassmann(Sparse):
 
     __slots__ = ("ngen",)
     _space = ("ngen",)
-    _scalars = (int, float, complex)
+    _scalars = (int, Fraction, float, complex)
     _key_mul = staticmethod(blade_mul)
 
     def __init__(self, ngen: int, terms: Dict[int, complex] | None = None):

@@ -6,8 +6,9 @@ the Laplacian's monomial matrix, the Fischer decomposition from the recursion
 
     lap(R^{2j} H_k) = 2j (M + 2j + 2k - 2) R^{2j-2} H_k,
 
-and the reproducing kernel from exact Gegenbauer coefficients homogenized with
-the two-point pairing.  The super-dimension M = m - 2n may be any integer not
+and the reproducing kernel from the homogenized Gegenbauer recurrence
+``kernel_values``, the one shared with the numeric kernels, run over exact
+polynomials.  The super-dimension M = m - 2n may be any integer not
 in {0, -2, -4, ...}; those even nonpositive values break both Fischer
 (a vanishing extraction constant) and the kernel normalization (sigma_M = 0),
 and raise UnsupportedSignatureError.
@@ -19,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .scalar import ExactScalar, chebyshev_t_coeffs, gegenbauer_coeffs, sphere_area
+from .scalar import sphere_area
 from .superpoly import (
     Signature,
     SuperPolynomial,
@@ -221,64 +222,50 @@ def reproducing_kernel(sig: Signature, k: int, m2_limit: bool = True) -> SuperPo
     """The two-point kernel F_k(x, y) on the doubled algebra.
 
     Closed form: (2k+M-2)/(M-2) * (1/sigma_M) * (RxRy)^k C_k^{(M-2)/2}(<x,y>/RxRy),
-    homogenized so only <x,y> and the even powers Rx^2 Ry^2 appear.  At M = 2
-    the prefactor is formally singular for k >= 1; with ``m2_limit`` the
-    standard resolution lim_{lam->0} ((k+lam)/lam) C_k^lam = 2 T_k replaces it,
-    otherwise that case raises.
+    homogenized as sum_p c_p <x,y>^p (Rx^2 Ry^2)^{(k-p)/2}, with c_p exact from
+    ``kernel_values`` on the polynomials in t = x1.  At M = 2 the prefactor is
+    formally singular for k >= 1; with ``m2_limit`` the standard resolution
+    lim_{lam->0} ((k+lam)/lam) C_k^lam = 2 T_k replaces it, else that raises.
     """
     M = sig.superdim
-    if _m_is_degenerate(M):
-        raise UnsupportedSignatureError(f"kernel normalization undefined at M = {M}")
-    sigma = sphere_area(M)
-    inv_sigma = ExactScalar.rational(1) / sigma
-    if k == 0:
-        return SuperPolynomial.constant(sig, inv_sigma, copies=2)
-    if M == 2:
-        if not m2_limit:
-            raise UnsupportedSignatureError(
-                "kernel prefactor (2k+M-2)/(M-2) singular at M=2; enable the limit rule"
-            )
-        coeffs = {p: 2 * c for p, c in chebyshev_t_coeffs(k).items()}
-        pre = inv_sigma
-    else:
-        lam = Fraction(M - 2, 2)
-        coeffs = gegenbauer_coeffs(k, lam)
-        pre = inv_sigma * Fraction(2 * k + M - 2, M - 2)
+    if M == 2 and k >= 1 and not m2_limit:
+        raise UnsupportedSignatureError(
+            "kernel prefactor (2k+M-2)/(M-2) singular at M=2; enable the limit rule"
+        )
+    line = Signature(1, 0)
+    one = SuperPolynomial.constant(line, 1)
+    Fk = kernel_values(M, k, SuperPolynomial.coordinate(line, 1), one, one, sphere_area(M))[k]
     t = pairing(sig)
     u = r_squared(sig, 2, 0) * r_squared(sig, 2, 1)
     out = SuperPolynomial.zero(sig, 2)
-    for p, c in sorted(coeffs.items()):
-        out = out + t**p * u ** ((k - p) // 2) * (pre * c)
+    for ((p,), _), c in sorted(Fk.terms.items()):
+        out = out + t**p * u ** ((k - p) // 2) * c
     return out
 
 
-def kernel_values(M: int, K: int, t, u, one=1.0) -> list:
+def kernel_values(M: int, K: int, t, u, one=1.0, sigma=None) -> list:
     """F_0 .. F_K given the invariants t = <x,y> and u = Rx^2 Ry^2, by the
     homogenized three-term recurrence, so u = 0 and negative-M cases cost
     nothing special.  t, u and their unit ``one`` may be floats or elements of
-    an algebra with +, * and float scaling."""
+    an algebra with +, * and scaling by ints and Fractions; ``sigma`` is
+    sigma_M in the same field (default: the float sphere area)."""
     if _m_is_degenerate(M):
         raise UnsupportedSignatureError(f"kernel normalization undefined at M = {M}")
-    sigma = sphere_area(M).to_float()
-    out = [one * (1.0 / sigma)]
+    if sigma is None:
+        sigma = sphere_area(M).to_float()
+    out = [one * (1 / sigma)]
     if K == 0:
         return out
     if M == 2:
         tm, t0 = one, t  # homogenized Chebyshev: the M = 2 limit rule
-        out.append(t0 * (2.0 / sigma))
+        out.append(t0 * (2 / sigma))
         for _ in range(2, K + 1):
-            tm, t0 = t0, t * t0 * 2.0 - u * tm
-            out.append(t0 * (2.0 / sigma))
+            tm, t0 = t0, t * t0 * 2 - u * tm
+            out.append(t0 * (2 / sigma))
         return out
-    lam = (M - 2) / 2.0
-    cm, c0 = one, t * (2 * lam)
-    out.append(c0 * (M / (M - 2) / sigma))
+    cm, c0 = one, t * (M - 2)
+    out.append(c0 * (Fraction(M, M - 2) / sigma))
     for i in range(2, K + 1):
-        cm, c0 = c0, (t * c0 * (2 * (i + lam - 1)) - u * cm * (i + 2 * lam - 2)) * (1.0 / i)
-        out.append(c0 * ((2 * i + M - 2) / (M - 2) / sigma))
+        cm, c0 = c0, (t * c0 * (2 * i + M - 4) - u * cm * (i + M - 4)) * Fraction(1, i)
+        out.append(c0 * (Fraction(2 * i + M - 2, M - 2) / sigma))
     return out
-
-
-def kernel_value(M: int, k: int, t: float, u: float) -> float:
-    """Numeric F_k given the invariants t = <x,y> and u = Rx^2 Ry^2."""
-    return kernel_values(M, k, t, u)[k]

@@ -5,8 +5,9 @@ finite sum  sum_s q_s * pi^(s/2)  with rational q_s and integer s.  This is clos
 under products of gamma-function values at half-integers, which is all the exact
 layer ever needs (sphere areas, Pizzetti weights, Funk-Hecke multipliers, ...).
 
-Numeric special functions (Laguerre, Gegenbauer, Bessel J and the Bessel profile)
-live here too so the higher modules share one implementation.
+Numeric special functions (Laguerre, Bessel J and the Bessel profile) live here
+too so the higher modules share one implementation; the Gegenbauer recurrence is
+``harmonics.kernel_values``, in whichever field its caller works.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Mapping, Tuple, Union
+from typing import Dict, List, Mapping, Union
 
 from .sparse import Sparse
 
@@ -111,6 +112,9 @@ class ExactScalar(Sparse):
         ((s0, q0),) = other.terms.items()
         return self._with({s - s0: q / q0 for s, q in self.terms.items()})
 
+    def __rtruediv__(self, other):
+        return ExactScalar.coerce(other) / self
+
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("only nonnegative integer powers")
@@ -146,12 +150,12 @@ class ExactScalar(Sparse):
         text = text.strip()
         if text == "0":
             return cls()
-        out = cls()
         # split on '+' that separates terms; coefficients carry their own '-'
-        for chunk in text.replace("- ", "+ -").split("+"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
+        chunks = [c.strip() for c in text.replace("- ", "+ -").split("+") if c.strip()]
+        if not chunks:
+            raise ValueError(f"empty scalar: {text!r}")
+        out = cls()
+        for chunk in chunks:
             out = out + _parse_scalar_term(chunk)
         return out
 
@@ -182,10 +186,6 @@ def _parse_scalar_term(chunk: str) -> ExactScalar:
         else:
             coef *= Fraction(factor)
     return ExactScalar.pi_pow(s, coef)
-
-
-ZERO = ExactScalar()
-ONE = ExactScalar.rational(1)
 
 
 # -- exact gamma machinery ---------------------------------------------------
@@ -259,56 +259,14 @@ def laguerre(p: int, q: float, u: float) -> float:
 
 def laguerre_coeffs(p: int, q: RatLike) -> List[Fraction]:
     """Exact power-basis coefficients of L_p^{(q)}:  L = sum_i c[i] u^i."""
+    if p < 0:
+        raise ValueError("laguerre needs p >= 0")
     q = _as_fraction(q)
     return [
         Fraction((-1) ** i) * pochhammer(q + i + 1, p - i)
         / (math.factorial(p - i) * math.factorial(i))
         for i in range(p + 1)
     ]
-
-
-def gegenbauer(k: int, lam: float, t: float) -> float:
-    """Gegenbauer C_k^{(lam)}(t) by recurrence (lam may be negative or zero)."""
-    if k < 0:
-        raise ValueError("gegenbauer needs k >= 0")
-    if k == 0:
-        return 1.0
-    cm, c0 = 1.0, 2.0 * lam * t
-    for i in range(2, k + 1):
-        cm, c0 = c0, (2 * (i + lam - 1) * t * c0 - (i + 2 * lam - 2) * cm) / i
-    return c0
-
-
-def gegenbauer_coeffs(k: int, lam: RatLike) -> Dict[int, Fraction]:
-    """Exact coefficients {power: coeff} of C_k^{(lam)} in the monomial basis."""
-    lam = _as_fraction(lam)
-    out: Dict[int, Fraction] = {}
-    for i in range(k // 2 + 1):
-        c = (
-            Fraction((-1) ** i)
-            * pochhammer(lam, k - i)
-            * 2 ** (k - 2 * i)
-            / (math.factorial(i) * math.factorial(k - 2 * i))
-        )
-        if c != 0:
-            out[k - 2 * i] = c
-    return out
-
-
-def chebyshev_t_coeffs(k: int) -> Dict[int, Fraction]:
-    """Exact monomial coefficients of the Chebyshev polynomial T_k."""
-    if k == 0:
-        return {0: Fraction(1)}
-    prev = {0: Fraction(1)}
-    cur = {1: Fraction(1)}
-    for _ in range(k - 1):
-        nxt: Dict[int, Fraction] = {}
-        for p, c in cur.items():
-            nxt[p + 1] = nxt.get(p + 1, Fraction(0)) + 2 * c
-        for p, c in prev.items():
-            nxt[p] = nxt.get(p, Fraction(0)) - c
-        prev, cur = cur, {p: c for p, c in nxt.items() if c != 0}
-    return cur
 
 
 # -- Bessel ------------------------------------------------------------------

@@ -272,6 +272,8 @@ def _parse_poly_term(term: str, sig: Signature, copies: int) -> SuperPolynomial:
             depth -= ch == ")"
             if depth == 0:
                 break
+        else:
+            raise ValueError(f"unclosed parenthesis in term {term!r}")
         coef = ExactScalar.parse(term[1:i])
         rest = term[i + 1:].split()
     else:

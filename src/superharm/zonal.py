@@ -432,8 +432,8 @@ def _kernel_values(
 ) -> Tuple[List[NumericGrassmann], NumericGrassmann]:
     """F_0 .. F_K evaluated over the doubled Grassmann algebra at the bosonic
     points, by ``harmonics.kernel_values`` in the pairing t and u = Rx^2 Ry^2
-    (numeric coefficients; exact-kernel construction grows combinatorially
-    with k and is only worthwhile for small degrees), together with u."""
+    (the exact ``reproducing_kernel``'s recurrence on numeric coefficients,
+    building no polynomial of degree 2k), together with u."""
     M = sig.superdim
     if M == 2 and not m2_limit:
         raise UnsupportedSignatureError(

@@ -70,6 +70,14 @@ def test_pizzetti_bad_polynomial(capsys):
         assert "error" in json.loads(out)
 
 
+def test_pizzetti_empty_or_unclosed_coefficient(capsys):
+    # both used to parse as 0 and print "0" (the integral of "(1" is 2)
+    for poly in ("(1", "( ) x1^2"):
+        code, out = run(["pizzetti", "--m", "3", "--n", "1", "--poly", poly], capsys)
+        assert code == 2, poly
+        assert json.loads(out)["error"]["type"] == "invalid-config", poly
+
+
 def test_fischer_classical_blocks(capsys):
     code, out = run(["fischer", "--m", "2", "--n", "0", "--poly", "x1^2"], capsys)
     assert code == 0
@@ -177,6 +185,21 @@ def test_reduce_integral_refuses_non_decaying_profiles_at_even_negative_superdim
         code, out = run(["reduce-integral"] + sig + ["--profile", profile], capsys)
         assert code == 0, profile
         assert json.loads(out)["value"] == value, profile
+
+
+def test_lagexp_degree_outside_range_refused(capsys):
+    # lagexp(-1,0,1) used to be the zero profile and integrate to 0; a large
+    # degree used to take minutes to parse (37 s at 3000)
+    for profile in ("lagexp(-1,0,1)", "lagexp(3000,0,1)", "2*lagexp(20000,0,1)", "lagexp(13,0,1)"):
+        code, out = run(["reduce-integral", "--m", "3", "--n", "1", "--profile", profile], capsys)
+        assert code == 2, profile
+        assert json.loads(out)["error"]["type"] == "invalid-config", profile
+    for cmd in (["bochner", "--k", "1", "--profile"], ["spectrum", "--jmax", "1", "--kmax", "0", "--V"]):
+        code, out = run(cmd + ["lagexp(3000,0,1)", "--m", "3", "--n", "0"], capsys)
+        assert code == 2, cmd
+        assert json.loads(out)["error"]["message"] == "lagexp degree 3000 above cap 12", cmd
+    code, out = run(["reduce-integral", "--m", "3", "--n", "1", "--profile", "lagexp(12,0,1)"], capsys)
+    assert code == 0
 
 
 def test_arithmetic_overflow_is_structured_error(capsys):

@@ -198,3 +198,11 @@ def test_numeric_grassmann_power_and_scalar():
         NumericGrassmann(2) + NumericGrassmann(4)
     with pytest.raises(ValueError):
         nsq * NumericGrassmann.scalar(2 * n + 2, 1.0)
+
+
+def test_numeric_grassmann_scales_by_fractions_as_by_floats():
+    # kernel_values scales by Fraction(1, i); on floats it must round as 1.0 / i
+    v = NumericGrassmann(4, {0: 0.7, 0b0011: -1.3 + 0.2j, 0b1111: 1e-300})
+    for i in (3, 7, 11):
+        assert (v * Fraction(1, i)).terms == (v * (1 / i)).terms
+        assert (Fraction(2, i) * v).terms == ((2 / i) * v).terms

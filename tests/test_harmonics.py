@@ -22,7 +22,7 @@ from superharm.harmonics import (
     fischer_decompose,
     fischer_reconstruct,
     harmonic_basis,
-    kernel_value,
+    kernel_values,
     monomial_keys,
     reproducing_kernel,
 )
@@ -197,6 +197,35 @@ def test_kernel_reproduces_harmonics_under_sphere_integral(sig, kmax):
                 assert (got - want).is_zero
 
 
+# the smallest signature of each super-dimension M = m - 2n
+ORACLE_SIGS = [Signature(1, 2), Signature(1, 1), Signature(1, 0), Signature(2, 0),
+               Signature(3, 0), Signature(4, 0), Signature(5, 0), Signature(7, 0)]
+
+
+@pytest.mark.parametrize("sig", ORACLE_SIGS, ids=lambda s: f"M{s.superdim}")
+def test_reproducing_kernel_matches_sympy_gegenbauer(sig):
+    """The exact kernel against sympy's C_k^{(M-2)/2} (2 T_k at M = 2):
+    F_k = (2k+M-2)/(M-2) / sigma_M * sum_p c_p <x,y>^p (Rx^2 Ry^2)^{(k-p)/2},
+    for k <= 6 (k <= 5 on R^7, where k = 6 alone takes seconds)."""
+    import sympy
+
+    M = sig.superdim
+    x = sympy.Symbol("x")
+    inv_sigma = 1 / sphere_area(M)
+    t = pairing(sig)
+    u = r_squared(sig, 2, 0) * r_squared(sig, 2, 1)
+    for k in range(6 if sig.m == 7 else 7):
+        if M != 2:
+            poly, pre = sympy.gegenbauer(k, sympy.Rational(M - 2, 2), x), Fraction(2 * k + M - 2, M - 2)
+        else:
+            poly, pre = (2 * sympy.chebyshevt(k, x) if k else sympy.Integer(1)), 1
+        want = SuperPolynomial.zero(sig, 2)
+        for (p,), c in sympy.Poly(poly, x).terms():
+            c = Fraction(int(c.p), int(c.q)) * pre
+            want = want + t**p * u ** ((k - p) // 2) * (inv_sigma * c)
+        assert reproducing_kernel(sig, k) == want, (M, k)
+
+
 def test_kernel_value_matches_exact_kernel_bosonically():
     rnd = random.Random(5)
     for sig in [Signature(3, 0), Signature(4, 0), Signature(5, 0)]:
@@ -209,7 +238,7 @@ def test_kernel_value_matches_exact_kernel_bosonically():
                 t = sum(a * b for a, b in zip(x, y))
                 u = sum(a * a for a in x) * sum(b * b for b in y)
                 direct = Fk.evaluate_bosonic(x + y).coeff(0).real
-                assert abs(kernel_value(M, k, t, u) - direct) < 1e-10
+                assert abs(kernel_values(M, k, t, u)[k] - direct) < 1e-10
 
 
 def test_kernel_value_chebyshev_route():
@@ -225,4 +254,4 @@ def test_kernel_value_chebyshev_route():
             u = sum(a * a for a in x) * sum(b * b for b in y)
             # evaluate the doubled polynomial at purely bosonic points
             direct = Fk.evaluate_bosonic(x + y).coeff(0).real
-            assert abs(kernel_value(2, k, t, u) - direct) < 1e-10
+            assert abs(kernel_values(2, k, t, u)[k] - direct) < 1e-10

@@ -12,10 +12,7 @@ from superharm.scalar import (
     GammaPoleError,
     bessel_j,
     bessel_profile,
-    chebyshev_t_coeffs,
     gamma_exact,
-    gegenbauer,
-    gegenbauer_coeffs,
     laguerre,
     laguerre_coeffs,
     pochhammer,
@@ -89,6 +86,20 @@ def test_scalar_mul_distributes(da, db):
     assert (a + b) * a == a * a + b * a
 
 
+def test_scalar_division_from_the_left():
+    sigma = sphere_area(3)  # 4 pi
+    assert 1 / sigma == ExactScalar.pi_pow(-2, Fraction(1, 4))
+    assert Fraction(2, 3) / sigma == ExactScalar.pi_pow(-2, Fraction(1, 6))
+    with pytest.raises(ZeroDivisionError):
+        1 / (sigma + 1)
+
+
+def test_scalar_parse_refuses_empty_text():
+    for text in ("", "  ", "+"):
+        with pytest.raises(ValueError):
+            ExactScalar.parse(text)
+
+
 # -- gamma machinery ----------------------------------------------------------
 
 
@@ -157,6 +168,11 @@ def test_laguerre_matches_exact_coeffs(p, q):
         assert laguerre(p, float(q), u) == pytest.approx(poly, rel=1e-12, abs=1e-12)
 
 
+def test_laguerre_coeffs_refuse_negative_degree():
+    with pytest.raises(ValueError):
+        laguerre_coeffs(-1, 0)
+
+
 def test_laguerre_orthogonality_numeric():
     # integral_0^inf u^q e^-u L_p L_p' du = 0 for p != p'
     q = 1.5
@@ -166,27 +182,6 @@ def test_laguerre_orthogonality_numeric():
             [0, mpmath.inf],
         )
     assert abs(float(val)) < 1e-12
-
-
-def test_gegenbauer_low_orders():
-    assert gegenbauer(0, -0.7, 0.3) == 1.0
-    for lam, t in [(0.5, 0.2), (-1.0, 0.9), (2.0, -0.4)]:
-        assert gegenbauer(1, lam, t) == pytest.approx(2 * lam * t, rel=1e-14)
-
-
-@pytest.mark.parametrize("k,lam", [(2, H), (3, Fraction(-1, 2)), (4, 1), (5, Fraction(3, 2)), (6, -2)])
-def test_gegenbauer_matches_exact_coeffs(k, lam):
-    cs = gegenbauer_coeffs(k, lam)
-    for t in (-0.9, -0.3, 0.0, 0.5, 1.0):
-        poly = sum(float(c) * t**p for p, c in cs.items())
-        assert gegenbauer(k, float(lam), t) == pytest.approx(poly, rel=1e-12, abs=1e-12)
-
-
-def test_chebyshev_coeffs():
-    assert chebyshev_t_coeffs(0) == {0: 1}
-    assert chebyshev_t_coeffs(1) == {1: 1}
-    assert chebyshev_t_coeffs(2) == {2: 2, 0: -1}
-    assert chebyshev_t_coeffs(4) == {4: 8, 2: -8, 0: 1}
 
 
 def binom_frac(top, k: int) -> Fraction:

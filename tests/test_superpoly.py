@@ -76,6 +76,15 @@ def test_parse_and_to_text_round_trip():
     assert f.coeff((0, 1), 0) == ExactScalar({0: 1, -1: -2})
 
 
+def test_parse_refuses_empty_or_unclosed_coefficient():
+    # both used to parse as the zero polynomial
+    sig = Signature(3, 1)
+    for text in ("(1", "( ) x1^2", "() + 1", "(1 + pi x1"):
+        with pytest.raises(ValueError):
+            SuperPolynomial.parse(text, sig)
+    assert SuperPolynomial.parse("(1) x1", sig) == SuperPolynomial.coordinate(sig, 1)
+
+
 @settings(max_examples=50)
 @given(st.integers(0, 10**6))
 def test_text_round_trip_random(seed):
