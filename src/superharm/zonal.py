@@ -490,6 +490,16 @@ def mehler_bessel_check(
     return lhs.max_abs_diff(rhs)
 
 
+def _laguerre_weight(j: int, nu: float) -> float:
+    """2 j! / Gamma(j+nu+1) with the sign of Gamma, which is negative on
+    (-1, 0), (-3, -2), ...; 0 at the poles of Gamma."""
+    a = j + nu + 1
+    if a <= 0 and a == math.floor(a):
+        return 0.0
+    w = 2.0 * math.exp(math.lgamma(j + 1) - math.lgamma(a))
+    return -w if a < 0 and math.floor(a) % 2 else w
+
+
 def hille_hardy_check(M: int, k: int, u1: float, u2: float, J: int = 60) -> float:
     """Residual of the scalar Laguerre expansion of the normalized Bessel
     profile,
@@ -503,8 +513,7 @@ def hille_hardy_check(M: int, k: int, u1: float, u2: float, J: int = 60) -> floa
     lhs = bessel_profile(nu, u1 * u2)
     e = math.exp(-(u1 + u2) / 2.0)
     parts = [
-        2.0
-        * math.exp(math.lgamma(j + 1) - math.lgamma(j + nu + 1))
+        _laguerre_weight(j, nu)
         * laguerre(j, nu, u1)
         * laguerre(j, nu, u2)
         * e
@@ -556,7 +565,7 @@ def mehler_expansions_agree(
         for j in range(J):
             lx = _shift_gens(_laguerre_expand(j, nu, n, rx * rx), total, 0)
             ly = _shift_gens(_laguerre_expand(j, nu, n, ry * ry), total, 2 * n)
-            c = 2.0 * math.exp(math.lgamma(j + 1) - math.lgamma(j + nu + 1))
+            c = _laguerre_weight(j, nu)
             parts.append(lx * ly * gauss * c)
         side_b = side_b + Fk * euler_alternating_sum(parts) * phase
     return side_a.max_abs_diff(side_b)

@@ -255,6 +255,31 @@ def test_laplacian_of_r_fourth(sig):
     assert laplacian(R2 * R2) == R2 * (8 + 4 * M)
 
 
+def _laplacian_composed(f, copy):
+    """The definition sum_i d_i^2 - 4 sum_j df_{2j-1} df_{2j}, built from the
+    first-order operators: the oracle for the one-pass ``laplacian``."""
+    out = SuperPolynomial.zero(f.sig, f.copies)
+    for i in range(1, f.sig.m + 1):
+        out = out + dbos(dbos(f, i, copy), i, copy)
+    for j in range(1, f.sig.n + 1):
+        out = out + dferm(dferm(f, 2 * j, copy), 2 * j - 1, copy) * (-4)
+    return out
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 4), st.integers(0, 3), st.sampled_from([(1, 0), (2, 0), (2, 1)]),
+       st.integers(0, 10**6))
+def test_laplacian_matches_composed_definition(m, n, copies_copy, seed):
+    copies, copy = copies_copy
+    sig = Signature(m, n)
+    rnd = random.Random(seed)
+    f = random_poly(sig, rnd, deg=6, nterms=rnd.randrange(1, 9), copies=copies)
+    f = f + f * ExactScalar.pi_pow(rnd.choice([-1, 1, 2]))
+    lap = laplacian(f, copy)
+    assert lap == _laplacian_composed(f, copy)
+    assert all(lap.terms.values())
+
+
 def test_laplacian_kills_mixed_first_degree():
     sig = Signature(1, 1)
     x1f1 = SuperPolynomial.parse("1 x1 f1", sig)

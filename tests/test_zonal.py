@@ -494,6 +494,27 @@ def test_mehler_two_representations_agree():
     assert Z.mehler_expansions_agree(sig, x, y, K=10, J=60, sign=-1) < 1e-8
 
 
+@pytest.mark.parametrize("m,n", [(1, 1), (3, 2), (1, 2)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_mehler_two_representations_agree_negative_superdimension(m, n, sign):
+    """At M < 0 the Laguerre weight 2 j!/Gamma(j+nu+1) keeps the sign of
+    Gamma, which is negative on (-1, 0), (-3, -2), ..."""
+    sig = Signature(m, n)
+    rnd = random.Random(1)
+    x = [rnd.uniform(-0.8, 0.8) for _ in range(m)]
+    y = [rnd.uniform(-0.8, 0.8) for _ in range(m)]
+    assert Z.mehler_expansions_agree(sig, x, y, K=10, J=60, sign=sign) < 1e-9
+
+
+@pytest.mark.parametrize("M", [-1, -2, -3, -4])
+@pytest.mark.parametrize("k", [0, 1])
+def test_hille_hardy_negative_superdimension(M, k):
+    # half-integer nu < 0 needs the sign of Gamma; integer nu < 0 meets its
+    # poles, where 1/Gamma is 0
+    assert Z.hille_hardy_check(M, k, 0.3, 0.7, J=60) < 1e-12
+    assert Z.hille_hardy_check(M, k, 1.0, 2.0, J=60) < 1e-12
+
+
 def test_euler_alternating_sum():
     parts = [1.0 / (j + 1) for j in range(35)]
     assert abs(Z.euler_alternating_sum(parts) - math.log(2)) < 1e-12
