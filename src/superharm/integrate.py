@@ -1,30 +1,30 @@
 """Integration functionals: sphere (Pizzetti), ball, full space, reduction branches.
 
-The sphere and the Gaussian integral of a polynomial are weights on the
-Laplacian powers at the origin,
+An orthosymplectically invariant integral of a polynomial reads only the
+numbers (lap^k f)(0), which have a closed form per monomial, the superspace
+case of Folland (Amer. Math. Monthly 108 (2001) 446): a term c x^alpha f^S
+reaches the origin only when alpha = 2 beta and S is a union P of whole pairs
+f_{2j-1} f_{2j}, and then only at k = |beta| + |P|, with the value
+c k! prod (2 beta_i)!/beta_i! 4^|P|.  Pizzetti's formula (De Bie-Sommen,
+J. Phys. A 40 (2007) 7193) and the Gaussian integral weigh these numbers,
 
     T(f)             = sum_k 2 pi^{M/2} / (2^{2k} k! Gamma(k + M/2)) (lap^k f)(0),
     int f e^{-a R^2} = (pi/a)^{M/2} sum_k (lap^k f)(0) / (k! (4a)^k),
 
 exact in the pi-power field and valid verbatim at every M: the gamma
 reciprocals vanish at the poles, and the radial moments' Gamma cancels them.
-The ball integral follows by homogeneity: the degree-d piece gives T / (M + d).
+The ball integral follows by homogeneity: the degree-d piece gives T / (M + d),
+so the ball weighs (lap^k f)(0) by the Pizzetti weight over M + 2k.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .scalar import ExactScalar, RatLike, gamma_exact, recip_gamma, sphere_area
-from .superpoly import (
-    Signature,
-    SuperPolynomial,
-    laplacian,
-    mul_coordinate,
-    nabla_lower,
-)
+from .superpoly import Signature, SuperPolynomial, TermKey, mul_coordinate, nabla_lower
 
 
 class DegenerateDegreeError(ValueError):
@@ -44,26 +44,28 @@ def pizzetti_weight(M: int, k: int) -> ExactScalar:
     return ExactScalar.pi_pow(M, q) * recip_gamma(Fraction(M, 2) + k)
 
 
-def _at_copy_zero(f: SuperPolynomial, copy: int) -> SuperPolynomial:
-    """Set the chosen copy's variables to zero."""
+def _laplacian_moments(f: SuperPolynomial, copy: int = 0):
+    """{k: lap^k f with the chosen copy's variables set to zero}, in one pass
+    by the closed form of the module docstring (the summands of lap commute);
+    each pair gives +4 whatever bits lie below it, as in ``laplacian``."""
     m, n = f.sig.m, f.sig.n
-    lo, hi = copy * m, (copy + 1) * m
-    cmask = ((1 << (2 * n)) - 1) << (copy * 2 * n)
-    keep = {
-        key: c
-        for key, c in f.terms.items()
-        if not any(key[0][lo:hi]) and not (key[1] & cmask)
-    }
-    return SuperPolynomial(f.sig, keep, f.copies)
-
-
-def _laplacian_powers(f: SuperPolynomial, copy: int = 0):
-    """(k, lap^k f) on the chosen copy while lap^k f is nonzero."""
-    k = 0
-    while not f.is_zero:
-        yield k, f
-        f = laplacian(f, copy)
-        k += 1
+    lo, hi, base = copy * m, (copy + 1) * m, copy * 2 * n
+    cmask = ((1 << (2 * n)) - 1) << base
+    firsts = sum(1 << (base + 2 * j) for j in range(n))
+    moments: Dict[int, Dict[TermKey, ExactScalar]] = {}
+    for (bos, mask), c in f.terms.items():
+        first = mask & firsts
+        if mask & cmask != first | first << 1 or any(e % 2 for e in bos[lo:hi]):
+            continue
+        k = sum(bos[lo:hi]) // 2 + first.bit_count()
+        w = math.factorial(k) * 4 ** first.bit_count()
+        for e in bos[lo:hi]:
+            w = w * math.factorial(e) // math.factorial(e // 2)
+        out = moments.setdefault(k, {})
+        key = (bos[:lo] + (0,) * m + bos[hi:], mask & ~cmask)
+        out[key] = out[key] + c * w if key in out else c * w
+    polys = {k: f._with({key: c for key, c in t.items() if c}) for k, t in sorted(moments.items())}
+    return {k: g for k, g in polys.items() if g}
 
 
 def pizzetti(f: SuperPolynomial, copy: int = 0):
@@ -74,34 +76,28 @@ def pizzetti(f: SuperPolynomial, copy: int = 0):
     """
     M = f.sig.superdim
     acc = SuperPolynomial.zero(f.sig, f.copies)
-    for k, g in _laplacian_powers(f, copy):
-        w = pizzetti_weight(M, k)
-        acc = acc + _at_copy_zero(g, copy) * w
-    if f.copies == 1:
-        return acc.constant_term()
-    return acc
+    for k, g in _laplacian_moments(f, copy).items():
+        acc = acc + g * pizzetti_weight(M, k)
+    return acc.constant_term() if f.copies == 1 else acc
 
 
 # -- superball ----------------------------------------------------------------
 
 
 def superball_poly(f: SuperPolynomial) -> ExactScalar:
-    """Ball integral of a polynomial via homogeneity: piece of degree d gets
-    T(f_d)/(M+d).
-
-    Odd-degree pieces vanish outright (central symmetry of the ball), so only
-    even degrees can hit the M + d = 0 wall, which raises.
-    """
+    """Ball integral of a single-copy polynomial, sum_k w(M, k) (lap^k f)(0) /
+    (M + 2k), with Folland's closed form for (lap^k f)(0) (module docstring):
+    the degree-d piece gets T(f_d)/(M + d), and only degree d = 2k reaches
+    (lap^k f)(0).  An even piece with M + d = 0 raises, even where its sphere
+    integral is zero."""
+    if f.copies != 1:
+        raise ValueError("superball_poly works on single-copy polynomials")
     M = f.sig.superdim
+    if M % 2 == 0 and any(f._deg(key, None) == -M for key in f.terms):
+        raise DegenerateDegreeError(f"ball integral of degree {-M} piece undefined at M = {M}")
     out = ExactScalar()
-    for d, part in f.homogeneous_components().items():
-        if d % 2 == 1:
-            continue
-        if M + d == 0:
-            raise DegenerateDegreeError(
-                f"ball integral of degree {d} piece undefined at M = {M}"
-            )
-        out = out + pizzetti(part) / Fraction(M + d)
+    for k, g in _laplacian_moments(f).items():
+        out = out + pizzetti_weight(M, k) * g.constant_term() / Fraction(M + 2 * k)
     return out
 
 
@@ -164,8 +160,8 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
 def integrate_superspace(f: SuperPolynomial, gaussian_a: RatLike | None = None) -> RadicalScalar:
     """Full-space integral of f * exp(-gaussian_a * R^2), exact, by the
     Laplacian series of the module docstring; a^{-M/2} = a^{-ceil(M/2)} sqrt(a)
-    when M is odd.  Odd-degree terms integrate to zero against the even
-    Gaussian and are dropped first.  A bare polynomial is not integrable."""
+    when M is odd.  Odd-degree terms, which integrate to zero against the even
+    Gaussian, never reach (lap^k f)(0).  A bare polynomial is not integrable."""
     if f.copies != 1:
         raise ValueError("integrate_superspace works on single-copy polynomials")
     if gaussian_a is None:
@@ -174,9 +170,8 @@ def integrate_superspace(f: SuperPolynomial, gaussian_a: RatLike | None = None) 
     if a <= 0:
         raise NonIntegrableError("Gaussian weight needs a > 0")
     M = f.sig.superdim
-    even = f._with({key: c for key, c in f.terms.items() if f._deg(key, None) % 2 == 0})
     total = ExactScalar()
-    for k, g in _laplacian_powers(even):
+    for k, g in _laplacian_moments(f).items():
         total = total + g.constant_term() * Fraction(1, math.factorial(k) * (4 * a) ** k)
     value = total * ExactScalar.pi_pow(M, a ** -((M + 1) // 2))
     return RadicalScalar(ExactScalar(), value, a) if M % 2 else RadicalScalar(value, ExactScalar(), a)

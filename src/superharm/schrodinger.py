@@ -235,14 +235,16 @@ def solve_numeric(
     count: int = 4,
     e_window: Optional[Tuple[float, float]] = None,
 ) -> List[Tuple[float, float]]:
-    """Lowest eigenvalues of the reduced problem with a grid-halving error
-    estimate: solved at nodes and 2*nodes, Richardson-extrapolated, the
-    spread |E_2h - E_h|/3 reported as the error.  Returns (E, err) pairs,
-    optionally filtered to ``e_window``.
+    """Lowest eigenvalues of the reduced problem at nodes and 2*nodes, as pairs
+    (E, err) with E = (4 E_2h - E_h)/3 in ``e_window`` (LO <= HI) if given.
+    err = |E_2h - E_h|/3 estimates the error of the finer-grid value E_2h, not
+    of the E returned, and usually overstates the latter by 10^3 to 10^5.
 
     A symbolic V with a term u^beta, D + 2 beta <= 0 (D = M + 2k), is refused:
     V(r^2) r^{D-1} is not integrable at r = 0 and the levels depend on the
     grid (the 1-D hydrogen problem at D = 1)."""
+    if e_window is not None and not e_window[0] <= e_window[1]:
+        raise ValueError(f"energy window [{e_window[0]}, {e_window[1]}] needs LO <= HI")
     D = problem.sector_dimension
     if D < 1:
         raise ValueError(

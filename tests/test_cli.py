@@ -344,6 +344,18 @@ def test_spectrum_refuses_non_finite_matrix(capsys):
     assert "infinite or NaN" in json.loads(out)["error"]["message"]
 
 
+@pytest.mark.parametrize("window", [["5", "1"], ["nan", "1"]])
+def test_spectrum_rejects_impossible_window(window, capsys):
+    code, out = run(
+        ["spectrum", "--m", "3", "--n", "0", "--V", "poly([0,1/2])", "--jmax", "1",
+         "--kmax", "0", "--window"] + window, capsys
+    )
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "invalid-config"
+    assert "window" in error["message"]
+
+
 @pytest.mark.parametrize("grid", [["--rmax", "-5"], ["--rmax", "0"], ["--rmax", "nan"],
                                   ["--rmax", "inf"], ["--nodes", "1"]])
 def test_spectrum_rejects_bad_grid(grid, capsys):

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superharm.scalar import ExactScalar, sphere_area
 from superharm.superpoly import (
@@ -21,6 +22,8 @@ from superharm.harmonics import harmonic_basis
 from superharm.integrate import (
     DegenerateDegreeError,
     NonIntegrableError,
+    RadicalScalar,
+    _laplacian_moments,
     greens_check,
     integrate_superspace,
     pizzetti,
@@ -73,6 +76,124 @@ def test_pizzetti_weight_degenerate_zeros():
     assert pizzetti_weight(-2, 0).is_zero
     assert pizzetti_weight(-2, 1).is_zero
     assert (pizzetti_weight(-2, 2) - ExactScalar.pi_pow(-2, Fraction(1, 16))).is_zero
+
+
+# -- the Laplacian moment sweep against the iterated Laplacian ---------------
+
+
+def _iterated_moments(f, copy=0):
+    """{k: lap^k f with the copy's variables set to zero}, lap applied until
+    the result is zero: the oracle for the one-pass ``_laplacian_moments``."""
+    m, n = f.sig.m, f.sig.n
+    cmask = ((1 << (2 * n)) - 1) << (copy * 2 * n)
+    out, k = {}, 0
+    while not f.is_zero:
+        g = SuperPolynomial(f.sig, {
+            key: c for key, c in f.terms.items()
+            if not any(key[0][copy * m:(copy + 1) * m]) and not key[1] & cmask
+        }, f.copies)
+        if not g.is_zero:
+            out[k] = g
+        f, k = laplacian(f, copy), k + 1
+    return out
+
+
+def _iterated_pizzetti(f, copy=0):
+    acc = SuperPolynomial.zero(f.sig, f.copies)
+    for k, g in _iterated_moments(f, copy).items():
+        acc = acc + g * pizzetti_weight(f.sig.superdim, k)
+    return acc.constant_term() if f.copies == 1 else acc
+
+
+def _iterated_ball(f):
+    """Ball integral piece by piece: T(f_d) / (M + d), refused at M + d = 0
+    for even d."""
+    M = f.sig.superdim
+    out = ExactScalar()
+    for d, part in f.homogeneous_components().items():
+        if d % 2 == 0:
+            if M + d == 0:
+                raise DegenerateDegreeError(f"degree {d} at M = {M}")
+            out = out + _iterated_pizzetti(part) / Fraction(M + d)
+    return out
+
+
+def _iterated_gaussian(f, a):
+    M = f.sig.superdim
+    total = ExactScalar()
+    for k, g in _iterated_moments(f).items():
+        total = total + g.constant_term() * Fraction(1, math.factorial(k) * (4 * a) ** k)
+    value = total * ExactScalar.pi_pow(M, a ** -((M + 1) // 2))
+    return RadicalScalar(ExactScalar(), value, a) if M % 2 else RadicalScalar(value, ExactScalar(), a)
+
+
+def _skewed_poly(sig, rnd, copies=1):
+    """Random terms, half of them with even exponents and whole fermion pairs,
+    times R^{2p} on a random copy: most random monomials reach no (lap^k f)(0)
+    and would leave the comparison vacuous."""
+    nb, npairs = copies * sig.m, copies * sig.n
+    terms = {}
+    for _ in range(rnd.randrange(1, 6)):
+        bos = [0] * nb
+        for _ in range(rnd.randrange(6)):
+            bos[rnd.randrange(nb)] += 1
+        if rnd.random() < 0.5:
+            bos = [e - e % 2 for e in bos]
+            mask = sum(3 << (2 * j) for j in range(npairs) if rnd.random() < 0.5)
+        else:
+            mask = rnd.randrange(1 << (2 * npairs))
+        c = Fraction(rnd.randrange(-4, 5), rnd.randrange(1, 4))
+        terms[(tuple(bos), mask)] = c * ExactScalar.pi_pow(rnd.choice([0, 0, -1, 1]))
+    f = SuperPolynomial(sig, terms, copies)
+    return f * r_squared(sig, copies, rnd.randrange(copies)) ** rnd.randrange(3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 10**6))
+def test_laplacian_moments_match_iterated_laplacian(m, n, seed):
+    """Pizzetti on one copy and on each copy of the doubled algebra, the ball
+    integral with its refusals, and the Gaussian integral at a square and a
+    non-square rate, all against the iterated Laplacian."""
+    sig = Signature(m, n)
+    rnd = random.Random(seed)
+    f = _skewed_poly(sig, rnd)
+    assert _laplacian_moments(f) == _iterated_moments(f)
+    assert pizzetti(f) == _iterated_pizzetti(f)
+    for a in (Fraction(9, 4), Fraction(1, 3)):
+        assert integrate_superspace(f, a) == _iterated_gaussian(f, a)
+    try:
+        want = _iterated_ball(f)
+    except DegenerateDegreeError:
+        with pytest.raises(DegenerateDegreeError):
+            superball_poly(f)
+    else:
+        assert superball_poly(f) == want
+    f2 = _skewed_poly(sig, rnd, copies=2)
+    for copy in (0, 1):
+        assert _laplacian_moments(f2, copy) == _iterated_moments(f2, copy)
+        got = pizzetti(f2, copy)
+        assert got == _iterated_pizzetti(f2, copy)
+        assert got.to_text() == _iterated_pizzetti(f2, copy).to_text()
+
+
+@pytest.mark.parametrize("sig", [Signature(2, 1), Signature(2, 2), Signature(2, 3)])
+def test_ball_refusal_at_every_nonpositive_even_superdimension(sig):
+    """M = 0, -2, -4: the piece of degree -M is refused even where its sphere
+    integral vanishes (an odd monomial), and a polynomial without that degree
+    is integrated; a doubled polynomial is refused."""
+    M = sig.superdim
+    rnd = random.Random(-M)
+    for _ in range(5):
+        f = _skewed_poly(sig, rnd)
+        bos = [0] * sig.m
+        bos[0] = -M - 1 if M else 0
+        stall = SuperPolynomial(sig, {(tuple(bos), 1 if M else 0): Fraction(1)})
+        with pytest.raises(DegenerateDegreeError):
+            superball_poly(f + stall)
+        f = SuperPolynomial(sig, {k: c for k, c in f.terms.items() if sum(k[0]) + k[1].bit_count() != -M})
+        assert superball_poly(f) == _iterated_ball(f)
+        with pytest.raises(ValueError, match="single-copy"):
+            superball_poly(f.embed_doubled())
 
 
 @pytest.mark.parametrize("sig", SIGS)

@@ -242,6 +242,47 @@ def test_numeric_refuses_potential_singular_at_origin(V, sig, k):
         S.solve_numeric(S.reduce(sig, V, k), S.GridSpec(60.0, 200, box=True), count=2)
 
 
+def _anharmonic_levels(D, g, count, N=200):
+    """Lowest levels of -lap/2 + u/2 + g u^2 on the sector of dimension D, in
+    the orthonormal oscillator basis L_j^(nu)(u) e^(-u/2), nu = D/2 - 1: the
+    oscillator is diag(2j + D/2), and u is the tridiagonal Laguerre Jacobi
+    matrix (DLMF 18.9.13), squared one size up so that the N x N block of
+    U^2 is exact."""
+    import numpy as np
+
+    nu = D / 2 - 1
+    j = np.arange(N + 1)
+    off = -np.sqrt((j[:-1] + 1) * (j[:-1] + nu + 1))
+    U = np.diag(2 * j + nu + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+    H = np.diag(2 * j[:N] + D / 2) + g * (U @ U)[:N, :N]
+    return np.linalg.eigvalsh(H)[:count]
+
+
+@pytest.mark.parametrize("g", [Fraction(1, 10), Fraction(1)])
+@pytest.mark.parametrize("sig,k", [(Signature(1, 1), 1), (Signature(3, 0), 0),
+                                   (Signature(4, 0), 0)])
+def test_numeric_anharmonic_matches_oscillator_basis(sig, k, g):
+    """Finite differences against the oscillator-basis oracle for V = u/2 +
+    g u^2, at sector dimensions 1 (R^{1|2}, k = 1), 3 and 4; each level lies
+    within its own err and within 1e-8."""
+    prob = S.reduce(sig, RadialProfile.polynomial([0, Fraction(1, 2), g]), k)
+    res = S.solve_numeric(prob, S.GridSpec(8.0, 1500), count=3)
+    want = _anharmonic_levels(prob.sector_dimension, float(g), 3)
+    assert len(res) == 3
+    for (E, err), ref in zip(res, want):
+        assert abs(E - ref) <= err, (prob.sector_dimension, E, ref, err)
+        assert abs(E - ref) <= 1e-8, (prob.sector_dimension, E, ref)
+
+
+def test_numeric_window_must_be_ordered():
+    prob = S.reduce(Signature(3, 0), OSC, 0)
+    for window in ((5.0, 1.0), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="window"):
+            S.solve_numeric(prob, S.GridSpec(8.0, 200), count=2, e_window=window)
+    res = S.solve_numeric(prob, S.GridSpec(8.0, 200), count=2, e_window=(-math.inf, math.inf))
+    assert len(res) == 2
+
+
 def _scipy_fd_levels(prob, r_max, nodes, count):
     """The finite-difference matrix with numpy and its lowest eigenvalues with
     LAPACK's dstebz (scipy), plus the matrix inf-norm."""
