@@ -402,11 +402,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    "|E_2h - E_h|/3 estimates the error of E_2h, usually 10^3-10^5 times that of E")
     p.add_argument("--box", action="store_true", help="accept a hard wall at rmax")
     p.add_argument("--window", type=float, nargs=2, default=None, metavar=("LO", "HI"),
-                   help="keep numeric eigenvalues in [LO, HI]")
+                   help="keep numeric eigenvalues in [LO, HI] (LO may be -inf)")
+    # argparse's private negative-number pattern: -inf and -1e3 are values, not options
+    p._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     _add_common(p)
 
-    p = sub.add_parser("reduce-integral", help="full-space integral of a radial profile by branch")
+    p = sub.add_parser("reduce-integral", help="integral of h(R^2): pi^(M/2) times a Mellin moment")
     _add_sig(p)
     p.add_argument("--profile", required=True, help='radial profile, e.g. "exp(1)"')
     _add_common(p)

@@ -1,4 +1,4 @@
-"""Integration functionals: sphere (Pizzetti), ball, full space, reduction branches.
+"""Integration functionals: sphere (Pizzetti), ball, full space, radial Mellin moments.
 
 An orthosymplectically invariant integral of a polynomial reads only the
 numbers (lap^k f)(0), which have a closed form per monomial, the superspace
@@ -15,6 +15,12 @@ exact in the pi-power field and valid verbatim at every M: the gamma
 reciprocals vanish at the poles, and the radial moments' Gamma cancels them.
 The ball integral follows by homogeneity: the degree-d piece gives T / (M + d),
 so the ball weighs (lap^k f)(0) by the Pizzetti weight over M + 2k.
+
+A radial profile integrates by one formula at every M, int h(R^2) =
+pi^{M/2} Mellin[h](M/2) with Mellin[h](s) = int_0^inf u^{s-1} h(u) du / Gamma(s)
+continued in s (DLMF 1.14(iv); Gel'fand-Shilov, Generalized Functions I,
+ch. I 3), the paper's dimensional reduction; the Gaussian integral is its case
+h = e^{-au}, where Mellin[h](s) = a^{-s}.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
-from .scalar import ExactScalar, RatLike, gamma_exact, recip_gamma, sphere_area
+from .scalar import ExactScalar, RatLike, gamma_exact, pochhammer, recip_gamma, sphere_area
 from .superpoly import Signature, SuperPolynomial, TermKey, mul_coordinate, nabla_lower
 
 
@@ -158,10 +164,10 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
 
 
 def integrate_superspace(f: SuperPolynomial, gaussian_a: RatLike | None = None) -> RadicalScalar:
-    """Full-space integral of f * exp(-gaussian_a * R^2), exact, by the
-    Laplacian series of the module docstring; a^{-M/2} = a^{-ceil(M/2)} sqrt(a)
-    when M is odd.  Odd-degree terms, which integrate to zero against the even
-    Gaussian, never reach (lap^k f)(0).  A bare polynomial is not integrable."""
+    """Full-space integral of f * exp(-gaussian_a * R^2), exact, by the Laplacian
+    series of the module docstring (the radial case h = e^{-au}, Mellin a^{-s});
+    a^{-M/2} = a^{-ceil(M/2)} sqrt(a) when M is odd.  Odd-degree terms never
+    reach (lap^k f)(0).  A bare polynomial is not integrable."""
     if f.copies != 1:
         raise ValueError("integrate_superspace works on single-copy polynomials")
     if gaussian_a is None:
@@ -221,89 +227,70 @@ def quad_0_inf(fn: Callable[[float], float], tol: float = 1e-12) -> float:
     return val
 
 
-# -- reduction of a purely radial full-space integral -------------------------
+# -- full-space integral of a radial profile: one Mellin moment ---------------
 
 
 def reduce_integral(profile, sig: Signature, tol: float = 1e-12):
-    """Full-space integral of h(R^2) by super-dimension branch, with
-    I_M[h] = integral_0^inf v^{M-1} h(v^2) dv:
+    """Full-space integral of h(R^2), pi^{M/2} Mellin[h](M/2) (module
+    docstring), by one formula at every superdimension M.
 
-    M > 0:        sigma_M I_M[h]
-    M in -2N:     (-pi)^{M/2} h^{(-M/2)}(0)                   (exact)
-    M odd, < 0:   2 (-pi)^{(M-1)/2} I_1[h^{((1-M)/2)}]
+    A log-free RadialProfile is summed in closed form: at s = M/2 a term
+    c u^b e^{-au} gives c Gamma(s+b)/Gamma(s) a^{-(s+b)} (c (s)_b a^{-(s+b)}
+    for b in N_0; 0 for a = 0 or at a pole of Gamma(s)), exact when s + b is a
+    half-integer and a^{-(s+b)} rational, else a float.  One rule, read term by
+    term (divergences that cancel are refused too), raises NonIntegrableError:
+    a < 0; a = 0 unless b is in N_0 and s + b < 0; b not in N_0 and s + b <= 0.
 
-    For a RadialProfile, divergence is decided from the exponents of its terms
-    c u^b log(u)^d e^{-au}, after the derivatives of the M <= 0 branches: a
-    term with a <= 0, or on an I_M branch a log-free term with b <= -M/2,
-    raises NonIntegrableError, even where another term would cancel its
-    divergence or the integral is zero.  On the M in -2N branch the value at
-    0 alone gives the integral, so it is trusted only where decay can be read:
-    any other profile (an evaluator) raises NonIntegrableError there, and so
-    does an infinite h^{(-M/2)}(0).  Without log factors, I_M is the sum of
-    Gamma moments (DLMF 5.2.1)
-
-        integral_0^inf v^{M-1} v^{2b} e^{-a v^2} dv = Gamma(b+M/2) / (2 a^{b+M/2}),
-
-    an ExactScalar when b + M/2 is a half-integer and a^{b+M/2} rational for
-    every term, a float otherwise.  Profiles with log factors and evaluators
-    on the other branches go through quad_0_inf.
-
-    On the other branches ``profile`` may be any evaluator with the
-    radial-profile interface: callable on floats, .derivative() -> profile.
+    Log factors and evaluators (callable on floats, .derivative() -> profile)
+    go by parts, Mellin[h](s) = -Mellin[h'](s+1), to t = s + j, j = max(0,
+    ceil(-s)): t = 0 reads (-1)^j h^{(j)}(0), exactly and from a RadialProfile
+    only; t > 0 is (-1)^j pi^{M/2-t} sigma_{2t} times the quad_0_inf of
+    v^{2t-1} h^{(j)}(v^2).  A RadialProfile is refused when h^{(j)} has a term
+    with a <= 0, or is infinite at 0 where t = 0.
     """
+    from .radial import RadialProfile  # here: pizzetti's callers need no radial
+
     M = sig.superdim
-    j = (1 - M) // 2  # the derivative order on both M <= 0 branches
-    d = profile
+    symbolic = isinstance(profile, RadialProfile)
+    if symbolic and not any(d for _, d, _ in profile.terms):
+        moment, pre = _mellin(profile, Fraction(M, 2)), ExactScalar.pi_pow(M)
+        return pre * moment if isinstance(moment, ExactScalar) else pre.to_float() * moment
+    j = max(0, -(M // 2))
+    e, d = M + 2 * j, profile  # e = 2t
     for _ in range(j):
         d = d.derivative()
-    if M > 0:
-        pre, moment = sphere_area(M), _radial_moment(profile, M, tol)
-    elif M % 2:
-        pre, moment = ExactScalar.pi_pow(M - 1, 2 * (-1) ** j), _radial_moment(d, 1, tol)
-    else:
-        if not _is_symbolic(d):
+    if symbolic and not all(a > 0 for _, _, a in d.terms):
+        raise NonIntegrableError("profile is not exponentially decaying in every term")
+    if e == 0:
+        if not symbolic:
             raise NonIntegrableError(f"M = {M} reads h^({j})(0) alone: an evaluator's decay is unknown")
         val0 = d.value_exact_at_zero()
         if val0 is None:
             raise NonIntegrableError(f"h^({j}) diverges at u = 0")
-        return ExactScalar.pi_pow(M, Fraction((-1) ** j)) * val0
-    return pre * moment if isinstance(moment, ExactScalar) else pre.to_float() * moment
+        return ExactScalar.pi_pow(M, (-1) ** j) * val0
+    pre = ExactScalar.pi_pow(-2 * j, (-1) ** j) * sphere_area(e)
+    return pre.to_float() * quad_0_inf(lambda v: v ** (e - 1) * d(v * v), tol)
 
 
-def _is_symbolic(h) -> bool:
-    """Whether h is a RadialProfile; raises NonIntegrableError for one with a
-    term that does not decay exponentially."""
-    from .radial import RadialProfile  # here: pizzetti's callers need no radial
-
-    if not isinstance(h, RadialProfile):
-        return False
-    if not all(a > 0 for _, _, a in h.terms):
-        raise NonIntegrableError("profile is not exponentially decaying in every term")
-    return True
-
-
-def _radial_moment(h, M: int, tol: float):
-    """I_M[h] = integral_0^inf v^{M-1} h(v^2) dv, M > 0: summed Gamma moments
-    for a log-free RadialProfile, quad_0_inf otherwise."""
-    if not _is_symbolic(h) or any(d for _, d, _ in h.terms):
-        return quad_0_inf(lambda v: v ** (M - 1) * h(v * v), tol)
-    exact, approx = ExactScalar(), None
+def _mellin(h, s: Fraction):
+    """Mellin[h](s) of a log-free RadialProfile under the rule of ``reduce_integral``."""
+    rg, exact, surds, floats = recip_gamma(s), ExactScalar(), {}, []
     for (b, _, a), c in h.terms.items():
-        s = b + Fraction(M, 2)
-        if s <= 0:
-            raise NonIntegrableError(
-                f"u^{b} diverges at the origin against v^{M - 1} (needs b > {Fraction(-M, 2)})"
-            )
-        if s.denominator > 2:
-            term = c.to_float() * math.gamma(s) * float(a) ** -float(s) / 2
+        p, natural = s + b, b.denominator == 1 and b >= 0
+        if a < 0 or (a == 0 and not (natural and p < 0)):
+            raise NonIntegrableError("profile is not exponentially decaying in every term")
+        if not natural and p <= 0:
+            raise NonIntegrableError(f"u^{b} diverges at u = 0 at M = {2 * s} (needs b > {-s})")
+        if a == 0 or (rg.is_zero and not natural):
+            continue  # a^{-(s+b)} = 0 or 1/Gamma(s) = 0
+        if p.denominator > 2:
+            floats.append(c.to_float() * math.gamma(p) * rg.to_float() * float(a) ** -float(p))
+            continue
+        term = c * (pochhammer(s, int(b)) if natural else gamma_exact(p) * rg) * a ** -math.floor(p)
+        root = 1 if p.denominator == 1 else _rational_sqrt(a)
+        if root is None:  # term a^{-1/2}: summed exactly, then divided once
+            surds[a] = surds.get(a, ExactScalar()) + term
         else:
-            whole = math.floor(s)
-            term = gamma_exact(s) * c * (a**-whole / 2)
-            if s != whole:
-                root = _rational_sqrt(a)
-                term = term / root if root is not None else term.to_float() / math.sqrt(a)
-        if isinstance(term, ExactScalar):
-            exact = exact + term
-        else:
-            approx = term if approx is None else approx + term
-    return exact if approx is None else exact.to_float() + approx
+            exact = exact + term / root
+    floats += [v.to_float() / math.sqrt(a) for a, v in surds.items()]
+    return exact.to_float() + sum(floats) if floats else exact

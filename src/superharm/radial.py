@@ -221,9 +221,8 @@ class RadialProfile(Sparse):
 
 class NumericProfile:
     """A function given by an evaluator (order, t) -> phi^{(order)}(t), valid
-    up to ``j_max`` (math.inf: every order); values may be complex.  The exact
-    hooks that ``reduce_integral`` and ``osp_invariance_check`` read are all
-    None."""
+    up to ``j_max`` (math.inf: every order); values may be complex.  Its one
+    exact hook, ``polynomial_coeffs`` (read by ``osp_invariance_check``), is None."""
 
     __slots__ = ("_fn", "j_max")
 
@@ -248,9 +247,6 @@ class NumericProfile:
         """phi(t) = exp(i v t)."""
         return cls(lambda i, t: (1j * v) ** i * complex(math.cos(v * t), math.sin(v * t)),
                    math.inf)
-
-    def value_exact_at_zero(self) -> None:
-        return None
 
     def polynomial_coeffs(self) -> None:
         return None

@@ -356,6 +356,19 @@ def test_spectrum_rejects_impossible_window(window, capsys):
     assert "window" in error["message"]
 
 
+@pytest.mark.parametrize("lo", ["-inf", "-1e3", "-Infinity"])
+def test_spectrum_window_takes_infinite_and_exponent_bounds(lo, capsys):
+    # argparse used to read these as option names ("expected 2 arguments");
+    # the window must reach the solver and keep only E = 3/2 of 3/2, 7/2
+    code, out = run(
+        ["spectrum", "--m", "3", "--n", "0", "--V", "poly([0,1/2])", "--jmax", "1",
+         "--kmax", "0", "--window", lo, "2"], capsys
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["j"] for r in rows] == [0] and abs(rows[0]["E"] - 1.5) < 1e-8
+
+
 @pytest.mark.parametrize("grid", [["--rmax", "-5"], ["--rmax", "0"], ["--rmax", "nan"],
                                   ["--rmax", "inf"], ["--nodes", "1"]])
 def test_spectrum_rejects_bad_grid(grid, capsys):

@@ -4,10 +4,11 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superharm.scalar import ExactScalar, sphere_area
+from superharm.scalar import ExactScalar, gamma_exact, laguerre_coeffs, sphere_area
 from superharm.superpoly import (
     Signature,
     SuperPolynomial,
@@ -24,6 +25,7 @@ from superharm.integrate import (
     NonIntegrableError,
     RadicalScalar,
     _laplacian_moments,
+    _rational_sqrt,
     greens_check,
     integrate_superspace,
     pizzetti,
@@ -503,6 +505,176 @@ def test_reduce_integral_gamma_moments_match_quadrature(sig):
             want = pre * quad_0_inf(lambda v: v**power * d(v * v), 1e-12)
             got = got.to_float() if isinstance(got, ExactScalar) else got
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (a, psi.to_text())
+
+
+# The route by superdimension branch, the oracle of the one Mellin moment:
+# M > 0 integrates h against v^{M-1}, odd M < 0 takes (1 - M)/2 derivatives
+# and integrates against v^0, and M in -2N reads h^{(-M/2)}(0).
+
+
+def _branch_reduce_integral(profile, sig, tol=1e-12):
+    M = sig.superdim
+    j = (1 - M) // 2
+    d = profile
+    for _ in range(j):
+        d = d.derivative()
+    if M > 0:
+        pre, moment = sphere_area(M), _branch_moment(profile, M, tol)
+    elif M % 2:
+        pre, moment = ExactScalar.pi_pow(M - 1, 2 * (-1) ** j), _branch_moment(d, 1, tol)
+    else:
+        if not _branch_symbolic(d):
+            raise NonIntegrableError("an evaluator's decay is unknown")
+        val0 = d.value_exact_at_zero()
+        if val0 is None:
+            raise NonIntegrableError("diverges at u = 0")
+        return ExactScalar.pi_pow(M, Fraction((-1) ** j)) * val0
+    return pre * moment if isinstance(moment, ExactScalar) else pre.to_float() * moment
+
+
+def _branch_symbolic(h):
+    if not isinstance(h, RadialProfile):
+        return False
+    if not all(a > 0 for _, _, a in h.terms):
+        raise NonIntegrableError("not exponentially decaying")
+    return True
+
+
+def _branch_moment(h, M, tol):
+    """integral_0^inf v^{M-1} h(v^2) dv: Gamma moments (DLMF 5.2.1) for a
+    log-free RadialProfile, quad_0_inf otherwise."""
+    if not _branch_symbolic(h) or any(d for _, d, _ in h.terms):
+        return quad_0_inf(lambda v: v ** (M - 1) * h(v * v), tol)
+    exact, approx = ExactScalar(), None
+    for (b, _, a), c in h.terms.items():
+        s = b + Fraction(M, 2)
+        if s <= 0:
+            raise NonIntegrableError("diverges at the origin")
+        if s.denominator > 2:
+            term = c.to_float() * math.gamma(s) * float(a) ** -float(s) / 2
+        else:
+            whole = math.floor(s)
+            term = gamma_exact(s) * c * (a**-whole / 2)
+            if s != whole:
+                root = _rational_sqrt(a)
+                term = term / root if root is not None else term.to_float() / math.sqrt(a)
+        if isinstance(term, ExactScalar):
+            exact = exact + term
+        else:
+            approx = term if approx is None else approx + term
+    return exact if approx is None else exact.to_float() + approx
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the class is compared
+        return exc
+
+
+_RATES = [Fraction(-1), Fraction(0), Fraction(1, 4), Fraction(1), Fraction(9, 4), Fraction(1, 3),
+          Fraction(2)]
+# c u^b log(u)^d e^{-au} with b in Z, Z/2 or Z/3 and a < 0, = 0 or > 0
+_TERM = st.tuples(st.integers(-5, 5).filter(bool), st.integers(-6, 8), st.sampled_from([1, 2, 3]),
+                  st.sampled_from([0, 0, 0, 1]), st.sampled_from(_RATES))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 3), st.lists(_TERM, min_size=1, max_size=4))
+def test_reduce_integral_matches_branch_route(m, n, terms):
+    """The one Mellin moment against the three superdimension branches, M from
+    -5 to 6: the same exception class, == and to_text for exact values, and
+    1e-12 relative agreement for floats (an absolute 1e-13 at a cancelled 0)."""
+    sig = Signature(m, n)
+    h = RadialProfile({(Fraction(b, q), d, a): ExactScalar.rational(c) for c, b, q, d, a in terms})
+    got, want = _outcome(reduce_integral, h, sig), _outcome(_branch_reduce_integral, h, sig)
+    if isinstance(want, Exception):
+        assert type(got) is type(want), (got, want)
+    elif isinstance(want, ExactScalar):
+        assert isinstance(got, ExactScalar) and got == want and got.to_text() == want.to_text()
+    else:
+        assert isinstance(got, float), got
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-13), (got, want)
+
+
+def test_reduce_integral_matches_branch_route_on_evaluators_and_logs():
+    """Evaluators and log-factor profiles go by parts, with the branch route's
+    prefactor and integrand, so their floats are bit-identical."""
+    profiles = [_GaussProfile(), _GaussProfile(-2.5), NumericProfile.polynomial([1, 1]),
+                RadialProfile.power_log(1) * RadialProfile.exponential(1),
+                RadialProfile.power_log(Fraction(3, 2)) * RadialProfile.exponential(Fraction(1, 3)),
+                RadialProfile.power_log(Fraction(1, 2)) * RadialProfile.exponential(2)
+                + RadialProfile.exponential(1), RadialProfile.power_log(0)]
+    for m in range(1, 7):
+        for n in range(4):
+            sig = Signature(m, n)
+            for h in profiles:
+                got, want = _outcome(reduce_integral, h, sig), _outcome(_branch_reduce_integral, h, sig)
+                if isinstance(want, Exception):
+                    assert type(got) is type(want), (sig, got, want)
+                else:
+                    assert got == want and type(got) is type(want), (sig, got, want)
+
+
+def test_reduce_integral_of_laguerre_profiles_matches_gaussian_integral():
+    """reduce_integral(L_j^q(u) e^{-au}) against integrate_superspace of the
+    polynomial sum_p c_p R^{2p} with the Laguerre coefficients c_p, on M from
+    -5 to 6: the two public routes to the same integral."""
+    for m in range(1, 7):
+        for n in range(4):
+            sig = Signature(m, n)
+            powers = [r_squared(sig) ** p for p in range(5)]
+            for a in (Fraction(1, 4), Fraction(1), Fraction(9, 4), Fraction(1, 3)):
+                for j in range(5):
+                    for q in (Fraction(0), Fraction(1, 2), Fraction(-1, 3)):
+                        got = reduce_integral(RadialProfile.laguerre_exp(j, q, a), sig)
+                        poly = sum((powers[p] * c for p, c in enumerate(laguerre_coeffs(j, q))),
+                                   SuperPolynomial.zero(sig))
+                        want = integrate_superspace(poly, a)
+                        if isinstance(got, ExactScalar):
+                            assert want == got, (sig, a, j, q)
+                        else:
+                            w = want.to_float()
+                            assert abs(got - w) <= 1e-12 * abs(w), (sig, a, j, q, got, w)
+
+
+def _mellin_reference(h, M):
+    """pi^{M/2} sum c Gamma(s+b)/Gamma(s) a^{-(s+b)} at 50 digits, s = M/2, for
+    a profile of integer b >= 0 and a > 0, and the same sum of |terms|."""
+    with mpmath.workdps(50):
+        s = mpmath.mpf(M) / 2
+        terms = [mpmath.mpf(c.as_fraction().numerator) / c.as_fraction().denominator
+                 * mpmath.rf(s, int(b)) * (mpmath.mpf(a.numerator) / a.denominator) ** -(s + int(b))
+                 for (b, _, a), c in h.terms.items()]
+        return mpmath.pi**s * mpmath.fsum(terms), mpmath.pi**s * mpmath.fsum(terms, absolute=True)
+
+
+def test_reduce_integral_floats_match_mpmath():
+    """Float values of CLI-grammar profiles (exp, lagexp, scaled) over m 1-6,
+    n 0-3, within 1e-13 relative of the 50-digit Mellin moment (where it is
+    not zero)."""
+    rates = ("1/2", "2", "3", "1/3", "5/4")
+    texts = [f"exp({a})" for a in rates] + [
+        f"{scale}lagexp({j},{q},{a})"
+        for j in range(1, 5) for q in ("0", "1/2", "-1/3", "2") for a in rates
+        for scale in [("", "3/2*", "-1*", "-2/7*")[(j + len(q) + len(a)) % 4]]
+    ]
+    floats = 0
+    for m in range(1, 7):
+        for n in range(4):
+            sig = Signature(m, n)
+            for text in texts:
+                h = RadialProfile.parse(text)
+                got = reduce_integral(h, sig)
+                if isinstance(got, ExactScalar):
+                    continue
+                floats += 1
+                want, size = _mellin_reference(h, sig.superdim)
+                if abs(want) <= 1e-40 * size:  # an exact zero: a few ulps of the terms
+                    assert abs(got) <= 1e-15 * size, (sig, text, got)
+                else:
+                    assert abs(got - want) <= 1e-13 * abs(want), (sig, text, got, float(want))
+    assert floats == 12 * len(texts)
 
 
 def test_quadrature_helper_known_integral():
