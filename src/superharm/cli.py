@@ -335,6 +335,9 @@ def _add_sig(p: argparse.ArgumentParser):
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--tol", type=float, default=1e-10, help="numeric tolerance (default 1e-10)")
     p.add_argument("--out", default=None, help="write the result to this file instead of stdout")
+    # argparse's private negative-number pattern: a single-dash argument that is
+    # not a registered option (-inf, -1*exp(2), -x1^2) is a value
+    p._negative_number_matcher = re.compile(r"^-[^-]")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -403,8 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", action="store_true", help="accept a hard wall at rmax")
     p.add_argument("--window", type=float, nargs=2, default=None, metavar=("LO", "HI"),
                    help="keep numeric eigenvalues in [LO, HI] (LO may be -inf)")
-    # argparse's private negative-number pattern: -inf and -1e3 are values, not options
-    p._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     _add_common(p)
 

@@ -56,12 +56,13 @@ class ExactScalar(Sparse):
 
     @classmethod
     def rational(cls, q: RatLike) -> "ExactScalar":
-        return cls({0: _as_fraction(q)})
+        return cls.pi_pow(0, q)
 
     @classmethod
     def pi_pow(cls, s: int, coef: RatLike = 1) -> "ExactScalar":
         """coef * pi^(s/2)."""
-        return cls({s: _as_fraction(coef)})
+        q = _as_fraction(coef)
+        return _ZERO._with({s: q} if q else {})
 
     @classmethod
     def coerce(cls, v: "ExactScalar | RatLike") -> "ExactScalar":
@@ -84,15 +85,21 @@ class ExactScalar(Sparse):
     __float__ = to_float
 
     # -- ring operations ---------------------------------------------------
-    # ints and Fractions are lifted to rational scalars
+    # ``*`` scales by ints and Fractions; ``+``, ``-`` and ``==`` lift them to
+    # rational scalars
 
+    _scalars = (int, Fraction)
     _compat = coerce
     __radd__ = Sparse.__add__
-    __rmul__ = Sparse.__mul__
 
-    @staticmethod
-    def _key_mul(s1: int, s2: int):
-        return 1, s1 + s2
+    def _mul(self, other):
+        """The convolution of the two pi-exponent sequences."""
+        out: Dict[int, Fraction] = {}
+        for s, p in self.terms.items():
+            for t, q in other.terms.items():
+                k = s + t
+                out[k] = out[k] + p * q if k in out else p * q
+        return self._with({k: c for k, c in out.items() if c})
 
     def __hash__(self):
         # equal to its rational value, so it must hash like it
@@ -161,6 +168,9 @@ class ExactScalar(Sparse):
 
     def __repr__(self):
         return f"ExactScalar({self.to_text()!r})"
+
+
+_ZERO = ExactScalar()
 
 
 def _parse_scalar_term(chunk: str) -> ExactScalar:

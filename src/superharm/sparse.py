@@ -9,7 +9,8 @@ subclass supplies only what is its own:
   ``sig`` and ``copies``); operands must agree on them;
 * ``_scalars``: the plain scalar types that ``*`` scales by;
 * ``_key_mul(ka, kb)``: ``(sign, key)`` for the product of two basis
-  elements, or ``None`` when it vanishes.
+  elements, or ``None`` when it vanishes.  It serves the keyed algebras;
+  ``ExactScalar`` has its own ``_mul``, a convolution over pi exponents.
 
 Two invariants hold for every instance:
 

@@ -282,19 +282,19 @@ def _parse_poly_term(term: str, sig: Signature, copies: int) -> SuperPolynomial:
             coef = ExactScalar.parse(bits[0])
             rest = bits[1:]
         except (ValueError, ZeroDivisionError):
-            # bare monomial like "x1^2 f1" — implicit unit coefficient
-            coef = ExactScalar.rational(1)
-            rest = bits
+            # bare monomial like "x1^2 f1": coefficient 1, or -1 for "-x1^2 f1"
+            coef, rest = ExactScalar.rational(1), bits
+            if bits[0][:1] == "-" and bits[0][1:]:
+                coef, rest = -coef, [bits[0][1:]] + bits[1:]
     bos = [0] * (copies * m)
     mask = 0
     poly = SuperPolynomial(sig, {(tuple(bos), 0): ExactScalar.rational(1)}, copies)
     for factor in rest:
-        if "^" in factor:
-            name, _, e = factor.partition("^")
-            e = int(e)
-        else:
-            name, e = factor, 1
-        kind, idx = name[0], int(name[1:])
+        name, caret, e = factor.partition("^")
+        try:
+            kind, idx, e = name[0], int(name[1:]), int(e) if caret else 1
+        except (IndexError, ValueError):
+            raise ValueError(f"unknown factor {factor!r}") from None
         if kind == "x":
             k, copy = idx, 0
         elif kind == "y":

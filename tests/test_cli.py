@@ -369,6 +369,34 @@ def test_spectrum_window_takes_infinite_and_exponent_bounds(lo, capsys):
     assert [r["j"] for r in rows] == [0] and abs(rows[0]["E"] - 1.5) < 1e-8
 
 
+@pytest.mark.parametrize("argv, code, expect", [
+    (["reduce-integral", "--m", "3", "--n", "0", "--profile", "-1*exp(2)"], 0, {"superdim": 3}),
+    (["bochner", "--m", "3", "--n", "0", "--k", "0", "--profile", "-1*exp(2)"], 0, {"nu": 0.5}),
+    (["funk-hecke", "--m", "3", "--n", "0", "--l", "0", "--profile", "-1,0,2"], 0,
+     {"values": [{"k": 0, "alpha": "-4*pi"}, {"k": 2, "alpha": "8/3*pi"}]}),
+    (["pizzetti", "--m", "3", "--n", "1", "--poly", "-1/2"], 0, {"value": "-1"}),
+    (["pizzetti", "--m", "3", "--n", "1", "--poly", "-x1^2"], 0, {"value": "-2"}),
+    (["spectrum", "--m", "3", "--n", "0", "--jmax", "0", "--kmax", "0", "--V", "-pow(-1/2)"], 2,
+     {"error": {"type": "invalid-config", "message": "potential does not grow toward r_max; "
+                "pass GridSpec(box=True) to accept the Dirichlet truncation"}}),
+])
+def test_single_dash_values_read_as_values(argv, code, expect, capsys):
+    # argparse used to read each value as an option name and end in its
+    # "expected one argument" usage message, with no JSON; the "=" form worked
+    got = run(argv, capsys)
+    assert got == run(argv[:-2] + [f"{argv[-2]}={argv[-1]}"], capsys)
+    assert got[0] == code
+    payload = json.loads(got[1])
+    assert {k: payload[k] for k in expect} == expect
+
+
+def test_help_is_still_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["reduce-integral", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: superharm reduce-integral")
+
+
 @pytest.mark.parametrize("grid", [["--rmax", "-5"], ["--rmax", "0"], ["--rmax", "nan"],
                                   ["--rmax", "inf"], ["--nodes", "1"]])
 def test_spectrum_rejects_bad_grid(grid, capsys):

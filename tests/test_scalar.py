@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from superharm.scalar import (
     ExactScalar,
@@ -84,6 +84,42 @@ def test_scalar_text_round_trip_random(d):
 def test_scalar_mul_distributes(da, db):
     a, b = ExactScalar(da), ExactScalar(db)
     assert (a + b) * a == a * a + b * a
+
+
+_SMALL_FRACTIONS = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+_TERMS = st.dictionaries(st.integers(-6, 6), _SMALL_FRACTIONS, max_size=3)
+_PLAIN = st.one_of(st.integers(-3, 3), _SMALL_FRACTIONS)
+
+
+def _convolve(da, db):
+    """The product of two sums  sum_s q_s pi^(s/2), as plain dicts."""
+    out = {}
+    for s, p in da.items():
+        for t, q in db.items():
+            out[s + t] = out.get(s + t, 0) + p * q
+    return {k: v for k, v in out.items() if v}
+
+
+def _add(da, db):
+    return {k: v for k in da.keys() | db.keys() if (v := da.get(k, 0) + db.get(k, 0))}
+
+
+def _assert_terms(v, expect):
+    # to_text prints the stored coefficients, so they must be nonzero Fractions
+    assert type(v) is ExactScalar and v.terms == expect
+    assert all(type(q) is Fraction and q for q in v.terms.values())
+
+
+@example({0: Fraction(1), 2: Fraction(1)}, {0: Fraction(1), -2: Fraction(-1)}, 0)
+@given(_TERMS, _TERMS, _PLAIN)
+def test_scalar_ring_matches_dict_convolution(da, db, c):
+    a, b = ExactScalar(da), ExactScalar(db)
+    _assert_terms(a * b, _convolve(da, db))
+    _assert_terms(a * c, _convolve(da, {0: c}))
+    _assert_terms(c * a, _convolve(da, {0: c}))
+    _assert_terms(a + b, _add(da, db))
+    _assert_terms(a + c, _add(da, {0: c}))
+    _assert_terms(c + a, _add(da, {0: c}))
 
 
 def test_scalar_division_from_the_left():

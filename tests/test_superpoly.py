@@ -1,6 +1,7 @@
 """Operator identities on the polynomial algebra with anticommuting variables."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,17 @@ def test_parse_refuses_empty_or_unclosed_coefficient():
         with pytest.raises(ValueError):
             SuperPolynomial.parse(text, sig)
     assert SuperPolynomial.parse("(1) x1", sig) == SuperPolynomial.coordinate(sig, 1)
+
+
+def test_parse_bare_monomial_sign_and_unknown_factor():
+    sig = Signature(3, 1)
+    # a leading '-' on a bare monomial used to fail with "invalid literal for int()"
+    assert SuperPolynomial.parse("-x1^2", sig) == SuperPolynomial.parse("-1 x1^2", sig)
+    assert SuperPolynomial.parse("-x1 f1 + x2", sig) == SuperPolynomial.parse("-1 x1 f1 + 1 x2", sig)
+    for text, factor in (("x1^q", "x1^q"), ("xq", "xq"), ("x1 -f1", "-f1"), ("^2", "^2"),
+                         ("x1 + -", "-"), ("- x1", "-")):
+        with pytest.raises(ValueError, match=re.escape(f"unknown factor {factor!r}")):
+            SuperPolynomial.parse(text, sig)
 
 
 @settings(max_examples=50)
