@@ -5,8 +5,9 @@ CSV is available for the flat tables only (spectra and dimension sweeps).
 Exact scalars appear in the canonical ``p/q*pi^(s/2)`` sum form produced by
 ``ExactScalar.to_text``.  Exit status: 0 when every check in the invoked
 command passes, 1 when a check fails, 2 on invalid configuration — the
-latter with a structured ``{"error": ...}`` object in the output.  The
-numeric tolerance is ``--tol`` (default 1e-10), a positive finite number.
+latter with a structured ``{"error": ...}`` object in the output.  ``--tol``
+(default 1e-10, positive and finite) is the residual tolerance of ``mehler``,
+the one command that reads a tolerance.
 
 Each handler imports the modules its command needs, so a fresh process loads
 only those (``verify`` only for ``verify-all``).
@@ -27,32 +28,21 @@ if TYPE_CHECKING:
 
 DEG_MAX = 12  # cap on input polynomial degrees
 K_MAX = 12  # cap on harmonic, kernel and quantum-number degrees
+NODES_MAX = 3000  # cap on spectrum grid nodes: the largest grid the acceptance tests check
 
 
-class RunConfig:
-    """Resolved settings for one command invocation."""
+def _signature(args) -> "Signature":
+    from .superpoly import Signature
 
-    __slots__ = ("m", "n", "tol", "fmt", "seed", "out")
+    if args.m > 6 or args.n > 3:
+        raise ValueError("signature outside supported caps (m <= 6, n <= 3)")
+    return Signature(args.m, args.n)
 
-    def __init__(self, m: int = 1, n: int = 0, tol: float = 1e-10, fmt: str = "json",
-                 seed: int = 7, out: Optional[str] = None):
-        if m > 6 or n > 3:
-            raise ValueError("signature outside supported caps (m <= 6, n <= 3)")
-        if fmt not in ("json", "csv"):
-            raise ValueError(f"unknown output format {fmt!r}")
-        if not 0 < tol < float("inf"):
-            raise ValueError("tolerance must be positive and finite")
-        self.m, self.n, self.tol, self.fmt, self.seed, self.out = m, n, tol, fmt, seed, out
 
-    def signature(self) -> "Signature":
-        from .superpoly import Signature
-
-        return Signature(self.m, self.n)
-
-    def check_degree(self, k: int, what: str = "degree") -> int:
-        if k < 0 or k > K_MAX:
-            raise ValueError(f"{what} {k} outside supported range 0..{K_MAX}")
-        return k
+def _check_degree(k: int, what: str) -> int:
+    if k < 0 or k > K_MAX:
+        raise ValueError(f"{what} {k} outside supported range 0..{K_MAX}")
+    return k
 
 
 # -- output plumbing ----------------------------------------------------------
@@ -113,47 +103,47 @@ def _parse_profile(text: str):
 # -- command handlers ---------------------------------------------------------
 
 
-Result = Tuple[dict, bool, str]
+Result = Tuple[dict, bool]
 
 
-def _cmd_dims(cfg: RunConfig, args) -> Result:
+def _cmd_dims(args) -> Result:
     from .harmonics import dim_harmonics, dim_polynomials
 
-    sig = cfg.signature()
+    sig = _signature(args)
     if args.kmax is not None:
-        cfg.check_degree(args.kmax, "--kmax")
+        _check_degree(args.kmax, "--kmax")
         rows = [
             {"k": k, "harmonics": dim_harmonics(sig, k), "polynomials": dim_polynomials(sig, k)}
             for k in range(args.kmax + 1)
         ]
-        return {"m": cfg.m, "n": cfg.n, "rows": rows}, True, cfg.fmt
+        return {"m": args.m, "n": args.n, "rows": rows}, True
     if args.k is None:
         raise ValueError("dims needs --k (single degree) or --kmax (sweep)")
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         raise ValueError("csv output is only for the dimension sweep (--kmax)")
-    cfg.check_degree(args.k, "--k")
-    return {"dim": dim_harmonics(sig, args.k)}, True, "json"
+    _check_degree(args.k, "--k")
+    return {"dim": dim_harmonics(sig, args.k)}, True
 
 
-def _cmd_pizzetti(cfg: RunConfig, args) -> Result:
+def _cmd_pizzetti(args) -> Result:
     from .integrate import pizzetti
     from .superpoly import SuperPolynomial
 
-    sig = cfg.signature()
+    sig = _signature(args)
     f = SuperPolynomial.parse(args.poly, sig)
     if f.terms and f.degree() > DEG_MAX:
         raise ValueError(f"polynomial degree {f.degree()} above cap {DEG_MAX}")
-    return {"value": pizzetti(f).to_text()}, True, "json"
+    return {"value": pizzetti(f).to_text()}, True
 
 
-def _cmd_fischer(cfg: RunConfig, args) -> Result:
+def _cmd_fischer(args) -> Result:
     from .harmonics import fischer_decompose, fischer_reconstruct
     from .superpoly import SuperPolynomial, laplacian
 
-    sig = cfg.signature()
+    sig = _signature(args)
     f = SuperPolynomial.parse(args.poly, sig)
     if not f.terms:
-        return {"degree": 0, "blocks": [], "round_trip": True}, True, "json"
+        return {"degree": 0, "blocks": [], "round_trip": True}, True
     if f.degree() > DEG_MAX:
         raise ValueError(f"polynomial degree {f.degree()} above cap {DEG_MAX}")
     if len(f.homogeneous_components()) > 1:
@@ -166,15 +156,15 @@ def _cmd_fischer(cfg: RunConfig, args) -> Result:
         "blocks": [{"j": j, "harmonic": H.to_text()} for j, H in blocks],
         "round_trip": ok,
     }
-    return payload, ok, "json"
+    return payload, ok
 
 
-def _cmd_funk_hecke(cfg: RunConfig, args) -> Result:
+def _cmd_funk_hecke(args) -> Result:
     from .zonal import funk_hecke_alpha_monomial
 
-    sig = cfg.signature()
+    sig = _signature(args)
     M = sig.superdim
-    l = cfg.check_degree(args.l, "--l")
+    l = _check_degree(args.l, "--l")
     if args.profile is not None:
         coeffs = _parse_coeffs(args.profile)
         if len(coeffs) - 1 > K_MAX:
@@ -185,52 +175,55 @@ def _cmd_funk_hecke(cfg: RunConfig, args) -> Result:
                 continue
             al = funk_hecke_alpha_monomial(M, l, k) * c
             values.append({"k": k, "alpha": al.to_text()})
-        return {"superdim": M, "l": l, "values": values}, True, "json"
+        return {"superdim": M, "l": l, "values": values}, True
     if args.k is None:
         raise ValueError("funk-hecke needs --k (monomial degree) or --profile (coefficients)")
-    k = cfg.check_degree(args.k, "--k")
+    k = _check_degree(args.k, "--k")
     al = funk_hecke_alpha_monomial(M, l, k)
-    return {"superdim": M, "l": l, "k": k, "value": al.to_text()}, True, "json"
+    return {"superdim": M, "l": l, "k": k, "value": al.to_text()}, True
 
 
-def _cmd_bochner(cfg: RunConfig, args) -> Result:
+def _cmd_bochner(args) -> Result:
     from .zonal import hankel
 
-    sig = cfg.signature()
-    k = cfg.check_degree(args.k, "--k")
+    sig = _signature(args)
+    k = _check_degree(args.k, "--k")
     psi = _parse_profile(args.profile)
     nu = k + sig.superdim / 2.0 - 1.0
     rows = [{"u": u, "value": hankel(nu, psi, u)} for u in (0.5, 1.0, 1.5, 2.0)]
-    return {"nu": nu, "profile": args.profile, "rows": rows}, True, "json"
+    return {"nu": nu, "profile": args.profile, "rows": rows}, True
 
 
-def _cmd_mehler(cfg: RunConfig, args) -> Result:
+def _cmd_mehler(args) -> Result:
     from .zonal import mehler_bessel_check
 
-    sig = cfg.signature()
+    sig = _signature(args)
+    tol = args.tol
+    if not 0 < tol < float("inf"):
+        raise ValueError("tolerance must be positive and finite")
     K = args.kmax
     if K < 0 or K > 80:
         raise ValueError("truncation order outside supported range 0..80")
-    rnd = random.Random(cfg.seed)
+    rnd = random.Random(args.seed)
     x = [rnd.uniform(-0.8, 0.8) for _ in range(sig.m)]
     y = [rnd.uniform(-0.8, 0.8) for _ in range(sig.m)]
-    res = mehler_bessel_check(sig, x, y, K=K, tol=cfg.tol, m2_limit=True)
-    ok = res < cfg.tol
+    res = mehler_bessel_check(sig, x, y, K=K, tol=tol, m2_limit=True)
+    ok = res < tol
     payload = {
         "x": x,
         "y": y,
         "K": K,
         "residual": res,
-        "tolerance": cfg.tol,
+        "tolerance": tol,
         "passed": ok,
     }
-    return payload, ok, "json"
+    return payload, ok
 
 
-def _cmd_fundsol(cfg: RunConfig, args) -> Result:
+def _cmd_fundsol(args) -> Result:
     from .radial import fundamental_normalization_check, fundamental_solution, laplacian_profile
 
-    sig = cfg.signature()
+    sig = _signature(args)
     l = args.l
     if l < 1 or l > 6:
         raise ValueError("--l outside supported range 1..6")
@@ -251,17 +244,19 @@ def _cmd_fundsol(cfg: RunConfig, args) -> Result:
             "passed": norm_ok,
         }
         ok = ok and norm_ok
-    return payload, ok, "json"
+    return payload, ok
 
 
-def _cmd_spectrum(cfg: RunConfig, args) -> Result:
+def _cmd_spectrum(args) -> Result:
     from .schrodinger import (
         GridSpec, numeric_rows, oscillator_spectrum, reduce as reduce_problem, solve_numeric,
     )
 
-    sig = cfg.signature()
-    jmax = cfg.check_degree(args.jmax, "--jmax")
-    kmax = cfg.check_degree(args.kmax, "--kmax")
+    sig = _signature(args)
+    jmax = _check_degree(args.jmax, "--jmax")
+    kmax = _check_degree(args.kmax, "--kmax")
+    if args.nodes > NODES_MAX:
+        raise ValueError(f"--nodes {args.nodes} above cap {NODES_MAX}")
     if args.V == "osc":
         entries = oscillator_spectrum(sig, jmax, kmax)
         rows = [e.as_row() for e in entries]
@@ -275,28 +270,27 @@ def _cmd_spectrum(cfg: RunConfig, args) -> Result:
             res = solve_numeric(prob, grid, count=jmax + 1, e_window=window)
             rows.extend(numeric_rows(prob, res))
         rows.sort(key=lambda r: (r["E"], r["k"], r["j"]))
-    return {"m": cfg.m, "n": cfg.n, "V": args.V, "rows": rows}, True, cfg.fmt
+    return {"m": args.m, "n": args.n, "V": args.V, "rows": rows}, True
 
 
-def _cmd_reduce_integral(cfg: RunConfig, args) -> Result:
+def _cmd_reduce_integral(args) -> Result:
     from .integrate import reduce_integral
     from .scalar import ExactScalar
 
-    sig = cfg.signature()
-    prof = _parse_profile(args.profile)
-    val = reduce_integral(prof, sig, cfg.tol)
+    sig = _signature(args)
+    val = reduce_integral(_parse_profile(args.profile), sig)
     if isinstance(val, ExactScalar):
         payload = {"superdim": sig.superdim, "value": val.to_text(), "float": val.to_float()}
     else:
         payload = {"superdim": sig.superdim, "value": float(val)}
-    return payload, True, "json"
+    return payload, True
 
 
-def _cmd_verify_all(cfg: RunConfig, args) -> Result:
+def _cmd_verify_all(args) -> Result:
     from . import verify
 
-    report = verify.run_all(seed=cfg.seed, tol=cfg.tol, names=args.suite or None)
-    return report, bool(report["passed"]), "json"
+    report = verify.run_all(seed=args.seed, names=args.suite or None)
+    return report, bool(report["passed"])
 
 
 _DISPATCH = {
@@ -333,7 +327,6 @@ def _add_sig(p: argparse.ArgumentParser):
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--tol", type=float, default=1e-10, help="numeric tolerance (default 1e-10)")
     p.add_argument("--out", default=None, help="write the result to this file instead of stdout")
     # argparse's private negative-number pattern: a single-dash argument that is
     # not a registered option (-inf, -1*exp(2), -x1^2) is a value
@@ -344,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="superharm",
         description="Exact and numeric harmonic analysis on R^{m|2n}.",
-        epilog="--tol sets the numeric tolerance (default 1e-10; positive and finite).",
+        epilog="mehler takes --tol, its residual tolerance (default 1e-10; positive and finite).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -374,9 +367,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bochner",
-        help="radial transform values for a decaying profile (closed form; --tol is not read)",
-        description="Hankel transform values of a radial profile at u = 0.5, 1, 1.5, 2.  "
-        "The values are closed form; --tol is not read.",
+        help="radial transform values for a decaying profile (closed form)",
+        description="Hankel transform values of a radial profile at u = 0.5, 1, 1.5, 2, "
+        "in closed form.",
     )
     _add_sig(p)
     p.add_argument("--k", type=int, required=True, help="harmonic degree (sets the transform order)")
@@ -387,6 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_sig(p)
     p.add_argument("--kmax", type=int, default=40, help="series truncation order")
     p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--tol", type=float, default=1e-10, help="residual tolerance (default 1e-10)")
     _add_common(p)
 
     p = sub.add_parser("fundsol", help="iterated-Laplacian fundamental solution profile")
@@ -416,9 +410,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify-all",
-        help="run the seeded property-check suites (fixed thresholds; --tol is only recorded)",
+        help="run the seeded property-check suites (fixed thresholds)",
         description="Run the seeded property-check suites.  Every check uses its own fixed "
-        "threshold; --tol is only recorded in the report's tolerance field.",
+        "threshold.",
     )
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--suite", action="append", type=_suite_name,
@@ -428,24 +422,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args) -> RunConfig:
-    return RunConfig(
-        m=getattr(args, "m", 1),
-        n=getattr(args, "n", 0),
-        tol=getattr(args, "tol", 1e-10),
-        fmt=getattr(args, "fmt", "json"),
-        seed=getattr(args, "seed", 7),
-        out=getattr(args, "out", None),
-    )
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    out = getattr(args, "out", None)
     try:
-        cfg = _config_from(args)
-        payload, passed, fmt = _DISPATCH[args.command](cfg, args)
-        _write(_render(payload, fmt), out)
+        payload, passed = _DISPATCH[args.command](args)
+        _write(_render(payload, getattr(args, "fmt", "json")), args.out)
         return 0 if passed else 1
     except (ValueError, ArithmeticError, OSError) as exc:
         error = _error_payload(exc)
@@ -453,7 +434,7 @@ def main(argv=None) -> int:
         error = _error_payload(exc, "internal-error")
     text = _render(error, "json")
     try:
-        _write(text, out)
+        _write(text, args.out)
     except OSError:  # an unwritable --out: the error goes to stdout
         _write(text, None)
     return 2

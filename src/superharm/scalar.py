@@ -131,7 +131,7 @@ class ExactScalar(Sparse):
         return out
 
     # -- text form ---------------------------------------------------------
-    # Grammar (round-trip exact):   scalar := term ('+' term)*
+    # Grammar (round-trip exact):   scalar := term (('+' | ' - ') term)*
     #   term  := rational | rational '*' pipow | pipow
     #   pipow := 'pi' | 'pi^' int | 'pi^(' int '/2)'
     # Negative coefficients keep their sign on the rational part.
@@ -157,8 +157,7 @@ class ExactScalar(Sparse):
         text = text.strip()
         if text == "0":
             return cls()
-        # split on '+' that separates terms; coefficients carry their own '-'
-        chunks = [c.strip() for c in text.replace("- ", "+ -").split("+") if c.strip()]
+        chunks = split_terms(text)
         if not chunks:
             raise ValueError(f"empty scalar: {text!r}")
         out = cls()
@@ -173,9 +172,24 @@ class ExactScalar(Sparse):
 _ZERO = ExactScalar()
 
 
+def split_terms(text: str) -> List[str]:
+    """The nonblank terms of a sum, stripped: ``text`` split at each '+'
+    outside parentheses, and at each ' - ' there (a '-' followed by
+    whitespace) that follows a term, which reads as '+ -'."""
+    terms, depth, start, sign = [], 0, 0, ""
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0 and (ch == "+" or ch == "-" and text[i + 1:i + 2].isspace()
+                           and text[start:i].strip()):
+            terms.append(sign + text[start:i].strip())
+            start, sign = i + 1, "-" if ch == "-" else ""
+    terms.append(sign + text[start:].strip())
+    return [t for t in terms if t]
+
+
 def _parse_scalar_term(chunk: str) -> ExactScalar:
     chunk = chunk.strip()
-    if chunk.startswith("-pi"):
+    if chunk.startswith("-pi") or chunk[:1] == "-" and chunk[1:2].isspace():
         return _parse_scalar_term(chunk[1:]) * Fraction(-1)
     coef = Fraction(1)
     s = 0

@@ -94,7 +94,11 @@ class Sparse:
     def __mul__(self, other):
         if isinstance(other, self._scalars):
             return self.scale(other)
-        return self._mul(self._compat(other))
+        try:
+            other = self._compat(other)
+        except TypeError:  # a foreign type: its __rmul__ may scale by this one
+            return NotImplemented
+        return self._mul(other)
 
     def __rmul__(self, other):
         if isinstance(other, self._scalars):

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from .grassmann import NumericGrassmann, blade_mul, derivative_sign
-from .scalar import ExactScalar, RatLike
+from .scalar import ExactScalar, RatLike, split_terms
 from .sparse import Sparse
 
 TermKey = Tuple[Tuple[int, ...], int]
@@ -239,7 +239,7 @@ class SuperPolynomial(Sparse):
     @classmethod
     def parse(cls, text: str, sig: Signature, copies: int = 1) -> "SuperPolynomial":
         out = cls.zero(sig, copies)
-        for term in _split_terms(text):
+        for term in split_terms(text):
             out = out + _parse_poly_term(term, sig, copies)
         return out
 
@@ -247,24 +247,11 @@ class SuperPolynomial(Sparse):
         return f"SuperPolynomial({self.to_text()!r})"
 
 
-def _split_terms(text: str) -> List[str]:
-    terms, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "+" and depth == 0:
-            terms.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    terms.append("".join(cur))
-    return [t.strip() for t in terms if t.strip()]
-
-
 def _parse_poly_term(term: str, sig: Signature, copies: int) -> SuperPolynomial:
     m, n = sig.m, sig.n
+    negate = term.startswith("-(")  # "x1 - (1/2) x2" splits into "-(1/2) x2"
+    if negate:
+        term = term[1:]
     if term.startswith("("):
         depth, i = 0, 0
         for i, ch in enumerate(term):
@@ -275,6 +262,8 @@ def _parse_poly_term(term: str, sig: Signature, copies: int) -> SuperPolynomial:
         else:
             raise ValueError(f"unclosed parenthesis in term {term!r}")
         coef = ExactScalar.parse(term[1:i])
+        if negate:
+            coef = -coef
         rest = term[i + 1:].split()
     else:
         bits = term.split()

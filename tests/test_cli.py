@@ -1,5 +1,6 @@
 """Command-line front end: output formats, exit codes, determinism."""
 
+import argparse
 import ast
 import contextlib
 import csv
@@ -68,6 +69,13 @@ def test_pizzetti_bad_polynomial(capsys):
         code, out = run(["pizzetti", "--m", m, "--n", "1", "--poly", poly], capsys)
         assert code == 2, poly
         assert "error" in json.loads(out)
+
+
+def test_pizzetti_difference(capsys):
+    # "x1^2 - x2^2" used to exit 2 with "unknown factor '-'"
+    code, out = run(["pizzetti", "--m", "3", "--n", "1", "--poly", "x1^2 - x2^2"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"value": "0"}
 
 
 def test_pizzetti_empty_or_unclosed_coefficient(capsys):
@@ -211,7 +219,7 @@ def test_arithmetic_overflow_is_structured_error(capsys):
 
 
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
-    def boom(cfg, args):
+    def boom(args):
         raise RuntimeError("boom")
 
     monkeypatch.setitem(cli._DISPATCH, "dims", boom)
@@ -262,10 +270,51 @@ def test_tolerance_drives_check_failure(capsys, monkeypatch):
 
 def test_non_finite_tolerance_refused(capsys):
     # inf used to pass a 0.018 residual and print the non-JSON token Infinity
-    for tol in ("inf", "1e400", "nan"):
+    for tol in ("inf", "1e400", "nan", "0", "-1"):
         code, out = run(["mehler", "--m", "3", "--n", "1", "--tol", tol], capsys)
         assert code == 2, tol
-        assert json.loads(out)["error"]["type"] == "invalid-config", tol
+        assert json.loads(out)["error"] == {"type": "invalid-config",
+                                            "message": "tolerance must be positive and finite"}
+
+
+@pytest.mark.parametrize("argv", [
+    # dims used to refuse --tol nan with a JSON error over a flag it never reads
+    ["dims", "--m", "3", "--n", "1", "--k", "2"],
+    # every profile the command line builds is summed in closed form or refused
+    # before the quadrature, the only reader of a tolerance
+    ["reduce-integral", "--m", "3", "--n", "1", "--profile", "exp(1)"],
+])
+def test_tolerance_on_a_command_that_reads_none_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--tol", "nan"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --tol nan" in captured.err
+
+
+def test_subcommand_options_are_pinned():
+    # --tol is declared only where a handler reads it, so a flag that nothing
+    # reads cannot come back unnoticed
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(o for a in p._actions for o in a.option_strings)
+           for name, p in sub.choices.items()}
+    sig = ["--m", "--n"]
+    expected = {
+        "dims": sig + ["--k", "--kmax", "--format"],
+        "pizzetti": sig + ["--poly"],
+        "fischer": sig + ["--poly"],
+        "funk-hecke": sig + ["--l", "--k", "--profile"],
+        "bochner": sig + ["--k", "--profile"],
+        "mehler": sig + ["--kmax", "--seed", "--tol"],
+        "fundsol": sig + ["--l"],
+        "spectrum": sig + ["--V", "--jmax", "--kmax", "--rmax", "--nodes", "--box", "--window",
+                           "--format"],
+        "reduce-integral": sig + ["--profile"],
+        "verify-all": ["--seed", "--suite"],
+    }
+    assert got == {name: sorted(opts + ["--out", "-h", "--help"]) for name, opts in expected.items()}
+    assert [name for name, opts in got.items() if "--tol" in opts] == ["mehler"]
 
 
 # -- spectra ------------------------------------------------------------------
@@ -395,6 +444,18 @@ def test_help_is_still_an_option(capsys):
         cli.main(["reduce-integral", "-h"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: superharm reduce-integral")
+
+
+def test_spectrum_nodes_cap(capsys):
+    # any node count used to be accepted; 1e8 nodes would need tens of GB
+    argv = ["spectrum", "--m", "3", "--n", "0", "--V", "poly([0,1/2])", "--jmax", "0",
+            "--kmax", "0", "--nodes"]
+    code, out = run(argv + [str(cli.NODES_MAX + 1)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "invalid-config",
+        "message": f"--nodes {cli.NODES_MAX + 1} above cap {cli.NODES_MAX}",
+    }
 
 
 @pytest.mark.parametrize("grid", [["--rmax", "-5"], ["--rmax", "0"], ["--rmax", "nan"],
@@ -626,6 +687,7 @@ def _opt(*parts):
 
 
 _SIGNATURES = _frag("--m", st.integers(-1, 8).map(str), "--n", st.integers(-1, 4).map(str))
+_TOL = _opt("--tol", st.sampled_from(["1e-8", "0", "-1", "nan", "inf", "1e400", "junk"]))
 _COMMANDS = st.one_of(
     st.tuples(_frag("dims"), _SIGNATURES, st.one_of(_opt("--k", _DEGREES), _frag("--kmax", _DEGREES)),
               _opt("--format", st.sampled_from(["json", "csv", "xml"]))),
@@ -635,7 +697,7 @@ _COMMANDS = st.one_of(
                         _frag("--profile", st.sampled_from(["1,0,2", "0,1,0,1/2", "", "a,b"])))),
     st.tuples(_frag("bochner", "--k", _DEGREES, "--profile", _PROFILES), _SIGNATURES),
     st.tuples(_frag("mehler"), _SIGNATURES, _opt("--kmax", st.integers(-1, 90).map(str)),
-              _opt("--seed", st.integers(0, 20).map(str))),
+              _opt("--seed", st.integers(0, 20).map(str)), _TOL),
     st.tuples(_frag("fundsol", "--l", st.integers(-1, 8).map(str)), _SIGNATURES),
     st.tuples(_frag("spectrum", "--V", st.one_of(st.just("osc"), _PROFILES),
                     "--jmax", st.integers(-1, 2).map(str), "--kmax", st.integers(-1, 2).map(str),
@@ -650,14 +712,12 @@ _COMMANDS = st.one_of(
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
-@given(argv=_COMMANDS,
-       tol=_opt("--tol", st.sampled_from(["1e-8", "0", "-1", "nan", "inf", "1e400", "junk"])),
-       out=st.sampled_from([None, "file", "missing"]))
-def test_argv_grammar_fuzz(argv, tol, out):
+@given(argv=_COMMANDS, out=st.sampled_from([None, "file", "missing"]))
+def test_argv_grammar_fuzz(argv, out):
     with tempfile.TemporaryDirectory() as tmp:
         target = {None: None, "file": os.path.join(tmp, "out.txt"),
                   "missing": os.path.join(tmp, "no-such-dir", "out.txt")}[out]
-        argv = argv + tol + (["--out", target] if target else [])
+        argv = argv + (["--out", target] if target else [])
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:

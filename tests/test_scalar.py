@@ -136,6 +136,27 @@ def test_scalar_parse_refuses_empty_text():
             ExactScalar.parse(text)
 
 
+def test_scalar_parse_minus():
+    assert ExactScalar.parse("1/2 - 3*pi^(1/2)") == ExactScalar.parse("1/2 + -3*pi^(1/2)")
+    assert ExactScalar.parse("- 1") == ExactScalar.parse("1 + - 2") == -1
+    with pytest.raises(ValueError):
+        ExactScalar.parse("1 - ")
+
+
+def test_scalar_on_the_left_defers_to_the_other_algebra():
+    # the product used to raise "expected int or Fraction, got SuperPolynomial"
+    from superharm.radial import RadialProfile
+    from superharm.superpoly import Signature, SuperPolynomial
+
+    c = ExactScalar.pi_pow(1, Fraction(2, 3))
+    for other in (SuperPolynomial.parse("x1^2 + f1 f2", Signature(3, 1)), RadialProfile.power(1)):
+        assert c * other == other * c
+        assert not (c * other).is_zero
+    for foreign in ("x1", 0.5):
+        with pytest.raises(TypeError):
+            c * foreign
+
+
 # -- gamma machinery ----------------------------------------------------------
 
 

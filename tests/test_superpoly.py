@@ -97,6 +97,19 @@ def test_parse_bare_monomial_sign_and_unknown_factor():
             SuperPolynomial.parse(text, sig)
 
 
+def test_parse_binary_minus():
+    # a ' - ' after a term used to be refused with "unknown factor '-'"
+    sig = Signature(3, 1)
+    for copies in (1, 2):
+        for minus, plus in (("x1^2 - 2 x2^2", "x1^2 + -2 x2^2"), ("x1^2 - x2^2", "x1^2 + -x2^2"),
+                            ("(1/2 - pi) x1 - f1 f2", "(1/2 + -pi) x1 + -1 f1 f2"),
+                            ("x1 - (1/2) x2", "x1 + -1/2 x2"),
+                            ("x1 - (1/2 - pi) x2", "x1 + (-1/2 + pi) x2")):
+            assert SuperPolynomial.parse(minus, sig, copies) == SuperPolynomial.parse(plus, sig, copies)
+    assert (SuperPolynomial.parse("x1 y1 - 2 f1 g1", sig, 2)
+            == SuperPolynomial.parse("x1 y1 + -2 f1 g1", sig, 2))
+
+
 @settings(max_examples=50)
 @given(st.integers(0, 10**6))
 def test_text_round_trip_random(seed):
