@@ -396,7 +396,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmax", type=float, default=12.0, help="numeric grid extent")
     p.add_argument("--nodes", type=int, default=1500,
                    help="numeric grid size; E is extrapolated from NODES and 2*NODES, and err = "
-                   "|E_2h - E_h|/3 estimates the error of E_2h, usually 10^3-10^5 times that of E")
+                   "|E_2h - E_h|/3 estimates the error of E_2h: 10^3-10^5 times that of E at small "
+                   "M + 2k, but below it at large M + 2k (k = 12 on R^{3|0})")
     p.add_argument("--box", action="store_true", help="accept a hard wall at rmax")
     p.add_argument("--window", type=float, nargs=2, default=None, metavar=("LO", "HI"),
                    help="keep numeric eigenvalues in [LO, HI] (LO may be -inf)")

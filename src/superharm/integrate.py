@@ -1,26 +1,32 @@
-"""Integration functionals: sphere (Pizzetti), ball, full space, radial Mellin moments.
+"""Integration functionals: sphere (Pizzetti), ball, Gaussian and radial profile.
 
-An orthosymplectically invariant integral of a polynomial reads only the
-numbers (lap^k f)(0), which have a closed form per monomial, the superspace
-case of Folland (Amer. Math. Monthly 108 (2001) 446): a term c x^alpha f^S
-reaches the origin only when alpha = 2 beta and S is a union P of whole pairs
+All four are one theorem, the paper's dimensional reduction for integration:
+an orthosymplectically invariant integral of f h(R^2) reads only the numbers
+(lap^k f)(0),
+
+    int f h(R^2) = sum_k (lap^k f)(0) / ((4 pi)^k k!) I_{M+2k}[h],
+    I_D[h]       = pi^{D/2} Mellin[h](D/2),
+
+with Mellin[h](s) = int_0^inf u^{s-1} h(u) du / Gamma(s) continued in s
+(DLMF 1.14(iv); Gel'fand-Shilov, Generalized Functions I, ch. I 3), the
+superspace case of Folland (Amer. Math. Monthly 108 (2001) 446) and of
+Pizzetti's formula (De Bie-Sommen, J. Phys. A 40 (2007) 7193).  Four radial
+factors D -> I_D[h] are used; ``_reduce`` sums the first three, and the
+fourth is the k = 0 term alone (f = 1):
+
+    sphere    sigma_D = 2 pi^{D/2} / Gamma(D/2)   h = 2 delta(u - 1)   pizzetti
+    ball      sigma_D / D                         h = 1 on [0, 1]      superball_poly
+    Gaussian  (pi/a)^{D/2}                        h = e^{-au}          integrate_superspace
+    profile   I_M[h]                              any h                reduce_integral
+
+The sum is exact in the pi-power field (the Gaussian's sqrt(a) at odd D kept
+apart) and valid verbatim at every M: 1/Gamma vanishes at its poles, and the
+ball refuses the one piece, of degree -M, whose D is 0.
+
+(lap^k f)(0) has a closed form per monomial: a term c x^alpha f^S reaches the
+origin only when alpha = 2 beta and S is a union P of whole pairs
 f_{2j-1} f_{2j}, and then only at k = |beta| + |P|, with the value
-c k! prod (2 beta_i)!/beta_i! 4^|P|.  Pizzetti's formula (De Bie-Sommen,
-J. Phys. A 40 (2007) 7193) and the Gaussian integral weigh these numbers,
-
-    T(f)             = sum_k 2 pi^{M/2} / (2^{2k} k! Gamma(k + M/2)) (lap^k f)(0),
-    int f e^{-a R^2} = (pi/a)^{M/2} sum_k (lap^k f)(0) / (k! (4a)^k),
-
-exact in the pi-power field and valid verbatim at every M: the gamma
-reciprocals vanish at the poles, and the radial moments' Gamma cancels them.
-The ball integral follows by homogeneity: the degree-d piece gives T / (M + d),
-so the ball weighs (lap^k f)(0) by the Pizzetti weight over M + 2k.
-
-A radial profile integrates by one formula at every M, int h(R^2) =
-pi^{M/2} Mellin[h](M/2) with Mellin[h](s) = int_0^inf u^{s-1} h(u) du / Gamma(s)
-continued in s (DLMF 1.14(iv); Gel'fand-Shilov, Generalized Functions I,
-ch. I 3), the paper's dimensional reduction; the Gaussian integral is its case
-h = e^{-au}, where Mellin[h](s) = a^{-s}.
+c k! prod (2 beta_i)!/beta_i! 4^|P|.
 """
 
 from __future__ import annotations
@@ -41,13 +47,7 @@ class NonIntegrableError(ValueError):
     """Integrand not in any supported integrable class."""
 
 
-# -- Pizzetti sphere integral -------------------------------------------------
-
-
-def pizzetti_weight(M: int, k: int) -> ExactScalar:
-    """2 pi^{M/2} / (2^{2k} k! Gamma(k + M/2)), exact; zero at gamma poles."""
-    q = Fraction(2, 4**k * math.factorial(k))
-    return ExactScalar.pi_pow(M, q) * recip_gamma(Fraction(M, 2) + k)
+# -- the dimensional-reduction sum ---------------------------------------------
 
 
 def _laplacian_moments(f: SuperPolynomial, copy: int = 0):
@@ -74,37 +74,37 @@ def _laplacian_moments(f: SuperPolynomial, copy: int = 0):
     return {k: g for k, g in polys.items() if g}
 
 
+def _reduce(f: SuperPolynomial, radial: Callable[[int], ExactScalar], copy: int = 0):
+    """sum_k (lap^k f)|_{copy=0} radial(M + 2k) / ((4 pi)^k k!), the sum of the
+    module docstring for the radial factor D -> I_D[h]: an ExactScalar on one
+    copy, a polynomial in the other copy's variables on the doubled algebra."""
+    M = f.sig.superdim
+    acc = SuperPolynomial.zero(f.sig, f.copies)
+    for k, g in _laplacian_moments(f, copy).items():
+        w = ExactScalar.pi_pow(-2 * k, Fraction(1, 4**k * math.factorial(k)))
+        acc = acc + g * (radial(M + 2 * k) * w)
+    return acc.constant_term() if f.copies == 1 else acc
+
+
 def pizzetti(f: SuperPolynomial, copy: int = 0):
-    """Sphere integral over the chosen copy's supersphere.
+    """Sphere integral over the chosen copy's supersphere, radial factor sigma_D.
 
     One-copy polynomials give an ExactScalar; on the doubled algebra the result
     is a polynomial in the remaining copy's variables.
     """
-    M = f.sig.superdim
-    acc = SuperPolynomial.zero(f.sig, f.copies)
-    for k, g in _laplacian_moments(f, copy).items():
-        acc = acc + g * pizzetti_weight(M, k)
-    return acc.constant_term() if f.copies == 1 else acc
-
-
-# -- superball ----------------------------------------------------------------
+    return _reduce(f, sphere_area, copy)
 
 
 def superball_poly(f: SuperPolynomial) -> ExactScalar:
-    """Ball integral of a single-copy polynomial, sum_k w(M, k) (lap^k f)(0) /
-    (M + 2k), with Folland's closed form for (lap^k f)(0) (module docstring):
-    the degree-d piece gets T(f_d)/(M + d), and only degree d = 2k reaches
-    (lap^k f)(0).  An even piece with M + d = 0 raises, even where its sphere
-    integral is zero."""
+    """Ball integral of a single-copy polynomial, radial factor sigma_D / D:
+    the degree-d piece gets its sphere integral over M + d.  An even piece
+    with M + d = 0 raises, even where its sphere integral is zero."""
     if f.copies != 1:
         raise ValueError("superball_poly works on single-copy polynomials")
     M = f.sig.superdim
     if M % 2 == 0 and any(f._deg(key, None) == -M for key in f.terms):
         raise DegenerateDegreeError(f"ball integral of degree {-M} piece undefined at M = {M}")
-    out = ExactScalar()
-    for k, g in _laplacian_moments(f).items():
-        out = out + pizzetti_weight(M, k) * g.constant_term() / Fraction(M + 2 * k)
-    return out
+    return _reduce(f, lambda D: sphere_area(D) * Fraction(1, D))
 
 
 def greens_check(f: SuperPolynomial) -> Tuple[List[ExactScalar], List[ExactScalar]]:
@@ -164,10 +164,9 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
 
 
 def integrate_superspace(f: SuperPolynomial, gaussian_a: RatLike | None = None) -> RadicalScalar:
-    """Full-space integral of f * exp(-gaussian_a * R^2), exact, by the Laplacian
-    series of the module docstring (the radial case h = e^{-au}, Mellin a^{-s});
-    a^{-M/2} = a^{-ceil(M/2)} sqrt(a) when M is odd.  Odd-degree terms never
-    reach (lap^k f)(0).  A bare polynomial is not integrable."""
+    """Full-space integral of f * exp(-gaussian_a * R^2), exact, radial factor
+    (pi/a)^{D/2} taken as pi^{D/2} a^{-ceil(D/2)}: the sqrt(a) of an odd M is
+    applied once, as the radical part.  A bare polynomial is not integrable."""
     if f.copies != 1:
         raise ValueError("integrate_superspace works on single-copy polynomials")
     if gaussian_a is None:
@@ -175,12 +174,10 @@ def integrate_superspace(f: SuperPolynomial, gaussian_a: RatLike | None = None) 
     a = Fraction(gaussian_a)
     if a <= 0:
         raise NonIntegrableError("Gaussian weight needs a > 0")
-    M = f.sig.superdim
-    total = ExactScalar()
-    for k, g in _laplacian_moments(f).items():
-        total = total + g.constant_term() * Fraction(1, math.factorial(k) * (4 * a) ** k)
-    value = total * ExactScalar.pi_pow(M, a ** -((M + 1) // 2))
-    return RadicalScalar(ExactScalar(), value, a) if M % 2 else RadicalScalar(value, ExactScalar(), a)
+    value = _reduce(f, lambda D: ExactScalar.pi_pow(D, a ** -((D + 1) // 2)))
+    if f.sig.superdim % 2:
+        return RadicalScalar(ExactScalar(), value, a)
+    return RadicalScalar(value, ExactScalar(), a)
 
 
 # -- 1D quadrature ------------------------------------------------------------
@@ -231,8 +228,8 @@ def quad_0_inf(fn: Callable[[float], float], tol: float = 1e-12) -> float:
 
 
 def reduce_integral(profile, sig: Signature, tol: float = 1e-12):
-    """Full-space integral of h(R^2), pi^{M/2} Mellin[h](M/2) (module
-    docstring), by one formula at every superdimension M.
+    """Full-space integral of h(R^2), I_M[h] = pi^{M/2} Mellin[h](M/2): the
+    k = 0 term of the module docstring's sum, by one formula at every M.
 
     A log-free RadialProfile is summed in closed form: at s = M/2 a term
     c u^b e^{-au} gives c Gamma(s+b)/Gamma(s) a^{-(s+b)} (c (s)_b a^{-(s+b)}

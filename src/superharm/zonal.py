@@ -38,7 +38,6 @@ from .radial import (
     RadialProfile,
     compose_value,
     fermionic_expansion,
-    laplacian_profile,
     radial_expand,
 )
 from .scalar import (
@@ -383,11 +382,13 @@ def clifford_hermite(sig: Signature, j: int, k: int, H_k: SuperPolynomial) -> Ra
 
 def oscillator_residual(sig: Signature, j: int, k: int) -> RadialProfile:
     """Exact residual profile of (R^2 - lap)/2 psi_{j,k} = (2j+k+M/2) psi_{j,k};
-    identically zero by the Laguerre differential equation."""
-    M = sig.superdim
+    identically zero by the Laguerre differential equation: the sector
+    residual of ``schrodinger.reduction_residual`` at V = u/2."""
+    from .schrodinger import reduce, reduction_residual  # here: zonal's imports stay light
+
     h = clifford_hermite(sig, j, k, SuperPolynomial.zero(sig)).profile
-    lhs = (h.mul_power(1) - laplacian_profile(h, M + 2 * k)) * Fraction(1, 2)
-    return lhs - h * Fraction(4 * j + 2 * k + M, 2)
+    problem = reduce(sig, RadialProfile.polynomial([0, Fraction(1, 2)]), k)
+    return reduction_residual(problem, h, Fraction(4 * j + 2 * k + sig.superdim, 2))
 
 
 # -- Fourier transform of radial x harmonic functions -------------------------

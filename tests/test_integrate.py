@@ -8,7 +8,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superharm.scalar import ExactScalar, gamma_exact, laguerre_coeffs, sphere_area
+from superharm.scalar import ExactScalar, gamma_exact, laguerre_coeffs, recip_gamma, sphere_area
 from superharm.superpoly import (
     Signature,
     SuperPolynomial,
@@ -29,7 +29,6 @@ from superharm.integrate import (
     greens_check,
     integrate_superspace,
     pizzetti,
-    pizzetti_weight,
     quad_0_inf,
     reduce_integral,
     superball_poly,
@@ -73,11 +72,12 @@ def test_sphere_integral_classical_second_moment():
 
 
 def test_pizzetti_weight_degenerate_zeros():
-    # at M = -2 the k = 0 and k = 1 weights vanish (Gamma(k-1) poles); k = 2
-    # hits Gamma(1) = 1 and survives
-    assert pizzetti_weight(-2, 0).is_zero
-    assert pizzetti_weight(-2, 1).is_zero
-    assert (pizzetti_weight(-2, 2) - ExactScalar.pi_pow(-2, Fraction(1, 16))).is_zero
+    # at M = -2 (R^{2|4}) the k = 0 and k = 1 weights vanish (Gamma(k-1)
+    # poles), so 1 and x1^2 integrate to zero; k = 2 hits Gamma(1) = 1 and
+    # survives, weighing (lap^2 f)(0) = 24 and 32 by pi^-1 / 16
+    sig = Signature(2, 2)
+    for text, want in [("1", "0"), ("x1^2", "0"), ("x1^4", "3/2*pi^-1"), ("f1 f2 f3 f4", "2*pi^-1")]:
+        assert pizzetti(SuperPolynomial.parse(text, sig)).to_text() == want
 
 
 # -- the Laplacian moment sweep against the iterated Laplacian ---------------
@@ -100,10 +100,16 @@ def _iterated_moments(f, copy=0):
     return out
 
 
+def _pizzetti_weight(M, k):
+    """2 pi^{M/2} / (4^k k! Gamma(k + M/2)), zero at the poles of Gamma: the
+    oracle's own copy of the weight that ``pizzetti`` reaches through sigma_D."""
+    return ExactScalar.pi_pow(M, Fraction(2, 4**k * math.factorial(k))) * recip_gamma(Fraction(M, 2) + k)
+
+
 def _iterated_pizzetti(f, copy=0):
     acc = SuperPolynomial.zero(f.sig, f.copies)
     for k, g in _iterated_moments(f, copy).items():
-        acc = acc + g * pizzetti_weight(f.sig.superdim, k)
+        acc = acc + g * _pizzetti_weight(f.sig.superdim, k)
     return acc.constant_term() if f.copies == 1 else acc
 
 

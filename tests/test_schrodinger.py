@@ -22,11 +22,11 @@ OSC = RadialProfile.polynomial([0, Fraction(1, 2)])
 def test_reduce_ode_coefficients():
     sig = Signature(5, 1)  # M = 3
     prob = S.reduce(sig, OSC, 0)
-    assert prob.first_order_coeff == 3
+    assert prob.sector_dimension == 3
     assert prob.ode_text() == "-2*u*f'' - 3*f' + V(u)*f = E*f"
     # k enters only through 2k + M
     for k in (1, 2, 5):
-        assert S.reduce(sig, OSC, k).first_order_coeff == 2 * k + 3
+        assert S.reduce(sig, OSC, k).sector_dimension == 2 * k + 3
     assert S.reduce(Signature(3, 1), OSC, 2).sector_dimension == 5
 
 
@@ -64,7 +64,7 @@ def reduction_residual_at(problem, f, E: float, u: float) -> float:
     symbolic derivatives."""
     return (
         -2 * u * f.eval_deriv(2, u)
-        - problem.first_order_coeff * f.eval_deriv(1, u)
+        - problem.sector_dimension * f.eval_deriv(1, u)
         + (problem.V(u) - E) * f(u)
     )
 

@@ -35,3 +35,9 @@ def test_verify_all_seed_7_rows_pinned():
     assert len(want) == 36
     assert got == want
     assert report["passed"]
+
+
+def test_report_keys():
+    # every check keeps its own threshold: the report carries no tolerance
+    report = run_all(seed=0, names=["scalar-exact"])
+    assert set(report) == {"seed", "suites", "passed"}
