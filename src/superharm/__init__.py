@@ -41,6 +41,7 @@ _EXPORTS = {
     "euler": "superpoly",
     "laplace_beltrami": "superpoly",
     "laplacian": "superpoly",
+    "mul_r2": "superpoly",
     "osp_generator": "superpoly",
     "r_squared": "superpoly",
     "funk_hecke_poly": "zonal",

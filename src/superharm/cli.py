@@ -28,7 +28,7 @@ if TYPE_CHECKING:
 
 DEG_MAX = 12  # cap on input polynomial degrees
 K_MAX = 12  # cap on harmonic, kernel and quantum-number degrees
-NODES_MAX = 3000  # cap on spectrum grid nodes: the largest grid the acceptance tests check
+NODES_MAX = 3000  # cap on spectrum grid nodes (a cost bound): the largest grid the tests check
 
 
 def _signature(args) -> "Signature":
@@ -84,10 +84,12 @@ def _write(text: str, out: Optional[str]):
 
 
 def _parse_coeffs(text: str) -> List[Fraction]:
+    from .scalar import fraction_literal
+
     toks = [t for t in re.split(r"[,\s]+", text.strip()) if t]
     if not toks:
         raise ValueError("empty coefficient list")
-    return [Fraction(t) for t in toks]
+    return [fraction_literal(t) for t in toks]
 
 
 def _parse_profile(text: str):
@@ -396,8 +398,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmax", type=float, default=12.0, help="numeric grid extent")
     p.add_argument("--nodes", type=int, default=1500,
                    help="numeric grid size; E is extrapolated from NODES and 2*NODES, and err = "
-                   "|E_2h - E_h|/3 estimates the error of E_2h: 10^3-10^5 times that of E at small "
-                   "M + 2k, but below it at large M + 2k (k = 12 on R^{3|0})")
+                   "|E_2h - E_h|/3 estimates the error of E_2h, which overstates that of E "
+                   "(10^3-10^5 times at small M + 2k)")
     p.add_argument("--box", action="store_true", help="accept a hard wall at rmax")
     p.add_argument("--window", type=float, nargs=2, default=None, metavar=("LO", "HI"),
                    help="keep numeric eigenvalues in [LO, HI] (LO may be -inf)")

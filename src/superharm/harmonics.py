@@ -6,12 +6,14 @@ the Laplacian's monomial matrix, the Fischer decomposition from the recursion
 
     lap(R^{2j} H_k) = 2j (M + 2j + 2k - 2) R^{2j-2} H_k,
 
-and the reproducing kernel from the homogenized Gegenbauer recurrence
-``kernel_values``, the one shared with the numeric kernels, run over exact
-polynomials.  The super-dimension M = m - 2n may be any integer not
-in {0, -2, -4, ...}; those even nonpositive values break both Fischer
-(a vanishing extraction constant) and the kernel normalization (sigma_M = 0),
-and raise UnsupportedSignatureError.
+which reads the blocks H_j (j >= 1) off those of lap f; the top block is
+f - sum_j R^{2j} H_j, summed by Horner from the top j down with one
+``mul_r2`` sweep a step.  The reproducing kernel comes from the homogenized
+Gegenbauer recurrence ``kernel_values``, the one shared with the numeric
+kernels, run over exact polynomials.  The super-dimension M = m - 2n may be
+any integer not in {0, -2, -4, ...}; those even nonpositive values break both
+Fischer (a vanishing extraction constant) and the kernel normalization
+(sigma_M = 0), and raise UnsupportedSignatureError.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .superpoly import (
     SuperPolynomial,
     TermKey,
     laplacian,
+    mul_r2,
     pairing,
     r_squared,
 )
@@ -189,25 +192,22 @@ def fischer_decompose(f: SuperPolynomial) -> List[Tuple[int, SuperPolynomial]]:
 def _fischer(f: SuperPolynomial, d: int) -> List[Tuple[int, SuperPolynomial]]:
     if f.is_zero:
         return []
-    sig = f.sig
-    M = sig.superdim
-    lap = laplacian(f)
-    lower = dict(_fischer(lap, d - 2))  # lap f = sum_i R^{2i} G_{d-2-2i}
-    R2 = r_squared(sig)
-    blocks: List[Tuple[int, SuperPolynomial]] = []
-    top = f
-    for i, G in sorted(lower.items()):
+    M = f.sig.superdim
+    H: Dict[int, SuperPolynomial] = {}
+    for i, G in _fischer(laplacian(f), d - 2):  # lap f = sum_i R^{2i} G_{d-2-2i}
         j = i + 1                      # R^{2i} G came from R^{2j} H with j = i+1
-        lam = 2 * j * (M + 2 * d - 2 * j - 2)
-        H = G * Fraction(1, lam)
-        blocks.append((j, H))
-        top = top - R2**j * H
-    if not top.is_zero:
-        blocks.insert(0, (0, top))
-    return blocks
+        H[j] = G * Fraction(1, 2 * j * (M + 2 * d - 2 * j - 2))
+    acc = SuperPolynomial.zero(f.sig)  # sum_j R^{2j} H_j by Horner, top j down
+    for j in range(max(H, default=0), 0, -1):
+        acc = mul_r2(acc + H[j] if j in H else acc)
+    top = f - acc
+    return ([(0, top)] if top else []) + list(H.items())
 
 
 def fischer_reconstruct(sig: Signature, blocks: List[Tuple[int, SuperPolynomial]]) -> SuperPolynomial:
+    """sum_j R^{2j} H_j by ``r_squared`` powers, not ``_fischer``'s ``mul_r2``
+    sweeps: the round trip through ``fischer_decompose`` is an independent
+    check only while its two sides multiply by R^2 by different code."""
     R2 = r_squared(sig)
     out = SuperPolynomial.zero(sig)
     for j, H in blocks:

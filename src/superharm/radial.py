@@ -28,9 +28,11 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .grassmann import NumericGrassmann, fermi_derivative
 from .harmonics import UnsupportedSignatureError
-from .scalar import ExactScalar, RatLike, _as_fraction, gamma_exact, laguerre_coeffs
+from .scalar import (
+    ExactScalar, RatLike, _as_fraction, fraction_literal, gamma_exact, laguerre_coeffs,
+)
 from .sparse import Sparse
-from .superpoly import Signature, SuperPolynomial, euler, r_squared
+from .superpoly import Signature, SuperPolynomial, euler, mul_r2, r_squared
 
 # term key: (beta, delta, a) represents u^beta * log(u)^delta * exp(-a u)
 ProfileKey = Tuple[Fraction, int, Fraction]
@@ -186,7 +188,7 @@ class RadialProfile(Sparse):
         coef = Fraction(1)
         mc = cls._COEF_RE.match(text)
         if mc:
-            coef, text = Fraction(mc.group(1)), mc.group(2)
+            coef, text = fraction_literal(mc.group(1)), mc.group(2)
         elif text.strip().startswith("-"):
             coef, text = Fraction(-1), text.strip()[1:]
         m = cls._TAG_RE.match(text)
@@ -196,19 +198,19 @@ class RadialProfile(Sparse):
             return cls.parse(text) * coef
         tag, body = m.group(1), m.group(2).strip()
         if tag == "pow":
-            return cls.power(Fraction(body))
+            return cls.power(fraction_literal(body))
         if tag == "powlog":
-            return cls.power_log(Fraction(body))
+            return cls.power_log(fraction_literal(body))
         if tag == "exp":
-            return cls.exponential(Fraction(body))
+            return cls.exponential(fraction_literal(body))
         if tag == "lagexp":
             j, q, a = (p.strip() for p in body.split(","))
-            return cls.laguerre_exp(int(j), Fraction(q), Fraction(a))
+            return cls.laguerre_exp(int(j), fraction_literal(q), fraction_literal(a))
         inner = body.strip()
         if not (inner.startswith("[") and inner.endswith("]")):
             raise ValueError(f"poly wants a bracketed list: {text!r}")
         items = [p.strip() for p in inner[1:-1].split(",") if p.strip()]
-        return cls.polynomial([Fraction(p) for p in items])
+        return cls.polynomial([fraction_literal(p) for p in items])
 
     # -- evaluation and exact hooks -------------------------------------------
 
@@ -294,10 +296,9 @@ class RadialSuperfunction(NamedTuple):
         coeffs = self.profile.polynomial_coeffs()
         if coeffs is None:
             raise ValueError("profile is not polynomial")
-        out = SuperPolynomial.zero(self.sig)
-        R2 = r_squared(self.sig)
-        for p, c in sorted(coeffs.items()):
-            out = out + R2**p * c
+        out = SuperPolynomial.zero(self.sig)  # sum_p c_p R^{2p} by Horner
+        for p in range(max(coeffs, default=0), -1, -1):
+            out = mul_r2(out) + SuperPolynomial.constant(self.sig, coeffs.get(p, 0))
         return out
 
 

@@ -26,6 +26,14 @@ class GammaPoleError(ZeroDivisionError):
     """Gamma evaluated at a nonpositive integer."""
 
 
+def fraction_literal(text: str) -> Fraction:
+    """``Fraction(text)``, with a zero denominator reported by its literal."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ZeroDivisionError(f"zero denominator in {text.strip()!r}") from None
+
+
 def _as_fraction(q: RatLike) -> Fraction:
     if isinstance(q, Fraction):
         return q
@@ -208,7 +216,7 @@ def _parse_scalar_term(chunk: str) -> ExactScalar:
             else:
                 raise ValueError(f"bad pi power: {factor!r}")
         else:
-            coef *= Fraction(factor)
+            coef *= fraction_literal(factor)
     return ExactScalar.pi_pow(s, coef)
 
 

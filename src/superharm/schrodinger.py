@@ -11,10 +11,12 @@ spectrum with super-degeneracies, and a finite-difference eigensolver for the
 reduced equation (working in r, where the sector equation is a radial
 Laplacian at effective dimension M + 2k).  The eigensolver is Sturm-count
 bisection on the tridiagonal finite-difference matrix in plain Python, the
-algorithm of LAPACK's dstebz, with eigenvalues accurate to about ulp |T|;
-it needs no numpy or scipy.  |T| ~ max(2, 2^{D-2}) nodes^2 / r_max^2 at
-D = M + 2k: past D = 3 the origin cell's diagonal 2^{D-2}/h^2 sets it, so
-ulp |T| is 1.9e-3 on 6000 nodes at k = 12 on R^{3|0} (r_max = 12).
+algorithm of LAPACK's dstebz; it needs no numpy or scipy.  Past D = M + 2k = 3
+the origin cell's diagonal 2^{D-2}/h^2 sets |T|, and ulp |T| is 1.9e-3 on
+6000 nodes at k = 12 on R^{3|0} (r_max = 12), so bisection stops at ulp times
+the largest Gershgorin bound of the rows past the origin instead: on
+R^{3|0} with V = u/2, the levels printed for j <= 2, k <= 12 are within
+1.4e-8 of 2j + k + M/2 at --nodes 1500 and 3000.
 """
 
 from __future__ import annotations
@@ -188,12 +190,16 @@ def _lowest_eigenvalues(
     Sturm-count bisection (Barth, Martin and Wilkinson, Numer. Math. 9 (1967)
     386), the algorithm of LAPACK's dstebz: brackets start from the Gershgorin
     bounds, and each eigenvalue is the midpoint of a bracket narrower than
-    max(ulp |T|, 2 ulp |bound|), so it is accurate to about ulp |T| (for the
-    finite-difference operator, max(2, 2^{D-2}) nodes^2 / r_max^2: module
-    docstring).  Every Sturm count narrows the bracket of every wanted
-    eigenvalue.  ``guesses`` (say the eigenvalues on a coarser grid) are
-    probed at g -+ 1e-3 (1 + |g|) first; a probe that misses its eigenvalue
-    still narrows some bracket."""
+    max(ulp |T'|, 2 ulp |bound|).  |T'| is the largest |d_i| + radius_i over
+    the rows i >= 1, where dstebz takes |T| over all rows: the origin row of
+    the finite-difference operator, 2^{D-2}/h^2, is nearly decoupled and
+    outgrows the rest as 2^D (module docstring), and the low eigenvectors
+    carry little weight there.  That this floor is safe is argued, not
+    proven; the k = 12 tests pin it.  |T'| falls back to |T| when it is 0 or
+    T has one row, where it would leave bisection no floor.  Every Sturm
+    count narrows the bracket of every wanted eigenvalue.  ``guesses`` (say
+    the eigenvalues on a coarser grid) are probed at g -+ 1e-3 (1 + |g|)
+    first; a probe that misses its eigenvalue still narrows some bracket."""
     if not all(map(math.isfinite, diag + off)):
         raise ValueError("finite-difference matrix has infinite or NaN entries")
     off2 = [0.0] + [e * e for e in off]
@@ -201,9 +207,10 @@ def _lowest_eigenvalues(
     gl = min(d - r for d, r in zip(diag, radius))
     gu = max(d + r for d, r in zip(diag, radius))
     tnorm = max(abs(gl), abs(gu))
+    rest = max((abs(d) + r for d, r in zip(diag[1:], radius[1:])), default=0.0) or tnorm
     pivmin = sys.float_info.min * max(1.0, max(off2))
     pad = 2.1 * (tnorm * _ULP * len(diag) + 2.0 * pivmin)
-    atol = max(_ULP * tnorm, pivmin)
+    atol = max(_ULP * rest, pivmin)
     lo, hi = [gl - pad] * count, [gu + pad] * count
 
     def probe(x: float) -> None:
@@ -237,10 +244,9 @@ def solve_numeric(
     """Lowest eigenvalues of the reduced problem at nodes and 2*nodes, as pairs
     (E, err) with E = (4 E_2h - E_h)/3 in ``e_window`` (LO <= HI) if given.
     err = |E_2h - E_h|/3 estimates the error of the finer-grid value E_2h, not
-    of the E returned.  At small D = M + 2k it overstates the latter by 10^3
-    to 10^5; at large D it can understate it, since bisection stops at ulp |T|,
-    which grows as 2^D (module docstring): at k = 12 on R^{3|0}, nodes 1500
-    and 3000, E is off by 1.6e-4 and 1.1e-3 while err reads 7.6e-5 and 3.0e-4.
+    of the E returned, and overstates the latter: by 10^3 to 10^5 at small
+    D = M + 2k, and at k = 12 on R^{3|0}, nodes 1500 and 3000, err reads
+    1.0e-4 and 2.6e-5 while E is off by 8.2e-9 and 5.5e-9.
 
     A symbolic V with a term u^beta, D + 2 beta <= 0 (D = M + 2k), is refused:
     V(r^2) r^{D-1} is not integrable at r = 0 and the levels depend on the

@@ -270,7 +270,7 @@ def _parse_poly_term(term: str, sig: Signature, copies: int) -> SuperPolynomial:
         try:
             coef = ExactScalar.parse(bits[0])
             rest = bits[1:]
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             # bare monomial like "x1^2 f1": coefficient 1, or -1 for "-x1^2 f1"
             coef, rest = ExactScalar.rational(1), bits
             if bits[0][:1] == "-" and bits[0][1:]:
@@ -324,6 +324,26 @@ def r_squared(sig: Signature, copies: int = 1, copy: int = 0) -> SuperPolynomial
         mask = (1 << (base + 2 * k)) | (1 << (base + 2 * k + 1))
         terms[(zeros, mask)] = ExactScalar.rational(-1)
     return SuperPolynomial(sig, terms, copies)
+
+
+def mul_r2(f: SuperPolynomial, copy: int = 0) -> SuperPolynomial:
+    """R^2 f on the chosen copy in one pass: a term c X^bos F^mask sends c to
+    bos + 2 e_i for each bosonic slot i of the copy, and -c to mask | pair for
+    each pair (f_{2j-1}, f_{2j}) of the copy with neither bit set (the pair is
+    even, so no sign).  Equal to ``r_squared(sig, copies, copy) * f``."""
+    m, n = f.sig.m, f.sig.n
+    slots = range(copy * m, (copy + 1) * m)
+    pairs = [3 << (copy * 2 * n + 2 * j) for j in range(n)]
+    out: Dict[TermKey, ExactScalar] = {}
+    for (bos, mask), c in f.terms.items():
+        for i in slots:
+            key = (bos[:i] + (bos[i] + 2,) + bos[i + 1:], mask)
+            out[key] = out[key] + c if key in out else c
+        for pair in pairs:
+            if not mask & pair:
+                key = (bos, mask | pair)
+                out[key] = out[key] - c if key in out else -c
+    return f._with({k: c for k, c in out.items() if c})
 
 
 def fermi_norm_poly(sig: Signature, copies: int = 1, copy: int = 0) -> SuperPolynomial:
@@ -487,11 +507,12 @@ def euler(f: SuperPolynomial, copy: int = 0) -> SuperPolynomial:
 
 
 def laplace_beltrami(f: SuperPolynomial, copy: int = 0) -> SuperPolynomial:
-    """R^2 lap - E(M - 2 + E), the spherical part of the Laplacian."""
+    """R^2 lap - E(M - 2 + E), the spherical part of the Laplacian, by term
+    sweeps (``laplacian``, ``mul_r2``, ``euler``) with no polynomial product;
+    ``laplace_beltrami_via_generators`` is the independent route."""
     M = f.sig.superdim
     ef = euler(f, copy)
-    return r_squared(f.sig, f.copies, copy) * laplacian(f, copy) \
-        - ef * (M - 2) - euler(ef, copy)
+    return mul_r2(laplacian(f, copy), copy) - ef * (M - 2) - euler(ef, copy)
 
 
 def osp_generator(f: SuperPolynomial, i: int, j: int, copy: int = 0,

@@ -49,7 +49,7 @@ from .scalar import (
     recip_gamma,
     sphere_area,
 )
-from .superpoly import Signature, SuperPolynomial, pairing, r_squared
+from .superpoly import Signature, SuperPolynomial, mul_r2, pairing, r_squared
 
 
 class TruncationError(ValueError):
@@ -108,16 +108,10 @@ def funk_hecke_poly(
     """
     M = sig.superdim
     Hy = H_l.to_y_copy()
-    Ry2 = r_squared(sig, 2, 1)
-    out = SuperPolynomial.zero(sig, 2)
-    for k, c in enumerate(coeffs):
-        c = ExactScalar.coerce(c)
-        if c.is_zero:
-            continue
-        alpha = funk_hecke_alpha_monomial(M, l, k)
-        if alpha.is_zero:
-            continue
-        out = out + Ry2 ** ((k - l) // 2) * Hy * (alpha * c)
+    out = SuperPolynomial.zero(sig, 2)  # sum_q a_{l+2q} R_y^{2q} Hy by Horner
+    for k in reversed(range(l, len(coeffs), 2)):
+        alpha = funk_hecke_alpha_monomial(M, l, k) * ExactScalar.coerce(coeffs[k])
+        out = mul_r2(out, copy=1) + Hy * alpha
     return out
 
 

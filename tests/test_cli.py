@@ -458,6 +458,19 @@ def test_spectrum_nodes_cap(capsys):
     }
 
 
+@pytest.mark.parametrize("argv", [
+    ["pizzetti", "--poly", "1/0 x1"],               # was "unknown factor '1/0'"
+    ["reduce-integral", "--profile", "1/0*exp(1)"],  # was "Fraction(1, 0)"
+    ["funk-hecke", "--l", "0", "--profile", "1/0,1"],  # was "Fraction(1, 0)"
+])
+def test_zero_denominator_names_the_literal(argv, capsys):
+    code, out = run(argv + ["--m", "3", "--n", "1"], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "invalid-config", "message": "zero denominator in '1/0'",
+    }
+
+
 @pytest.mark.parametrize("grid", [["--rmax", "-5"], ["--rmax", "0"], ["--rmax", "nan"],
                                   ["--rmax", "inf"], ["--nodes", "1"]])
 def test_spectrum_rejects_bad_grid(grid, capsys):

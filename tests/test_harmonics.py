@@ -114,6 +114,55 @@ def test_fischer_round_trip_random(sig):
         assert (fischer_reconstruct(sig, blocks) - f).is_zero
 
 
+def _fischer_products(f, d):
+    """The Fischer recursion with R^{2j} H_j as ``r_squared`` powers through
+    ``Sparse._mul``: the oracle for the Horner sweep over ``mul_r2``."""
+    if f.is_zero:
+        return []
+    M = f.sig.superdim
+    R2 = r_squared(f.sig)
+    blocks, top = [], f
+    for i, G in _fischer_products(laplacian(f), d - 2):
+        j = i + 1
+        H = G * Fraction(1, 2 * j * (M + 2 * d - 2 * j - 2))
+        blocks.append((j, H))
+        top = top - R2**j * H
+    return ([(0, top)] if top else []) + blocks
+
+
+def _fischer_gap_inputs():
+    """Homogeneous inputs whose Fischer blocks skip some j (a zero block
+    between two nonzero ones, or below the only one)."""
+    for sig in (Signature(3, 1), Signature(2, 0), Signature(1, 2)):
+        R2 = r_squared(sig)
+        H5, H3 = harmonic_basis(sig, 5).elements[-1], harmonic_basis(sig, 3).elements[0]
+        x1 = SuperPolynomial.coordinate(sig, 1)
+        yield H5 + R2**2 * x1                       # j = 0 and 2
+        yield R2**3 * x1                            # j = 3 alone
+        yield R2 * H5 + R2**3 * (x1 * Fraction(-2, 3))   # j = 1 and 3
+        yield R2**2 * H3 * ExactScalar.pi_pow(1)    # j = 2 alone, pi coefficients
+
+
+def test_fischer_horner_matches_products():
+    rnd = random.Random(2007)
+    cases = list(_fischer_gap_inputs())
+    for m in range(1, 5):
+        for n in range(4):
+            sig = Signature(m, n)
+            if sig.superdim <= 0 and sig.superdim % 2 == 0:
+                continue
+            for deg in range(0, 9, 2 if m + n > 4 else 1):
+                cases.append(random_homogeneous(sig, rnd, deg, nterms=4))
+    sigs = {f.sig for f in cases}
+    assert Signature(1, 2) in sigs  # M = -3
+    for f in cases:
+        got = fischer_decompose(f)
+        assert got == _fischer_products(f, f.degree()), f.to_text()
+        assert [j for j, _ in got] == sorted(j for j, _ in got)
+    gaps = [[j for j, _ in fischer_decompose(f)] for f in _fischer_gap_inputs()]
+    assert gaps[:4] == [[0, 2], [3], [1, 3], [2]]
+
+
 def test_fischer_classical_example():
     # x1^2 in two bosonic variables: R^2/2 plus the harmonic (x1^2 - x2^2)/2
     sig = Signature(2, 0)

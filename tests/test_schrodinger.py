@@ -154,6 +154,15 @@ def test_numeric_oscillator_m3():
         assert err < 1e-4
 
 
+@pytest.mark.parametrize("nodes", [1500, 3000])
+def test_numeric_oscillator_high_sector_dimension(nodes):
+    """At k = 12 on R^{3|0} (D = 27) the origin cell's diagonal 2^{D-2}/h^2
+    dominates |T|; the levels must still reach 2j + k + M/2."""
+    res = S.solve_numeric(S.reduce(Signature(3, 0), OSC, 12), S.GridSpec(12.0, nodes), count=2)
+    for j, (E, _) in enumerate(res):
+        assert abs(E - (2 * j + 12 + 1.5)) < 1e-7
+
+
 def test_numeric_oscillator_m1_sectors():
     sig = Signature(3, 1)  # M = 1
     res = S.solve_numeric(S.reduce(sig, OSC, 1), S.GridSpec(8.0, 1500), count=3)
@@ -332,6 +341,11 @@ def test_tridiagonal_zero_pivot_and_refusals():
     # coarse-grid guesses that miss every level still give the right levels
     got = S._lowest_eigenvalues([0.0, 0.0, 0.0], [1.0, 1.0], 2, [5.0, 7.0])
     assert got == pytest.approx([-r2, 0.0], abs=1e-15)
+    # the rows past the origin are all zero, or there are none: the bisection
+    # floor falls back to |T| instead of shrinking to pivmin
+    got = S._lowest_eigenvalues([5.0, 0.0, 0.0], [0.0, 0.0], 3)
+    assert got == pytest.approx([0.0, 0.0, 5.0], abs=1e-15)
+    assert S._lowest_eigenvalues([2.5], [], 1) == pytest.approx([2.5], abs=1e-15)
     for diag, off in (([1.0, math.nan], [0.5]), ([1.0, 2.0], [math.inf])):
         with pytest.raises(ValueError, match="infinite or NaN"):
             S._lowest_eigenvalues(diag, off, 1)

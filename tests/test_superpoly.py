@@ -21,6 +21,7 @@ from superharm.superpoly import (
     laplacian,
     metric_entries,
     mul_coordinate,
+    mul_r2,
     nabla_lower,
     nabla_pair_with_x,
     nabla_raised,
@@ -303,6 +304,23 @@ def test_laplacian_matches_composed_definition(m, n, copies_copy, seed):
     lap = laplacian(f, copy)
     assert lap == _laplacian_composed(f, copy)
     assert all(lap.terms.values())
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 4), st.integers(0, 3), st.sampled_from([(1, 0), (2, 0), (2, 1)]),
+       st.integers(0, 8), st.integers(0, 10**6))
+def test_mul_r2_matches_product(m, n, copies_copy, nterms, seed):
+    """The one-pass R^2 f against the ``Sparse._mul`` product with
+    ``r_squared``; nterms = 0 is the zero polynomial."""
+    copies, copy = copies_copy
+    sig = Signature(m, n)
+    rnd = random.Random(seed)
+    f = random_poly(sig, rnd, deg=6, nterms=nterms, copies=copies)
+    f = f + f * ExactScalar.pi_pow(rnd.choice([-1, 1, 2]))
+    got = mul_r2(f, copy)
+    assert got == r_squared(sig, copies, copy) * f
+    assert all(got.terms.values())
+    assert got.is_zero == f.is_zero
 
 
 def test_laplacian_kills_mixed_first_degree():
