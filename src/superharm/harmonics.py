@@ -10,10 +10,12 @@ which reads the blocks H_j (j >= 1) off those of lap f; the top block is
 f - sum_j R^{2j} H_j, summed by Horner from the top j down with one
 ``mul_r2`` sweep a step.  The reproducing kernel comes from the homogenized
 Gegenbauer recurrence ``kernel_values``, the one shared with the numeric
-kernels, run over exact polynomials.  The super-dimension M = m - 2n may be
-any integer not in {0, -2, -4, ...}; those even nonpositive values break both
-Fischer (a vanishing extraction constant) and the kernel normalization
-(sigma_M = 0), and raise UnsupportedSignatureError.
+kernels of the Mehler check (``zonal._kernel_values``), run over exact
+polynomials and summed by Horner in Rx^2 Ry^2 (two ``mul_r2`` sweeps a
+step).  The super-dimension M = m - 2n may be any integer not in
+{0, -2, -4, ...}; those even nonpositive values break both Fischer (a
+vanishing extraction constant) and the kernel normalization (sigma_M = 0),
+and raise UnsupportedSignatureError.
 """
 
 from __future__ import annotations
@@ -236,10 +238,12 @@ def reproducing_kernel(sig: Signature, k: int, m2_limit: bool = True) -> SuperPo
     one = SuperPolynomial.constant(line, 1)
     Fk = kernel_values(M, k, SuperPolynomial.coordinate(line, 1), one, one, sphere_area(M))[k]
     t = pairing(sig)
-    u = r_squared(sig, 2, 0) * r_squared(sig, 2, 1)
-    out = SuperPolynomial.zero(sig, 2)
-    for ((p,), _), c in sorted(Fk.terms.items()):
-        out = out + t**p * u ** ((k - p) // 2) * c
+    coeff = {p: c for ((p,), _), c in Fk.terms.items()}
+    out = SuperPolynomial.zero(sig, 2)  # sum_q c_{k-2q} t^{k-2q} u^q by Horner in u
+    for p in range(k % 2, k + 1, 2):
+        out = mul_r2(mul_r2(out, 0), 1)
+        if p in coeff:
+            out = out + t**p * coeff[p]
     return out
 
 

@@ -32,7 +32,7 @@ from .scalar import (
     ExactScalar, RatLike, _as_fraction, fraction_literal, gamma_exact, laguerre_coeffs,
 )
 from .sparse import Sparse
-from .superpoly import Signature, SuperPolynomial, euler, mul_r2, r_squared
+from .superpoly import Signature, SuperPolynomial, euler, mul_r2
 
 # term key: (beta, delta, a) represents u^beta * log(u)^delta * exp(-a u)
 ProfileKey = Tuple[Fraction, int, Fraction]
@@ -399,8 +399,7 @@ def laplacian_commutator_apply(
     d1, d2 = h.derivative(), h.derivative().derivative()
     h1 = RadialSuperfunction(sig, d1).as_polynomial()
     h2 = RadialSuperfunction(sig, d2).as_polynomial()
-    R2 = r_squared(sig)
-    return R2 * h2 * p * Fraction(4) + h1 * (euler(p) * Fraction(4) + p * Fraction(2 * M))
+    return mul_r2(h2 * p) * Fraction(4) + h1 * (euler(p) * Fraction(4) + p * Fraction(2 * M))
 
 
 # -- orthosymplectic invariance ----------------------------------------------

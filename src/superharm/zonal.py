@@ -1,6 +1,6 @@
-"""Two-point zonal functions, the sphere transform with Gegenbauer weight,
-Hankel/Bessel transforms, oscillator eigenfunctions, and the Bessel-kernel
-expansion of the Fourier kernel.
+"""Two-point zonal functions, the sphere transform, Hankel/Bessel transforms,
+oscillator eigenfunctions, and the Bessel-kernel expansion of the Fourier
+kernel.
 
 A zonal function of two super vector variables is phi(<x,y>), expanded through
 the nilpotent part of the pairing as
@@ -10,12 +10,13 @@ the nilpotent part of the pairing as
 The kernel phi is a ``radial.NumericProfile``, the same numeric function type
 as a radial profile, and the expansion is ``radial.compose_value``.  The
 sphere transform sends phi to alpha_{M,l}[phi]; for polynomials alpha has an
-exact closed form, for general kernels it is a quadrature against the weight
-(1-t^2)^{(M-3)/2} (M > 1 only) on the Chebyshev points (Gauss-Chebyshev for
-even M, Fejer's first rule for odd M, the weight folded into the weights),
-with the Gegenbauer factor from ``harmonics.kernel_values``.  Complex-valued
-kernels (exp(ivt)) are carried as complex numbers at the scalar level; all
-exact fields stay real.
+exact closed form, for general kernels Rodrigues' formula moves the
+Gegenbauer factor onto phi as l derivatives, and alpha / u^l and its
+derivatives in u^2 are quadratures of phi^{(l+2j)} against the weights
+(1-t^2)^{(M-3)/2+l+j} (M > 1 only) on the Chebyshev points (Gauss-Chebyshev
+for even M, Fejer's first rule for odd M, the weight folded into the
+weights).  Complex-valued kernels (exp(ivt)) are carried as complex numbers
+at the scalar level; all exact fields stay real.
 
 The Hankel transform of a profile c u^b e^{-au} is closed form (Weber's
 integral and a Kummer series, ``hankel``), and the Bessel factor of the
@@ -47,7 +48,6 @@ from .scalar import (
     laguerre,
     pochhammer,
     recip_gamma,
-    sphere_area,
 )
 from .superpoly import Signature, SuperPolynomial, mul_r2, pairing, r_squared
 
@@ -121,9 +121,9 @@ def funk_hecke_poly(
 @lru_cache(maxsize=64)
 def _jacobi_rule(nn: int, a: float) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
     """Nodes t_j and weights w_j with sum_j w_j g(t_j) ~ Int_{-1}^{1} g(t)
-    (1-t^2)^a dt, for an integer or half-integer a >= -1/2 (a = (M-3)/2), on
-    the Chebyshev points t_j = cos(theta_j), theta_j = (2j+1) pi / (2N), with
-    the weight folded into w_j.
+    (1-t^2)^a dt, for an integer or half-integer a >= -1/2 (a = mu + j in
+    ``_beta_derivs``), on the Chebyshev points t_j = cos(theta_j),
+    theta_j = (2j+1) pi / (2N), with the weight folded into w_j.
 
     Half-integer a: Gauss-Chebyshev on N = nn points, w_j = (pi/N)
     sin(theta_j)^(2a+1); exact for polynomials g of degree <= 2 nn - 2 - 2a.
@@ -152,69 +152,36 @@ def _jacobi_rule(nn: int, a: float) -> Tuple[Tuple[float, ...], Tuple[float, ...
     return nodes, tuple(half + half[::-1])
 
 
-def _legendre_kernel(l: int, M: int, t: float) -> float:
-    """Gegenbauer-family polynomial normalized to 1 at t = 1: the reproducing
-    kernel recurrence at u = 1, whose M = 2 limit rule gives Chebyshev."""
-    return kernel_values(M, l, t, 1.0)[l] / kernel_values(M, l, 1.0, 1.0)[l]
-
-
-@lru_cache(maxsize=256)
-def _legendre_table(l: int, M: int, nn: int) -> Tuple[float, ...]:
-    nodes, _ = _jacobi_rule(nn, (M - 3) / 2.0)
-    return tuple(_legendre_kernel(l, M, t) for t in nodes)
-
-
-def funk_hecke_alpha_numeric(
-    M: int,
-    l: int,
-    phi: NumericProfile,
-    u: float,
-    n_der: int,
-    tol: float = 1e-12,
+def _beta_derivs(
+    M: int, l: int, phi: NumericProfile, u: float, n: int, tol: float
 ) -> List[complex]:
-    """alpha_{M,l}[phi] and its first ``n_der`` derivatives (with respect to
-    the squared argument) at radius u, by differentiated quadrature against
-    the weight (1 - t^2)^{(M-3)/2} (``_jacobi_rule``: Gauss-Chebyshev for even
-    M, Fejer's first rule for odd M).  M > 1 only.
+    """beta^{(j)}(v) at v = u^2 for j <= n, where beta(v) = alpha_{M,l}[phi](sqrt v) / v^{l/2}.
+
+    Rodrigues' formula (DLMF §18.5(ii)) and l integrations by parts give
+    beta = 2 pi^{(M-1)/2} 2^{-l} A_mu[phi^{(l)}(sqrt(v) .)], mu = (M-3)/2 + l,
+    with A_a[g] = Int_{-1}^{1} g(t) (1-t^2)^a dt / Gamma(a+1); one more
+    integration by parts gives d/dv A_a[g(sqrt(v) .)] = A_{a+1}[g''(sqrt(v) .)] / 4,
+    so beta^{(j)} = 2 pi^{(M-1)/2} 2^{-l} 4^{-j} A_{mu+j}[phi^{(l+2j)}(sqrt(v) .)],
+    one ``_jacobi_rule`` quadrature each.  Nothing divides by u, so u = 0 is
+    an ordinary point.  M > 1 only; phi must have l + 2n derivatives.
 
     Raises TruncationError when four doublings of the rule at nn = 64 leave
     the last two values further apart than ``tol``."""
     if M <= 1:
         raise ValueError("sphere-transform quadrature needs M > 1")
-    if u <= 0:
-        raise ValueError("radius must be positive")
-    if n_der > phi.j_max:
+    if l + 2 * n > phi.j_max:
         raise ValueError("kernel smoothness insufficient for requested derivatives")
-    sigma = sphere_area(M - 1).to_float()
-    v = u * u
-    a = (M - 3) / 2.0
-
-    # derivative structure in the squared variable: entry i -> c of layer j
-    # represents c * v^{(i - 2j)/2} * S_i with S_i = Int phi^{(i)}(sqrt(v) t) t^i P w
-    layers: List[dict] = [{0: 1.0}]
-    for j in range(n_der):
-        nxt: dict = {}
-        for i, c in layers[-1].items():
-            nxt[i + 1] = nxt.get(i + 1, 0.0) + c * 0.5
-            if i != 2 * j:
-                nxt[i] = nxt.get(i, 0.0) + c * ((i - 2 * j) / 2.0)
-        layers.append(nxt)
+    mu = (M - 3) / 2.0 + l
+    c0 = 2 * math.pi ** ((M - 1) / 2) / 2**l
+    pre = [c0 / (4**j * math.gamma(mu + j + 1)) for j in range(n + 1)]
 
     def eval_all(nn: int) -> List[complex]:
-        nodes, weights = _jacobi_rule(nn, a)
-        pl = _legendre_table(l, M, nn)
-        sums = []
-        for i in range(n_der + 1):
-            s = 0.0
-            for t, w, p in zip(nodes, weights, pl):
-                s = s + w * p * t**i * phi.eval_deriv(i, u * t)
-            sums.append(s)
         out = []
-        for j, layer in enumerate(layers):
-            tot = 0.0
-            for i, c in layer.items():
-                tot = tot + c * v ** ((i - 2 * j) / 2.0) * sums[i]
-            out.append(sigma * tot)
+        for j, c in enumerate(pre):
+            s = 0.0
+            for t, w in zip(*_jacobi_rule(nn, mu + j)):
+                s = s + w * phi.eval_deriv(l + 2 * j, u * t)
+            out.append(c * s)
         return out
 
     nn = 64
@@ -232,6 +199,35 @@ def funk_hecke_alpha_numeric(
     )
 
 
+def funk_hecke_alpha_numeric(
+    M: int,
+    l: int,
+    phi: NumericProfile,
+    u: float,
+    n_der: int,
+    tol: float = 1e-12,
+) -> List[complex]:
+    """alpha_{M,l}[phi] and its first ``n_der`` derivatives (with respect to
+    the squared argument v = u^2) at radius u > 0, as the Leibniz product
+    alpha = v^{l/2} beta of the ``_beta_derivs`` quadratures.  M > 1 only;
+    phi must have l + 2 n_der derivatives.
+
+    Raises TruncationError when four doublings of the rule at nn = 64 leave
+    the last two values further apart than ``tol``."""
+    if u <= 0:
+        raise ValueError("radius must be positive")
+    v = u * u
+    beta = _beta_derivs(M, l, phi, u, n_der, tol)
+    out = []
+    for k in range(n_der + 1):
+        tot = 0.0
+        for i in range(k + 1):  # (v^{l/2})^{(k-i)} = (l/2)_falling(k-i) v^{l/2-(k-i)}
+            fall = math.prod(l / 2.0 - p for p in range(k - i))
+            tot = tot + math.comb(k, i) * fall * v ** (l / 2.0 - (k - i)) * beta[i]
+        out.append(tot)
+    return out
+
+
 def funk_hecke_apply(
     sig: Signature,
     phi: NumericProfile,
@@ -241,29 +237,13 @@ def funk_hecke_apply(
     tol: float = 1e-12,
 ) -> NumericGrassmann:
     """Sphere integral of phi(<x,y>) H_l(x) as a Grassmann-valued function of
-    the bosonic point y: alpha_{M,l}[phi](R_y^2) H_l(y) / R_y^l, with the
-    division performed on the profile alpha(u)/u^{l/2} (parity makes that the
-    polynomial-safe route) before the fermionic expansion."""
-    M = sig.superdim
-    if M <= 1:
-        raise ValueError("sphere transform needs M > 1")
-    n = sig.n
-    if 2 * n > phi.j_max:
-        raise ValueError("kernel smoothness insufficient")
+    the bosonic point y: alpha_{M,l}[phi](R_y) H_l(y) / R_y^l = beta(R_y^2)
+    H_l(y), with beta and its first n derivatives from ``_beta_derivs`` in the
+    fermionic expansion.  No division by R_y, so y = 0 is allowed.  M > 1
+    only; phi must have l + 2n derivatives."""
     ry = math.sqrt(sum(c * c for c in ycoords))
-    alphas = funk_hecke_alpha_numeric(M, l, phi, ry, n, tol)
-    v = ry * ry
-    beta = []
-    for j in range(n + 1):
-        tot = 0.0
-        for i in range(j + 1):
-            fall = 1.0
-            for p in range(j - i):
-                fall *= -l / 2.0 - p
-            tot = tot + math.comb(j, i) * alphas[i] * fall * v ** (-l / 2.0 - (j - i))
-        beta.append(tot)
-    expansion = fermionic_expansion(beta, n)
-    return expansion * H_l.evaluate_bosonic(ycoords)
+    beta = _beta_derivs(sig.superdim, l, phi, ry, sig.n, tol)
+    return fermionic_expansion(beta, sig.n) * H_l.evaluate_bosonic(ycoords)
 
 
 # -- Hankel / Fourier-Bessel transform ----------------------------------------
@@ -461,7 +441,8 @@ def mehler_bessel_check(
 
     both sides expanded over the doubled Grassmann algebra at the bosonic
     points.  Stops early once three successive term magnitudes fall below
-    tol/10; raises TruncationError if K terms never get there."""
+    tol/10; raises TruncationError if K terms never get there, naming the
+    largest of the last three."""
     coords = list(xcoords) + list(ycoords)
     pair_val = pairing(sig).evaluate_bosonic(coords)
     lhs = compose_value(NumericProfile.exp_i(sign), pair_val, 2 * sig.n)
@@ -480,7 +461,7 @@ def mehler_bessel_check(
             break
     if not converged:
         raise TruncationError(
-            f"kernel series tail still {deltas[-1]:.2e} after {K + 1} terms"
+            f"kernel series tail still {max(deltas[-3:]):.2e} after {K + 1} terms"
         )
     return lhs.max_abs_diff(rhs)
 

@@ -19,7 +19,7 @@ from superharm.scalar import (
     recip_gamma,
     sphere_area,
 )
-from superharm.zonal import _legendre_kernel
+from superharm.harmonics import kernel_values
 
 H = Fraction(1, 2)
 
@@ -252,12 +252,18 @@ def test_binom_frac():
     assert binom_frac(0, 1) == 0
 
 
+def _kernel_ratio(l, M, t):
+    """The degree-l reproducing kernel recurrence at u = 1, normalized to 1
+    at t = 1 (its M = 2 limit rule gives Chebyshev)."""
+    return kernel_values(M, l, t, 1.0)[l] / kernel_values(M, l, 1.0, 1.0)[l]
+
+
 def test_jacobi_normalized_at_one():
     # normalization: value 1 at t = 1, including the Chebyshev case M = 2
     for l, M in [(0, 3), (1, 3), (2, 3), (3, 4), (2, 5), (0, 2), (3, 2)]:
-        assert _legendre_kernel(l, M, 1.0) == pytest.approx(1.0, rel=1e-12)
+        assert _kernel_ratio(l, M, 1.0) == pytest.approx(1.0, rel=1e-12)
     # M = 2 is T_l itself
-    assert _legendre_kernel(3, 2, 0.5) == pytest.approx(4 * 0.5**3 - 3 * 0.5, rel=1e-12)
+    assert _kernel_ratio(3, 2, 0.5) == pytest.approx(4 * 0.5**3 - 3 * 0.5, rel=1e-12)
 
 
 def test_legendre_kernel_matches_jacobi_oracle():
@@ -271,7 +277,7 @@ def test_legendre_kernel_matches_jacobi_oracle():
             norm = float(binom_frac(Fraction(M - 3, 2) + l, l))
             for t in [k / 10 - 1 for k in range(21)]:
                 want = float(scipy.special.eval_jacobi(l, a, a, t)) / norm
-                assert abs(_legendre_kernel(l, M, t) - want) <= 1e-12 * max(1.0, abs(want)), (M, l, t)
+                assert abs(_kernel_ratio(l, M, t) - want) <= 1e-12 * max(1.0, abs(want)), (M, l, t)
 
 
 # -- Bessel -------------------------------------------------------------------

@@ -107,12 +107,14 @@ def test_zonal_invariance_exact():
 
 @pytest.mark.parametrize("M", [2, 3, 4, 5])
 def test_alpha_numeric_matches_exact_polynomial(M):
-    coeffs = [Fraction(1), Fraction(0), Fraction(2), Fraction(1)]
-    phi = Z.ZonalProfile.polynomial(coeffs)
+    cubic = [Fraction(1), Fraction(0), Fraction(2), Fraction(1)]
+    # degree 9 = l + 2 n_der at l = 3: the top derivative the route reads is nonzero
+    nonic = [Fraction(1), Fraction(-1, 2), Fraction(3), Fraction(1), Fraction(-2),
+             Fraction(1, 3), Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(1, 4)]
     u = 0.8
-    for l in (0, 1, 2):
-        got = Z.funk_hecke_alpha_numeric(M, l, phi, u, 2)
-        for der in range(3):
+    for coeffs, l, n_der in [(cubic, 0, 2), (cubic, 1, 2), (cubic, 2, 2), (nonic, 3, 3)]:
+        got = Z.funk_hecke_alpha_numeric(M, l, Z.ZonalProfile.polynomial(coeffs), u, n_der)
+        for der in range(n_der + 1):
             want = 0.0
             for k, c in enumerate(coeffs):
                 al = Z.funk_hecke_alpha_monomial(M, l, k)
@@ -142,6 +144,9 @@ def test_alpha_numeric_rejects():
     capped = NumericProfile(lambda i, t: math.sin(t) if i == 0 else math.cos(t), 1)
     with pytest.raises(ValueError):
         Z.funk_hecke_alpha_numeric(3, 0, capped, 1.0, 2)
+    # the route reads phi^{(l + 2 n_der)}: at l = 1 one derivative in v needs three of phi
+    with pytest.raises(ValueError, match="kernel smoothness"):
+        Z.funk_hecke_alpha_numeric(3, 1, capped, 1.0, 1)
     # |t|^(1/2) has a kink at 0 that the quadrature does not resolve: the last
     # iterate (8.377626 against 8 pi/3 = 8.377580) must not come back silently
     kinked = NumericProfile(lambda i, t: abs(t) ** 0.5, 0)
@@ -170,15 +175,18 @@ def test_jacobi_rule_integrates_even_moments():
 
 def test_apply_matches_polynomial_route():
     sig = Signature(5, 1)
-    coeffs = [Fraction(1), Fraction(1, 2), Fraction(3), Fraction(1)]
-    phi = Z.ZonalProfile.polynomial(coeffs)
-    y = [0.4, -0.7, 0.5, 0.2, 0.1]
-    for l in (0, 1, 2):
+    cubic = [Fraction(1), Fraction(1, 2), Fraction(3), Fraction(1)]
+    sextic = cubic + [Fraction(-2), Fraction(1, 3), Fraction(2)]
+    # near and at the origin, where no division by R_y^l may enter
+    cases = [(cubic, 1.0, l) for l in (0, 1, 2)]
+    cases += [(sextic, s, l) for s in (1.0, 1e-5, 1e-7, 0.0) for l in range(4)]
+    for coeffs, s, l in cases:
+        y = [s * c for c in (0.4, -0.7, 0.5, 0.2, 0.1)]
         H = harmonic_basis(sig, l).elements[0]
-        applied = Z.funk_hecke_apply(sig, phi, H, l, y)
+        applied = Z.funk_hecke_apply(sig, Z.ZonalProfile.polynomial(coeffs), H, l, y)
         val = Z.funk_hecke_poly(sig, coeffs, H, l).evaluate_bosonic([0.0] * 5 + y)
         shifted = Z._shift_gens(applied, 4 * sig.n, 2 * sig.n)
-        assert shifted.max_abs_diff(val) < 1e-10, l
+        assert shifted.max_abs_diff(val) < 1e-10, (s, l)
 
 
 def test_apply_classical_quadrature_oracle():
@@ -474,6 +482,13 @@ def test_kernel_expansion_truncation_error():
     sig = Signature(3, 1)
     with pytest.raises(Z.TruncationError):
         Z.mehler_bessel_check(sig, [3.0, 0, 0], [3.0, 0, 0], K=3)
+    # the message names the term that blocked, not the last one: at the
+    # points of `mehler --m 1 --n 1 --kmax 5` the k = 5 term is 6.1e-20, but
+    # k = 3 still reads 2.94e-01
+    rnd = random.Random(7)
+    x, y = [rnd.uniform(-0.8, 0.8)], [rnd.uniform(-0.8, 0.8)]
+    with pytest.raises(Z.TruncationError, match=r"still 2\.94e-01 after 6 terms"):
+        Z.mehler_bessel_check(Signature(1, 1), x, y, K=5, m2_limit=True)
 
 
 def test_hille_hardy_samples():
