@@ -96,7 +96,7 @@ def _parse_profile(text: str):
     """``RadialProfile.parse``, but a lagexp degree above K_MAX is refused first."""
     from .radial import RadialProfile
 
-    for j in re.findall(r"lagexp\s*\(([^,)]*)", text):
+    for j in re.findall(r"lagexp\s*\(\s*(\d+)\s*,", text):
         if int(j) > K_MAX:
             raise ValueError(f"lagexp degree {int(j)} above cap {K_MAX}")
     return RadialProfile.parse(text)

@@ -186,7 +186,7 @@ def fischer_decompose(f: SuperPolynomial) -> List[Tuple[int, SuperPolynomial]]:
     if f.is_zero:
         return []
     d = f.degree()
-    if any(f._deg(key, None) != d for key in f.terms):
+    if min(map(f._deg(None), f.terms)) != d:
         raise ValueError("fischer_decompose needs a homogeneous polynomial")
     return _fischer(f, d)
 

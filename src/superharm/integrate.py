@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
 from .scalar import ExactScalar, RatLike, gamma_exact, pochhammer, recip_gamma, sphere_area
-from .superpoly import Signature, SuperPolynomial, TermKey, mul_coordinate, nabla_lower
+from .superpoly import Signature, SuperPolynomial, TermKey, _block, mul_coordinate, nabla_lower
 
 
 class DegenerateDegreeError(ValueError):
@@ -54,10 +54,10 @@ def _laplacian_moments(f: SuperPolynomial, copy: int = 0):
     """{k: lap^k f with the chosen copy's variables set to zero}, in one pass
     by the closed form of the module docstring (the summands of lap commute);
     each pair gives +4 whatever bits lie below it, as in ``laplacian``."""
-    m, n = f.sig.m, f.sig.n
-    lo, hi, base = copy * m, (copy + 1) * m, copy * 2 * n
-    cmask = ((1 << (2 * n)) - 1) << base
-    firsts = sum(1 << (base + 2 * j) for j in range(n))
+    slots, bits = _block(f.sig, f.copies, copy)
+    lo, hi, zeros = slots.start, slots.stop, (0,) * len(slots)
+    cmask = (1 << bits.stop) - (1 << bits.start)
+    firsts = sum(1 << b for b in bits[::2])
     moments: Dict[int, Dict[TermKey, ExactScalar]] = {}
     for (bos, mask), c in f.terms.items():
         first = mask & firsts
@@ -68,7 +68,7 @@ def _laplacian_moments(f: SuperPolynomial, copy: int = 0):
         for e in bos[lo:hi]:
             w = w * math.factorial(e) // math.factorial(e // 2)
         out = moments.setdefault(k, {})
-        key = (bos[:lo] + (0,) * m + bos[hi:], mask & ~cmask)
+        key = (bos[:lo] + zeros + bos[hi:], mask & ~cmask)
         out[key] = out[key] + c * w if key in out else c * w
     polys = {k: f._with({key: c for key, c in t.items() if c}) for k, t in sorted(moments.items())}
     return {k: g for k, g in polys.items() if g}
@@ -102,7 +102,7 @@ def superball_poly(f: SuperPolynomial) -> ExactScalar:
     if f.copies != 1:
         raise ValueError("superball_poly works on single-copy polynomials")
     M = f.sig.superdim
-    if M % 2 == 0 and any(f._deg(key, None) == -M for key in f.terms):
+    if M % 2 == 0 and -M in map(f._deg(None), f.terms):
         raise DegenerateDegreeError(f"ball integral of degree {-M} piece undefined at M = {M}")
     return _reduce(f, lambda D: sphere_area(D) * Fraction(1, D))
 

@@ -179,6 +179,8 @@ class RadialProfile(Sparse):
 
     _TAG_RE = re.compile(r"^\s*(pow|powlog|exp|lagexp|poly)\s*\((.*)\)\s*$")
     _COEF_RE = re.compile(r"^\s*(-?\d+(?:/\d+)?)\s*\*\s*(.*)$")
+    _ARGS = {"pow": "(alpha)", "powlog": "(alpha)", "exp": "(a)", "poly": "([c0, c1, ...])",
+             "lagexp": "(j, q, a) with integer j >= 0"}
 
     @classmethod
     def parse(cls, text: str) -> "RadialProfile":
@@ -197,20 +199,20 @@ class RadialProfile(Sparse):
         if coef != 1:
             return cls.parse(text) * coef
         tag, body = m.group(1), m.group(2).strip()
-        if tag == "pow":
-            return cls.power(fraction_literal(body))
-        if tag == "powlog":
-            return cls.power_log(fraction_literal(body))
-        if tag == "exp":
-            return cls.exponential(fraction_literal(body))
-        if tag == "lagexp":
-            j, q, a = (p.strip() for p in body.split(","))
-            return cls.laguerre_exp(int(j), fraction_literal(q), fraction_literal(a))
-        inner = body.strip()
-        if not (inner.startswith("[") and inner.endswith("]")):
-            raise ValueError(f"poly wants a bracketed list: {text!r}")
-        items = [p.strip() for p in inner[1:-1].split(",") if p.strip()]
-        return cls.polynomial([fraction_literal(p) for p in items])
+        try:
+            if tag == "lagexp":
+                j, q, a = (p.strip() for p in body.split(","))
+                if not j.isdecimal():
+                    raise ValueError
+                return cls.laguerre_exp(int(j), fraction_literal(q), fraction_literal(a))
+            if tag == "poly":
+                if not (body.startswith("[") and body.endswith("]")):
+                    raise ValueError
+                return cls.polynomial([fraction_literal(p) for p in body[1:-1].split(",") if p.strip()])
+            return {"pow": cls.power, "powlog": cls.power_log, "exp": cls.exponential}[tag](
+                fraction_literal(body))
+        except ValueError:
+            raise ValueError(f"{tag} wants {cls._ARGS[tag]}: {text.strip()!r}") from None
 
     # -- evaluation and exact hooks -------------------------------------------
 

@@ -3,8 +3,9 @@
 Monomials are keyed by (bosonic exponent tuple, fermionic bitmask) and carry
 ExactScalar coefficients.  A polynomial may live on one coordinate set or on a
 doubled set (two supervectors x and y) for two-point kernels; the doubled
-fermionic generators share one Grassmann algebra, x-block on bits 0..2n-1 and
-y-block on bits 2n..4n-1.
+fermionic generators share one Grassmann algebra.  ``_block`` owns the layout
+(copy c: bosonic slots c*m..c*m+m-1, generator bits c*2n..c*2n+2n-1) and
+refuses a copy the polynomial lacks.
 
 Conventions (fixed once, used everywhere):
 
@@ -28,7 +29,7 @@ Multi-term scalars are parenthesized; scalars follow ExactScalar.to_text.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from .grassmann import NumericGrassmann, blade_mul, derivative_sign
 from .scalar import ExactScalar, RatLike, split_terms
@@ -65,6 +66,14 @@ class Signature(_SignatureFields):
 
     def __str__(self):
         return f"R^({self.m}|{2 * self.n})"
+
+
+def _block(sig: Signature, copies: int, copy: int) -> Tuple[range, range]:
+    """The bosonic slots and generator bits of copy ``copy`` in the term keys."""
+    if copy not in range(copies):
+        raise ValueError(f"copy {copy} not in range({copies})")
+    m, n2 = sig.m, 2 * sig.n
+    return range(copy * m, copy * m + m), range(copy * n2, copy * n2 + n2)
 
 
 class SuperPolynomial(Sparse):
@@ -104,15 +113,16 @@ class SuperPolynomial(Sparse):
     @classmethod
     def coordinate(cls, sig: Signature, k: int, copies: int = 1, copy: int = 0) -> "SuperPolynomial":
         """X_k (1-based, k in 1..m+2n) on the chosen copy."""
-        m, n = sig.m, sig.n
-        if not 1 <= k <= m + 2 * n:
+        m = sig.m
+        if not 1 <= k <= sig.total_vars:
             raise ValueError(f"coordinate {k} out of range")
+        slots, bits = _block(sig, copies, copy)
         bos = [0] * (copies * m)
         mask = 0
         if k <= m:
-            bos[copy * m + k - 1] = 1
+            bos[slots[k - 1]] = 1
         else:
-            mask = 1 << (copy * 2 * n + (k - m - 1))
+            mask = 1 << bits[k - m - 1]
         return cls(sig, {(tuple(bos), mask): ExactScalar.rational(1)}, copies)
 
     # -- bookkeeping -------------------------------------------------------
@@ -123,25 +133,23 @@ class SuperPolynomial(Sparse):
     def constant_term(self) -> ExactScalar:
         return self.coeff((0,) * (self.copies * self.sig.m), 0)
 
-    def _deg(self, key: TermKey, copy: int | None) -> int:
-        bos, mask = key
-        m, n = self.sig.m, self.sig.n
+    def _deg(self, copy: int | None) -> Callable[[TermKey], int]:
+        """key -> the term's total degree, or its degree in one copy's variables."""
         if copy is None:
-            return sum(bos) + mask.bit_count()
-        lo, hi = copy * m, (copy + 1) * m
-        fmask = (mask >> (copy * 2 * n)) & ((1 << (2 * n)) - 1)
-        return sum(bos[lo:hi]) + fmask.bit_count()
+            return lambda key: sum(key[0]) + key[1].bit_count()
+        slots, bits = _block(self.sig, self.copies, copy)
+        lo, hi, shift, low = slots.start, slots.stop, bits.start, (1 << len(bits)) - 1
+        return lambda key: sum(key[0][lo:hi]) + (key[1] >> shift & low).bit_count()
 
     def degree(self, copy: int | None = None) -> int:
         """Total degree (or degree in one copy's variables); -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(self._deg(k, copy) for k in self.terms)
+        return max(map(self._deg(copy), self.terms), default=-1)
 
     def homogeneous_components(self, copy: int | None = None) -> Dict[int, "SuperPolynomial"]:
         parts: Dict[int, Dict[TermKey, ExactScalar]] = {}
+        deg = self._deg(copy)
         for key, c in self.terms.items():
-            parts.setdefault(self._deg(key, copy), {})[key] = c
+            parts.setdefault(deg(key), {})[key] = c
         return {d: self._with(t) for d, t in sorted(parts.items())}
 
     # -- ring operations ---------------------------------------------------
@@ -203,7 +211,6 @@ class SuperPolynomial(Sparse):
         """
         m, n = self.sig.m, self.sig.n
         src = self.embed_doubled()
-        fullx = (1 << (2 * n)) - 1
         out = {}
         for (bos, mask), c in src.terms.items():
             if any(bos[m:]) or mask >> (2 * n):
@@ -217,8 +224,8 @@ class SuperPolynomial(Sparse):
         if not self.terms:
             return "0"
         m, n = self.sig.m, self.sig.n
-        chunks = []
-        for key in sorted(self.terms, key=lambda k: (self._deg(k, None), k[0], k[1])):
+        chunks, deg = [], self._deg(None)
+        for key in sorted(self.terms, key=lambda k: (deg(k), k[0], k[1])):
             bos, mask = key
             c = self.terms[key]
             ctext = c.to_text()
@@ -249,9 +256,10 @@ class SuperPolynomial(Sparse):
 
 def _parse_poly_term(term: str, sig: Signature, copies: int) -> SuperPolynomial:
     m, n = sig.m, sig.n
-    negate = term.startswith("-(")  # "x1 - (1/2) x2" splits into "-(1/2) x2"
+    # "x1 - (1/2) x2" splits into "-(1/2) x2"; a leading "- " negates too
+    negate = term[:1] == "-" and (term[1:2] == "(" or term[1:2].isspace())
     if negate:
-        term = term[1:]
+        term = term[1:].lstrip()
     if term.startswith("("):
         depth, i = 0, 0
         for i, ch in enumerate(term):
@@ -262,8 +270,6 @@ def _parse_poly_term(term: str, sig: Signature, copies: int) -> SuperPolynomial:
         else:
             raise ValueError(f"unclosed parenthesis in term {term!r}")
         coef = ExactScalar.parse(term[1:i])
-        if negate:
-            coef = -coef
         rest = term[i + 1:].split()
     else:
         bits = term.split()
@@ -303,7 +309,7 @@ def _parse_poly_term(term: str, sig: Signature, copies: int) -> SuperPolynomial:
                 k = m + idx  # generator index inside its copy
         var = SuperPolynomial.coordinate(sig, k, copies, copy)
         poly = poly * var**e
-    return poly * coef
+    return poly * (-coef if negate else coef)
 
 
 # -- coordinate polynomials --------------------------------------------------
@@ -311,18 +317,16 @@ def _parse_poly_term(term: str, sig: Signature, copies: int) -> SuperPolynomial:
 
 def r_squared(sig: Signature, copies: int = 1, copy: int = 0) -> SuperPolynomial:
     """R^2 = sum x_i^2 - sum f_{2k-1} f_{2k} on the chosen copy."""
-    m, n = sig.m, sig.n
+    slots, bits = _block(sig, copies, copy)
     terms: Dict[TermKey, ExactScalar] = {}
-    nb = copies * m
-    for i in range(m):
+    nb = copies * sig.m
+    for i in slots:
         bos = [0] * nb
-        bos[copy * m + i] = 2
+        bos[i] = 2
         terms[(tuple(bos), 0)] = ExactScalar.rational(1)
-    base = copy * 2 * n
     zeros = (0,) * nb
-    for k in range(n):
-        mask = (1 << (base + 2 * k)) | (1 << (base + 2 * k + 1))
-        terms[(zeros, mask)] = ExactScalar.rational(-1)
+    for b in bits[::2]:
+        terms[(zeros, 3 << b)] = ExactScalar.rational(-1)
     return SuperPolynomial(sig, terms, copies)
 
 
@@ -331,9 +335,8 @@ def mul_r2(f: SuperPolynomial, copy: int = 0) -> SuperPolynomial:
     bos + 2 e_i for each bosonic slot i of the copy, and -c to mask | pair for
     each pair (f_{2j-1}, f_{2j}) of the copy with neither bit set (the pair is
     even, so no sign).  Equal to ``r_squared(sig, copies, copy) * f``."""
-    m, n = f.sig.m, f.sig.n
-    slots = range(copy * m, (copy + 1) * m)
-    pairs = [3 << (copy * 2 * n + 2 * j) for j in range(n)]
+    slots, bits = _block(f.sig, f.copies, copy)
+    pairs = [3 << b for b in bits[::2]]
     out: Dict[TermKey, ExactScalar] = {}
     for (bos, mask), c in f.terms.items():
         for i in slots:
@@ -348,15 +351,10 @@ def mul_r2(f: SuperPolynomial, copy: int = 0) -> SuperPolynomial:
 
 def fermi_norm_poly(sig: Signature, copies: int = 1, copy: int = 0) -> SuperPolynomial:
     """nsq = sum_k f_{2k-1} f_{2k} as a polynomial (so R^2 = r^2 - nsq)."""
-    m, n = sig.m, sig.n
-    nb = copies * m
-    zeros = (0,) * nb
-    terms: Dict[TermKey, ExactScalar] = {}
-    base = copy * 2 * n
-    for k in range(n):
-        mask = (1 << (base + 2 * k)) | (1 << (base + 2 * k + 1))
-        terms[(zeros, mask)] = ExactScalar.rational(1)
-    return SuperPolynomial(sig, terms, copies)
+    zeros = (0,) * (copies * sig.m)
+    return SuperPolynomial(sig, {
+        (zeros, 3 << b): ExactScalar.rational(1) for b in _block(sig, copies, copy)[1][::2]
+    }, copies)
 
 
 def pairing(sig: Signature) -> SuperPolynomial:
@@ -385,10 +383,9 @@ def pairing(sig: Signature) -> SuperPolynomial:
 
 def dbos(f: SuperPolynomial, i: int, copy: int = 0) -> SuperPolynomial:
     """d/dx_i (1-based within the chosen copy)."""
-    m = f.sig.m
-    if not 1 <= i <= m:
+    if not 1 <= i <= f.sig.m:
         raise ValueError(f"bosonic index {i} out of range")
-    pos = copy * m + i - 1
+    pos = _block(f.sig, f.copies, copy)[0][i - 1]
     out: Dict[TermKey, ExactScalar] = {}
     for (bos, mask), c in f.terms.items():
         e = bos[pos]
@@ -399,10 +396,9 @@ def dbos(f: SuperPolynomial, i: int, copy: int = 0) -> SuperPolynomial:
 
 def dferm(f: SuperPolynomial, j: int, copy: int = 0) -> SuperPolynomial:
     """Left derivative on anticommuting generator j (1-based within the copy)."""
-    n = f.sig.n
-    if not 1 <= j <= 2 * n:
+    if not 1 <= j <= 2 * f.sig.n:
         raise ValueError(f"fermionic index {j} out of range")
-    bit = copy * 2 * n + j - 1
+    bit = _block(f.sig, f.copies, copy)[1][j - 1]
     return f._with({
         (bos, mask ^ (1 << bit)): c if derivative_sign(mask, bit) > 0 else -c
         for (bos, mask), c in f.terms.items()
@@ -480,9 +476,8 @@ def laplacian(f: SuperPolynomial, copy: int = 0) -> SuperPolynomial:
     without the pair.  The two left derivatives df_{2j-1} df_{2j} give -1
     whatever bits lie below the pair, and -4 * -1 = +4.
     """
-    m, n = f.sig.m, f.sig.n
-    slots = range(copy * m, (copy + 1) * m)
-    pairs = [3 << (copy * 2 * n + 2 * j) for j in range(n)]
+    slots, bits = _block(f.sig, f.copies, copy)
+    pairs = [3 << b for b in bits[::2]]
     out: Dict[TermKey, ExactScalar] = {}
     for (bos, mask), c in f.terms.items():
         for i in slots:
@@ -501,9 +496,8 @@ def laplacian(f: SuperPolynomial, copy: int = 0) -> SuperPolynomial:
 
 def euler(f: SuperPolynomial, copy: int = 0) -> SuperPolynomial:
     """Degree operator sum X_k d_{X_k}: multiplies each term by its degree."""
-    return f._with({
-        key: c * d for key, c in f.terms.items() if (d := f._deg(key, copy))
-    })
+    deg = f._deg(copy)
+    return f._with({key: c * d for key, c in f.terms.items() if (d := deg(key))})
 
 
 def laplace_beltrami(f: SuperPolynomial, copy: int = 0) -> SuperPolynomial:

@@ -78,6 +78,14 @@ def test_pizzetti_difference(capsys):
     assert json.loads(out) == {"value": "0"}
 
 
+def test_pizzetti_leading_minus(capsys):
+    # a lone leading '-' used to exit 2 with "unknown factor '-'"
+    for poly, value in (("- x1^2", "-2"), ("- (1/2) x1^2", "-1")):
+        code, out = run(["pizzetti", "--m", "3", "--n", "1", "--poly", poly], capsys)
+        assert code == 0, poly
+        assert json.loads(out) == {"value": value}, poly
+
+
 def test_pizzetti_empty_or_unclosed_coefficient(capsys):
     # both used to parse as 0 and print "0" (the integral of "(1" is 2)
     for poly in ("(1", "( ) x1^2"):
@@ -208,6 +216,20 @@ def test_lagexp_degree_outside_range_refused(capsys):
         assert json.loads(out)["error"]["message"] == "lagexp degree 3000 above cap 12", cmd
     code, out = run(["reduce-integral", "--m", "3", "--n", "1", "--profile", "lagexp(12,0,1)"], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize("profile, wants", [
+    ("lagexp(1,2)", "lagexp wants (j, q, a) with integer j >= 0"),
+    ("lagexp(1.5,0,1)", "lagexp wants (j, q, a) with integer j >= 0"),
+    ("lagexp(a,0,1)", "lagexp wants (j, q, a) with integer j >= 0"),
+    ("exp()", "exp wants (a)"),
+])
+def test_profile_grammar_error_names_the_tag(capsys, profile, wants):
+    # these used to say "not enough values to unpack", "invalid literal for int()"
+    # or "Invalid literal for Fraction: ''"
+    code, out = run(["reduce-integral", "--m", "3", "--n", "1", "--profile", profile], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "invalid-config", "message": f"{wants}: {profile!r}"}
 
 
 def test_arithmetic_overflow_is_structured_error(capsys):

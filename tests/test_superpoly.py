@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superharm.integrate import pizzetti
 from superharm.scalar import ExactScalar
 from superharm.superpoly import (
     Signature,
@@ -92,8 +93,11 @@ def test_parse_bare_monomial_sign_and_unknown_factor():
     # a leading '-' on a bare monomial used to fail with "invalid literal for int()"
     assert SuperPolynomial.parse("-x1^2", sig) == SuperPolynomial.parse("-1 x1^2", sig)
     assert SuperPolynomial.parse("-x1 f1 + x2", sig) == SuperPolynomial.parse("-1 x1 f1 + 1 x2", sig)
+    # a lone leading '-' used to be refused with "unknown factor '-'"
+    assert SuperPolynomial.parse("- x1^2", sig) == SuperPolynomial.parse("-1 x1^2", sig)
+    assert SuperPolynomial.parse("- (1/2) x1^2", sig) == SuperPolynomial.parse("-1/2 x1^2", sig)
     for text, factor in (("x1^q", "x1^q"), ("xq", "xq"), ("x1 -f1", "-f1"), ("^2", "^2"),
-                         ("x1 + -", "-"), ("- x1", "-")):
+                         ("x1 + -", "-"), ("-", "-")):
         with pytest.raises(ValueError, match=re.escape(f"unknown factor {factor!r}")):
             SuperPolynomial.parse(text, sig)
 
@@ -452,3 +456,36 @@ def test_mul_coordinate_vs_parse():
     assert mul_coordinate(f, 2) == SuperPolynomial.parse("1 f1 f2", sig)
     g = SuperPolynomial.parse("1 f1", sig)
     assert mul_coordinate(g, 3) == SuperPolynomial.parse("-1 f1 f2", sig)
+
+
+# -- copy layout ----------------------------------------------------------------
+
+
+_COPY_OPS = {
+    "pizzetti": pizzetti,
+    "euler": euler,
+    "laplacian": laplacian,
+    "mul_r2": mul_r2,
+    "laplace_beltrami": laplace_beltrami,
+    "degree": lambda f, c: f.degree(c),
+    "dferm": lambda f, c: dferm(f, 1, c),
+    "dbos": lambda f, c: dbos(f, 1, c),
+    "coordinate": lambda f, c: SuperPolynomial.coordinate(f.sig, 1, f.copies, c),
+    "r_squared": lambda f, c: r_squared(f.sig, f.copies, c),
+    "fermi_norm_poly": lambda f, c: fermi_norm_poly(f.sig, f.copies, c),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COPY_OPS))
+def test_copy_outside_the_algebra_refused(name):
+    # on one copy, copy 1 used to read the empty block (pizzetti, euler, dferm and
+    # degree gave 0) or raise IndexError; copy 2 of the doubled algebra made
+    # pizzetti return 2f, and copy -1 counted slots from the end
+    op = _COPY_OPS[name]
+    f = SuperPolynomial.parse("x1^2 + 2 x2 f1 f2 + x3", Signature(3, 1))
+    for g, bad, good in ((f, (1, -1), (0,)), (f.embed_doubled(), (2, -1), (0, 1))):
+        for c in bad:
+            with pytest.raises(ValueError, match=re.escape(f"copy {c} not in range({g.copies})")):
+                op(g, c)
+        for c in good:
+            op(g, c)

@@ -113,7 +113,7 @@ def test_alpha_numeric_matches_exact_polynomial(M):
              Fraction(1, 3), Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(1, 4)]
     u = 0.8
     for coeffs, l, n_der in [(cubic, 0, 2), (cubic, 1, 2), (cubic, 2, 2), (nonic, 3, 3)]:
-        got = Z.funk_hecke_alpha_numeric(M, l, Z.ZonalProfile.polynomial(coeffs), u, n_der)
+        got = Z.funk_hecke_alpha_numeric(M, l, NumericProfile.polynomial(coeffs), u, n_der)
         for der in range(n_der + 1):
             want = 0.0
             for k, c in enumerate(coeffs):
@@ -132,13 +132,13 @@ def test_alpha_numeric_bessel_kernel(M):
     """Transform of exp(it) at degree k is i^k (2pi)^{M/2} u^{1-M/2} J_{M/2+k-1}(u)."""
     u = 1.3
     for k in (0, 1, 2):
-        got = Z.funk_hecke_alpha_numeric(M, k, Z.ZonalProfile.exp_i(1.0), u, 0)[0]
+        got = Z.funk_hecke_alpha_numeric(M, k, NumericProfile.exp_i(1.0), u, 0)[0]
         want = 1j**k * (2 * math.pi) ** (M / 2) * u ** (1 - M / 2) * bessel_j(M / 2 + k - 1, u)
         assert abs(got - want) < 1e-8, (M, k)
 
 
 def test_alpha_numeric_rejects():
-    phi = Z.ZonalProfile.polynomial([1, 1])
+    phi = NumericProfile.polynomial([1, 1])
     with pytest.raises(ValueError):
         Z.funk_hecke_alpha_numeric(1, 0, phi, 1.0, 0)
     capped = NumericProfile(lambda i, t: math.sin(t) if i == 0 else math.cos(t), 1)
@@ -183,7 +183,7 @@ def test_apply_matches_polynomial_route():
     for coeffs, s, l in cases:
         y = [s * c for c in (0.4, -0.7, 0.5, 0.2, 0.1)]
         H = harmonic_basis(sig, l).elements[0]
-        applied = Z.funk_hecke_apply(sig, Z.ZonalProfile.polynomial(coeffs), H, l, y)
+        applied = Z.funk_hecke_apply(sig, NumericProfile.polynomial(coeffs), H, l, y)
         val = Z.funk_hecke_poly(sig, coeffs, H, l).evaluate_bosonic([0.0] * 5 + y)
         shifted = Z._shift_gens(applied, 4 * sig.n, 2 * sig.n)
         assert shifted.max_abs_diff(val) < 1e-10, (s, l)
@@ -203,7 +203,7 @@ def test_apply_classical_quadrature_oracle():
 
 def test_apply_requires_positive_codimension():
     sig = Signature(3, 1)  # M = 1
-    phi = Z.ZonalProfile.polynomial([1])
+    phi = NumericProfile.polynomial([1])
     with pytest.raises(ValueError):
         Z.funk_hecke_apply(sig, phi, SuperPolynomial.constant(sig, 1), 0, [1.0, 0.0, 0.0])
 
