@@ -53,7 +53,8 @@ class NonIntegrableError(ValueError):
 def _laplacian_moments(f: SuperPolynomial, copy: int = 0):
     """{k: lap^k f with the chosen copy's variables set to zero}, in one pass
     by the closed form of the module docstring (the summands of lap commute);
-    each pair gives +4 whatever bits lie below it, as in ``laplacian``."""
+    each pair gives +4 whatever bits lie below it, as in ``laplacian`` (the
+    pair sign hard-coded for speed)."""
     slots, bits = _block(f.sig, f.copies, copy)
     lo, hi, zeros = slots.start, slots.stop, (0,) * len(slots)
     cmask = (1 << bits.stop) - (1 << bits.start)

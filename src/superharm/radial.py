@@ -32,7 +32,7 @@ from .scalar import (
     ExactScalar, RatLike, _as_fraction, fraction_literal, gamma_exact, laguerre_coeffs,
 )
 from .sparse import Sparse
-from .superpoly import Signature, SuperPolynomial, euler, mul_r2
+from .superpoly import Signature, SuperPolynomial, _both_odd, _lowered, euler, mul_r2, osp_generator
 
 # term key: (beta, delta, a) represents u^beta * log(u)^delta * exp(-a u)
 ProfileKey = Tuple[Fraction, int, Fraction]
@@ -387,10 +387,6 @@ def laplacian_profile(h: RadialProfile | NumericProfile, M: int):
     )
 
 
-def radial_laplacian(h: RadialProfile, sig: Signature) -> RadialProfile:
-    return laplacian_profile(h, sig.superdim)
-
-
 def laplacian_commutator_apply(
     h: RadialProfile, p: SuperPolynomial
 ) -> SuperPolynomial:
@@ -419,10 +415,8 @@ def _radial_lower_gradient(
     for k in range(m):
         comps.append(vprime * (2.0 * coords[k]))
     for j in range(1, 2 * n + 1):
-        if j % 2 == 1:
-            comps.append(fermi_derivative(v, j + 1) * 2.0)
-        else:
-            comps.append(fermi_derivative(v, j - 1) * (-2.0))
+        t, c = _lowered(j)
+        comps.append(fermi_derivative(v, t) * float(c))
     return comps
 
 
@@ -431,23 +425,15 @@ def _numeric_generator_residual(
 ) -> float:
     """max_{i<=j} |L_ij h(R^2)| at a bosonic point (exact Grassmann structure,
     float profile values)."""
-    m, n = sig.m, sig.n
     tv = sig.total_vars
     low = _radial_lower_gradient(h, sig, coords)
-
-    def x_mul(i: int, v: NumericGrassmann) -> NumericGrassmann:
-        if i <= m:
-            return v * coords[i - 1]
-        gen = NumericGrassmann(2 * n, {1 << (i - m - 1): 1.0})
-        return gen * v
-
+    X = [SuperPolynomial.coordinate(sig, k).evaluate_bosonic(coords) for k in range(1, tv + 1)]
     worst = 0.0
     for i in range(1, tv + 1):
         for j in range(i, tv + 1):
-            both_fermi = i > m and j > m
-            term = x_mul(i, low[j - 1])
-            other = x_mul(j, low[i - 1])
-            val = term + other if both_fermi else term - other
+            term = X[i - 1] * low[j - 1]
+            other = X[j - 1] * low[i - 1]
+            val = term + other if _both_odd(sig, i, j) else term - other
             mags = [abs(c) for c in val.terms.values()]
             if mags:
                 worst = max(worst, max(mags))
@@ -468,8 +454,6 @@ def osp_invariance_check(
     polynomial-profile RadialProfile (exact via the polynomial form) or any
     other profile (numeric path at sampled bosonic points).
     """
-    from .superpoly import osp_generator  # local to avoid import noise at top
-
     if isinstance(obj, SuperPolynomial):
         worst = 0.0
         tv = obj.sig.total_vars

@@ -10,12 +10,18 @@ refuses a copy the polynomial lacks.
 Conventions (fixed once, used everywhere):
 
 * coordinates: X_1..X_m bosonic, X_{m+j} the j-th anticommuting generator;
-* metric: diagonal +1 on the bosonic block, antisymmetric -1/2, +1/2 pattern on
-  each anticommuting pair, so raising acts by  v^{m+2j-1} = v_{m+2j}/2,
-  v^{m+2j} = -v_{m+2j-1}/2  and bosonic components are unchanged;
+* metric: ``metric_entries`` is the one table of g^{ab}: +1 on the bosonic
+  diagonal, g^{m+2j-1, m+2j} = -1/2 and g^{m+2j, m+2j-1} = +1/2 on each
+  anticommuting pair.  Indices contract from the left, v^a = sum_b v_b g^{ba},
+  so v^{m+2j-1} = v_{m+2j}/2 and v^{m+2j} = -v_{m+2j-1}/2; raising, the
+  two-point pairing and the Casimir all read the table;
 * gradient (lower components): (d_1, ..., d_m, 2 df_2, -2 df_1, ..., 2 df_{2n},
-  -2 df_{2n-1}) where df_j is the left derivative on generator j;
+  -2 df_{2n-1}) where df_j is the left derivative on generator j; ``_lowered``
+  owns this inverse pair block;
 * Laplacian: sum_i d_i^2 - 4 sum_j df_{2j-1} df_{2j};  super-dimension M = m-2n.
+* Casimir: -1/2 L_ij g^{jk} g^{il} L_kl contracts the inner index of the left
+  generator with the outer index of the right one, the reading that agrees
+  with ``laplace_beltrami`` (pairing i with k flips the bosonic block's sign).
 
 Textual form (bit-exact round trip): terms joined by " + ", each term a scalar
 coefficient followed by space-separated factors, e.g.
@@ -316,7 +322,8 @@ def _parse_poly_term(term: str, sig: Signature, copies: int) -> SuperPolynomial:
 
 
 def r_squared(sig: Signature, copies: int = 1, copy: int = 0) -> SuperPolynomial:
-    """R^2 = sum x_i^2 - sum f_{2k-1} f_{2k} on the chosen copy."""
+    """R^2 = sum x_i^2 - sum f_{2k-1} f_{2k} on the chosen copy (the pair sign
+    of ``metric_entries`` hard-coded for speed)."""
     slots, bits = _block(sig, copies, copy)
     terms: Dict[TermKey, ExactScalar] = {}
     nb = copies * sig.m
@@ -334,7 +341,8 @@ def mul_r2(f: SuperPolynomial, copy: int = 0) -> SuperPolynomial:
     """R^2 f on the chosen copy in one pass: a term c X^bos F^mask sends c to
     bos + 2 e_i for each bosonic slot i of the copy, and -c to mask | pair for
     each pair (f_{2j-1}, f_{2j}) of the copy with neither bit set (the pair is
-    even, so no sign).  Equal to ``r_squared(sig, copies, copy) * f``."""
+    even, so no sign; hard-coded for speed).  Equal to ``r_squared(sig, copies,
+    copy) * f``."""
     slots, bits = _block(f.sig, f.copies, copy)
     pairs = [3 << b for b in bits[::2]]
     out: Dict[TermKey, ExactScalar] = {}
@@ -358,23 +366,23 @@ def fermi_norm_poly(sig: Signature, copies: int = 1, copy: int = 0) -> SuperPoly
 
 
 def pairing(sig: Signature) -> SuperPolynomial:
-    """The invariant two-point pairing <x,y> on the doubled algebra:
+    """The invariant two-point pairing <x,y> = sum_{ab} x_a g^{ab} y_b on the
+    doubled algebra:
 
-    sum_i x_i y_i - 1/2 sum_j (f_{2j-1} g_{2j} - f_{2j} g_{2j-1}).
+    sum_i x_i y_i - 1/2 sum_j (f_{2j-1} g_{2j} - f_{2j} g_{2j-1}).  Each x-bit
+    lies below each y-bit, so no blade sign appears.
     """
-    m, n = sig.m, sig.n
+    m = sig.m
+    (xs, xb), (ys, yb) = _block(sig, 2, 0), _block(sig, 2, 1)
     terms: Dict[TermKey, ExactScalar] = {}
-    for i in range(m):
+    for a, b, g in metric_entries(sig):
         bos = [0] * (2 * m)
-        bos[i] = 1
-        bos[m + i] = 1
-        terms[(tuple(bos), 0)] = ExactScalar.rational(1)
-    zeros = (0,) * (2 * m)
-    for j in range(n):
-        mask1 = (1 << (2 * j)) | (1 << (2 * n + 2 * j + 1))      # f_{2j-1} g_{2j}
-        mask2 = (1 << (2 * j + 1)) | (1 << (2 * n + 2 * j))      # f_{2j} g_{2j-1}
-        terms[(zeros, mask1)] = ExactScalar.rational(Fraction(-1, 2))
-        terms[(zeros, mask2)] = ExactScalar.rational(Fraction(1, 2))
+        mask = 0
+        if a <= m:
+            bos[xs[a - 1]] = bos[ys[b - 1]] = 1
+        else:
+            mask = 1 << xb[a - m - 1] | 1 << yb[b - m - 1]
+        terms[(tuple(bos), mask)] = ExactScalar.rational(g)
     return SuperPolynomial(sig, terms, 2)
 
 
@@ -411,29 +419,39 @@ def mul_coordinate(f: SuperPolynomial, k: int, copy: int = 0) -> SuperPolynomial
     return SuperPolynomial.coordinate(f.sig, k, f.copies, copy) * f
 
 
-def nabla_lower(f: SuperPolynomial, k: int, copy: int = 0) -> SuperPolynomial:
-    """Component k of the gradient (lower index), 1-based:
+def _lowered(j: int) -> Tuple[int, int]:
+    """(t, c) with d_{X^{m+j}} = c df_t: the inverse of the pair block, which
+    maps the pair (2i-1, 2i) to (+2 df_{2i}, -2 df_{2i-1})."""
+    return (j + 1, 2) if j % 2 else (j - 1, -2)
 
-    bosonic slots are plain derivatives; the anticommuting pair (2i-1, 2i) maps
-    to  (+2 df_{2i}, -2 df_{2i-1}).
-    """
+
+def _both_odd(sig: Signature, i: int, j: int) -> bool:
+    """Whether X_i and X_j are both anticommuting, i.e. (-1)^{[i][j]} = -1."""
+    return i > sig.m and j > sig.m
+
+
+def nabla_lower(f: SuperPolynomial, k: int, copy: int = 0) -> SuperPolynomial:
+    """Component k of the gradient (lower index), 1-based: bosonic slots are
+    plain derivatives, anticommuting ones read ``_lowered``."""
     m, n = f.sig.m, f.sig.n
     if k <= m:
         return dbos(f, k, copy)
-    j = k - m
-    if not 1 <= j <= 2 * n:
+    if not 1 <= k - m <= 2 * n:
         raise ValueError(f"gradient slot {k} out of range")
-    if j % 2 == 1:
-        return dferm(f, j + 1, copy) * 2
-    return dferm(f, j - 1, copy) * (-2)
+    t, c = _lowered(k - m)
+    return dferm(f, t, copy) * c
 
 
 def nabla_raised(f: SuperPolynomial, k: int, copy: int = 0) -> SuperPolynomial:
-    """Raised component k of the gradient: bosonic unchanged, fermionic -df_j."""
-    m = f.sig.m
-    if k <= m:
-        return dbos(f, k, copy)
-    return dferm(f, k - m, copy) * (-1)
+    """Raised component k of the gradient, sum_b nabla_lower(f, b) g^{bk}:
+    bosonic unchanged, fermionic -df_k."""
+    if not 1 <= k <= f.sig.total_vars:
+        raise ValueError(f"gradient slot {k} out of range")
+    out = SuperPolynomial.zero(f.sig, f.copies)
+    for b, a, g in metric_entries(f.sig):
+        if a == k:
+            out = out + nabla_lower(f, b, copy) * g
+    return out
 
 
 def gradient(f: SuperPolynomial, copy: int = 0) -> List[SuperPolynomial]:
@@ -441,24 +459,26 @@ def gradient(f: SuperPolynomial, copy: int = 0) -> List[SuperPolynomial]:
     return [nabla_lower(f, k, copy) for k in range(1, f.sig.total_vars + 1)]
 
 
-def raise_vector(comps: Sequence[SuperPolynomial], sig: Signature) -> List[SuperPolynomial]:
-    """Raise a supervector's components: v^{m+2j-1} = v_{m+2j}/2, v^{m+2j} = -v_{m+2j-1}/2."""
-    m, n = sig.m, sig.n
-    out = list(comps[:m])
-    half = Fraction(1, 2)
-    for j in range(n):
-        lo = comps[m + 2 * j]
-        hi = comps[m + 2 * j + 1]
-        out.append(hi * half)
-        out.append(lo * (-half))
+def raise_vector(comps: Sequence[SuperPolynomial]) -> List[SuperPolynomial]:
+    """Raise a supervector given by its m+2n lower components (all on one
+    signature and copy count): v^a = sum_b v_b g^{ba}."""
+    if not comps:
+        raise ValueError("a supervector needs m+2n components, got none")
+    sig, copies = comps[0].sig, comps[0].copies
+    if len(comps) != sig.total_vars:
+        raise ValueError(f"a supervector on {sig} has {sig.total_vars} components, got {len(comps)}")
+    out = [SuperPolynomial.zero(sig, copies)] * len(comps)
+    for b, a, g in metric_entries(sig):
+        out[a - 1] = out[a - 1] + comps[b - 1] * g
     return out
 
 
-def vector_pairing(u: Sequence[SuperPolynomial], v: Sequence[SuperPolynomial],
-                   sig: Signature) -> SuperPolynomial:
+def vector_pairing(u: Sequence[SuperPolynomial], v: Sequence[SuperPolynomial]) -> SuperPolynomial:
     """<u, v> = sum_k u^k v_k, products taken in that order."""
-    ur = raise_vector(u, sig)
-    out = SuperPolynomial.zero(sig, u[0].copies)
+    if len(u) != len(v):
+        raise ValueError(f"supervectors of different lengths {len(u)} and {len(v)}")
+    ur = raise_vector(u)
+    out = SuperPolynomial.zero(ur[0].sig, ur[0].copies)
     for uk, vk in zip(ur, v):
         out = out + uk * vk
     return out
@@ -474,7 +494,7 @@ def laplacian(f: SuperPolynomial, copy: int = 0) -> SuperPolynomial:
     slot i of the copy with exponent e >= 2, c e(e-1) to bos - 2 e_i, and for
     each pair (f_{2j-1}, f_{2j}) of the copy with both bits set, +4c to mask
     without the pair.  The two left derivatives df_{2j-1} df_{2j} give -1
-    whatever bits lie below the pair, and -4 * -1 = +4.
+    whatever bits lie below the pair, and -4 * -1 = +4 (hard-coded for speed).
     """
     slots, bits = _block(f.sig, f.copies, copy)
     pairs = [3 << b for b in bits[::2]]
@@ -518,14 +538,11 @@ def osp_generator(f: SuperPolynomial, i: int, j: int, copy: int = 0,
     (copy_i, copy_j) the two halves act on different copies, which gives the
     two-point invariance operators on the doubled algebra.
     """
-    m = f.sig.m
     ci, cj = cross if cross is not None else (copy, copy)
-    pi = 0 if i <= m else 1
-    pj = 0 if j <= m else 1
     # first half lives entirely on copy ci, second half entirely on copy cj
     first = mul_coordinate(nabla_lower(f, j, ci), i, ci)
     second = mul_coordinate(nabla_lower(f, i, cj), j, cj)
-    if pi * pj:
+    if _both_odd(f.sig, i, j):
         return first + second
     return first - second
 
@@ -553,15 +570,8 @@ def metric_entries(sig: Signature) -> List[Tuple[int, int, Fraction]]:
 
 
 def laplace_beltrami_via_generators(f: SuperPolynomial, copy: int = 0) -> SuperPolynomial:
-    """Quadratic Casimir route: -1/2 sum_{ijkl} L_{ij} g^{jk} g^{il} L_{kl}.
-
-    The trace-style contraction (inner index of the left generator against the
-    outer index of the right one) is the reading that agrees with
-    ``laplace_beltrami`` — both purely bosonically, where it reduces to the
-    classical sum over squared rotation generators, and in the presence of
-    anticommuting directions.  Pairing i with k and j with l instead flips the
-    bosonic block's sign, so it cannot be the intended contraction.
-    """
+    """Quadratic Casimir route: -1/2 sum_{ijkl} L_{ij} g^{jk} g^{il} L_{kl},
+    contracted as in the module's Conventions block."""
     out = SuperPolynomial.zero(f.sig, f.copies)
     ent = metric_entries(f.sig)
     half = Fraction(-1, 2)

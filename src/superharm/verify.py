@@ -300,7 +300,7 @@ def _suite_integrate(rnd: random.Random) -> List[Check]:
         for _ in range(3):
             f = _even_part(_random_poly(sig, rnd, deg=3))
             g = _random_poly(sig, rnd, deg=3)
-            pair = vector_pairing(gradient(f), gradient(g), sig)
+            pair = vector_pairing(gradient(f), gradient(g))
             try:
                 lhs = superball_poly(pair)
                 rhs = pizzetti(f * euler(g)) - superball_poly(f * laplacian(g))

@@ -433,7 +433,7 @@ def mehler_bessel_check(
     K: int = 40,
     tol: float = 1e-8,
     sign: int = 1,
-    m2_limit: bool = False,
+    m2_limit: bool = True,
 ) -> float:
     """Residual of the Bessel-kernel expansion of the Fourier kernel,
 

@@ -316,7 +316,7 @@ def test_criterion_09_ball_boundary_identities():
                 break
             f = _even_part(_random_poly(sig, rnd, deg=3))
             g = _random_poly(sig, rnd, deg=3)
-            paired = vector_pairing(gradient(f), gradient(g), sig)
+            paired = vector_pairing(gradient(f), gradient(g))
             try:
                 lhs = superball_poly(paired)
                 rhs = pizzetti(f * euler(g)) - superball_poly(f * laplacian(g))

@@ -319,7 +319,7 @@ def test_ball_first_green_identity(sig):
         )
         f = _grassmann_even_part(f)
         g = random_poly(sig, rnd, deg=3)
-        pair = vector_pairing(gradient(f), gradient(g), sig)
+        pair = vector_pairing(gradient(f), gradient(g))
         try:
             lhs = superball_poly(pair)
             rhs = pizzetti(f * euler(g)) - superball_poly(f * laplacian(g))

@@ -203,7 +203,7 @@ def test_norm_via_pairing():
     # <x,x> with both copies the same variables equals R^2
     sig = Signature(2, 1)
     coords = [SuperPolynomial.coordinate(sig, k) for k in range(1, sig.total_vars + 1)]
-    assert vector_pairing(coords, coords, sig) == r_squared(sig)
+    assert vector_pairing(coords, coords) == r_squared(sig)
 
 
 def test_index_gymnastics():
@@ -212,8 +212,8 @@ def test_index_gymnastics():
         m, n = sig.m, sig.n
         X = [SuperPolynomial.coordinate(sig, k, 2, 0) for k in range(1, sig.total_vars + 1)]
         Y = [SuperPolynomial.coordinate(sig, k, 2, 1) for k in range(1, sig.total_vars + 1)]
-        Xr = raise_vector(X, sig)
-        Yr = raise_vector(Y, sig)
+        Xr = raise_vector(X)
+        Yr = raise_vector(Y)
         lhs = SuperPolynomial.zero(sig, 2)
         for xj, yj in zip(Xr, Y):
             lhs = lhs + xj * yj
@@ -260,7 +260,32 @@ def test_raised_vs_lower_gradient():
     # and the raising map is consistent: raise_vector(lower) == raised list
     lows = [nabla_lower(f, k) for k in range(1, sig.total_vars + 1)]
     raiseds = [nabla_raised(f, k) for k in range(1, sig.total_vars + 1)]
-    assert raise_vector(lows, sig) == raiseds
+    assert raise_vector(lows) == raiseds
+
+
+def test_raised_fermionic_sign():
+    # d_{X^{m+1}} X_{m+1} = -1, pinned apart from the metric table
+    sig = Signature(2, 1)
+    assert nabla_raised(SuperPolynomial.coordinate(sig, 3), 3) == SuperPolynomial.constant(sig, -1)
+
+
+_R22 = Signature(2, 1)
+_V22 = [SuperPolynomial.coordinate(_R22, k) for k in range(1, 5)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: raise_vector(_V22[:-1]),
+    lambda: raise_vector(_V22 + _V22[:1]),
+    lambda: raise_vector([]),
+    lambda: vector_pairing(_V22[:-1], _V22[:-1]),
+    lambda: vector_pairing([], []),
+    lambda: vector_pairing(_V22, _V22[:-1]),
+    lambda: vector_pairing(_V22[:-1], _V22),
+], ids=["raise-short", "raise-long", "raise-empty", "pair-short", "pair-empty",
+        "pair-short-second", "pair-short-first"])
+def test_supervector_length_refused(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_mixed_partials_commute_bosonic_anticommute_fermionic():
@@ -325,6 +350,20 @@ def test_mul_r2_matches_product(m, n, copies_copy, nterms, seed):
     assert got == r_squared(sig, copies, copy) * f
     assert all(got.terms.values())
     assert got.is_zero == f.is_zero
+
+
+@settings(max_examples=150)
+@given(st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 2), (1, 3)]), st.integers(0, 10**6))
+def test_laplacian_leibniz_rule(mn, seed):
+    """For even f, lap(fg) = lap(f) g + 2 <grad f, grad g> + f lap(g): ties the
+    metric table behind ``vector_pairing`` to the hard-coded ``laplacian``."""
+    sig = Signature(*mn)
+    rnd = random.Random(seed)
+    f = random_poly(sig, rnd, deg=3, nterms=4)
+    f = SuperPolynomial(sig, {k: c for k, c in f.terms.items() if k[1].bit_count() % 2 == 0})
+    g = random_poly(sig, rnd, deg=3, nterms=4)
+    pair = vector_pairing(gradient(f), gradient(g))
+    assert laplacian(f * g) == laplacian(f) * g + pair * 2 + f * laplacian(g)
 
 
 def test_laplacian_kills_mixed_first_degree():

@@ -476,6 +476,9 @@ def test_kernel_expansion_random_points():
 def test_kernel_expansion_degenerate_rejected():
     with pytest.raises(UnsupportedSignatureError):
         Z.mehler_bessel_check(Signature(2, 1), [0.1, 0.2], [0.3, 0.4], K=10)
+    # M = 2 is not degenerate: the limit rule applies by default
+    x, y = [0.1, 0.2, -0.3, 0.4], [0.3, 0.4, 0.2, -0.1]
+    assert Z.mehler_bessel_check(Signature(4, 1), x, y, K=40) < 1e-8
 
 
 def test_kernel_expansion_truncation_error():
