@@ -374,11 +374,26 @@ def euler_profile(h: RadialProfile) -> RadialProfile:
 
 def laplacian_profile(h: RadialProfile | NumericProfile, M: int):
     """Profile of the Laplacian on radial functions: 4 u h'' + 2 M h'.  With
-    M + 2k in place of M it is the profile g of lap(h(R^2) H_k) = g(R^2) H_k."""
-    d1 = h.derivative()
+    M + 2k in place of M it is the profile g of lap(h(R^2) H_k) = g(R^2) H_k.
+
+    A symbolic profile goes in one sweep: c u^b log^d e^{-au} sends c times
+    b(4b-4+2M), d(8b-4+2M), 4d(d-1), -a(8b+2M), -8ad and 4a^2 to
+    (b-1, d), (b-1, d-1), (b-1, d-2), (b, d), (b, d-1) and (b+1, d)."""
     if isinstance(h, RadialProfile):
-        return d1.derivative().mul_power(1) * Fraction(4) + d1 * Fraction(2 * M)
+        out: Dict[ProfileKey, ExactScalar] = {}
+        for (b, d, a), c in h.terms.items():
+            for key, w in (((b - 1, d, a), b * (4 * b - 4 + 2 * M)),
+                           ((b - 1, d - 1, a), d * (8 * b - 4 + 2 * M)),
+                           ((b - 1, d - 2, a), 4 * d * (d - 1)),
+                           ((b, d, a), -a * (8 * b + 2 * M)),
+                           ((b, d - 1, a), -8 * a * d),
+                           ((b + 1, d, a), 4 * a * a)):
+                if w:
+                    p = c * w
+                    out[key] = out[key] + p if key in out else p
+        return h._with({k: c for k, c in out.items() if c})
     # numeric: g^{(j)}(u) = 4 u h^{(j+2)}(u) + (4j + 2M) h^{(j+1)}(u)
+    d1 = h.derivative()
     if h.j_max < 2:
         raise ValueError("derivative order unavailable for the radial Laplacian")
     return NumericProfile(

@@ -9,8 +9,10 @@ subclass supplies only what is its own:
   ``sig`` and ``copies``); operands must agree on them;
 * ``_scalars``: the plain scalar types that ``*`` scales by;
 * ``_key_mul(ka, kb)``: ``(sign, key)`` for the product of two basis
-  elements, or ``None`` when it vanishes.  It serves the keyed algebras;
-  ``ExactScalar`` has its own ``_mul``, a convolution over pi exponents.
+  elements, or ``None`` when it vanishes.  It serves ``NumericGrassmann`` and
+  ``RadialProfile``; ``ExactScalar`` (a convolution over pi exponents) and
+  ``SuperPolynomial`` (one pass that sums pi-exponent dicts per key) own
+  their ``_mul``.
 
 Two invariants hold for every instance:
 
@@ -72,7 +74,18 @@ class Sparse:
         return self._with({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        other = self._compat(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            if k in out:
+                s = out[k] - c
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+            else:
+                out[k] = -c
+        return self._with(out)
 
     def scale(self, c):
         """Every coefficient times the scalar ``c``."""

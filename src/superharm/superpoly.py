@@ -35,10 +35,12 @@ Multi-term scalars are parenthesized; scalars follow ExactScalar.to_text.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple, Union
 
-from .grassmann import NumericGrassmann, blade_mul, derivative_sign
-from .scalar import ExactScalar, RatLike, split_terms
+from .grassmann import NumericGrassmann, blade_sign, derivative_sign
+from .scalar import _ZERO, ExactScalar, RatLike, split_terms
 from .sparse import Sparse
 
 TermKey = Tuple[Tuple[int, ...], int]
@@ -160,12 +162,44 @@ class SuperPolynomial(Sparse):
 
     # -- ring operations ---------------------------------------------------
 
-    @staticmethod
-    def _key_mul(ka: TermKey, kb: TermKey):
-        sm = blade_mul(ka[1], kb[1])
-        if sm is None:
-            return None
-        return sm[0], (tuple(a + b for a, b in zip(ka[0], kb[0])), sm[1])
+    def _mul(self, other):
+        """The product in one pass over the term pairs, with no scalar object
+        per pair when the left coefficient is one term: each result key sums
+        {pi exponent: Fraction} dicts, wrapped into one ExactScalar at the
+        end.  A left coefficient of 1 (the coordinates, most of R^2) adds
+        the right coefficient as it is.  Keys and pi exponents keep the order
+        of a term-by-term sum, so floats read from the result do not move."""
+        acc: Dict[TermKey, Dict[int, Fraction]] = {}
+        right = other.terms.items()
+        for (ba, ma), ca in self.terms.items():
+            lone = next(iter(ca.terms.items())) if len(ca.terms) == 1 else None
+            unit = lone == (0, 1)
+            for (bb, mb), cb in right:
+                if ma & mb:
+                    continue
+                neg = ma and mb and blade_sign(ma, mb) < 0
+                key = (tuple(map(add, ba, bb)), ma | mb)
+                d = acc.get(key)
+                if d is None:
+                    d = acc[key] = {}
+                if unit:
+                    prod = cb.terms.items()
+                elif lone:
+                    s, p = lone
+                    prod = [(s + t, p * q) for t, q in cb.terms.items()]
+                else:  # two sums of pi powers: their convolution may cancel
+                    prod = ca._mul(cb).terms.items()
+                for k, v in prod:
+                    if k in d:
+                        v = d[k] - v if neg else d[k] + v
+                        if v:
+                            d[k] = v
+                        else:
+                            del d[k]
+                    else:
+                        d[k] = -v if neg else v
+        scalar = _ZERO._with
+        return self._with({key: scalar(d) for key, d in acc.items() if d})
 
     def __pow__(self, p: int):
         if p < 0:
@@ -321,9 +355,11 @@ def _parse_poly_term(term: str, sig: Signature, copies: int) -> SuperPolynomial:
 # -- coordinate polynomials --------------------------------------------------
 
 
+@lru_cache(maxsize=256)
 def r_squared(sig: Signature, copies: int = 1, copy: int = 0) -> SuperPolynomial:
     """R^2 = sum x_i^2 - sum f_{2k-1} f_{2k} on the chosen copy (the pair sign
-    of ``metric_entries`` hard-coded for speed)."""
+    of ``metric_entries`` hard-coded for speed).  Built once per layout: the
+    result is shared, which ``Sparse``'s never-mutated terms allow."""
     slots, bits = _block(sig, copies, copy)
     terms: Dict[TermKey, ExactScalar] = {}
     nb = copies * sig.m

@@ -60,21 +60,22 @@ class TruncationError(ValueError):
 
 
 def euler_alternating_sum(positive_parts: Sequence):
-    """Abel-limit evaluation of sum_j (-1)^j c_j by iterated averaging of
-    partial sums.  Works on floats, complex, and any vector type with + and
-    scalar *; linear, deterministic, O(J^2)."""
+    """Abel-limit evaluation of sum_j (-1)^j c_j as the Euler transform of
+    its partial sums S_i: 2^{-(J-1)} sum_i C(J-1, i) S_i for J parts, the
+    value that J-1 rounds of averaging neighbouring partial sums reach.  Works
+    on floats, complex, and any vector type with + and scalar *; linear,
+    deterministic, one pass."""
     if not positive_parts:
         raise ValueError("empty series")
-    partial = []
-    acc = None
-    for j, c in enumerate(positive_parts):
-        term = c if j % 2 == 0 else c * (-1.0)
+    n = len(positive_parts) - 1
+    scale = 2.0 ** -n
+    acc = total = None
+    for i, c in enumerate(positive_parts):
+        term = c if i % 2 == 0 else c * (-1.0)
         acc = term if acc is None else acc + term
-        partial.append(acc)
-    row = partial
-    while len(row) > 1:
-        row = [(row[i] + row[i + 1]) * 0.5 for i in range(len(row) - 1)]
-    return row[0]
+        weighted = acc * (math.comb(n, i) * scale)
+        total = weighted if total is None else total + weighted
+    return total
 
 
 # ``bench/workloads.py`` builds its kernels as ``zonal.ZonalProfile.polynomial``
@@ -483,8 +484,9 @@ def hille_hardy_check(M: int, k: int, u1: float, u2: float, J: int = 60) -> floa
       W_nu(u1 u2) = sum_j 2 j! (-1)^j / Gamma(j+nu+1)
                      L_j^nu(u1) L_j^nu(u2) exp(-(u1+u2)/2),  nu = M/2+k-1,
 
-    with the alternating (Abel-summable) series evaluated by iterated
-    averaging of partial sums."""
+    with the alternating (Abel-summable) series evaluated by
+    ``euler_alternating_sum``, the binomially weighted mean of its partial
+    sums."""
     nu = M / 2.0 + k - 1.0
     lhs = bessel_profile(nu, u1 * u2)
     e = math.exp(-(u1 + u2) / 2.0)

@@ -116,7 +116,7 @@ def test_fischer_round_trip_random(sig):
 
 def _fischer_products(f, d):
     """The Fischer recursion with R^{2j} H_j as ``r_squared`` powers through
-    ``Sparse._mul``: the oracle for the Horner sweep over ``mul_r2``."""
+    the polynomial product: the oracle for the Horner sweep over ``mul_r2``."""
     if f.is_zero:
         return []
     M = f.sig.superdim

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superharm.grassmann import NumericGrassmann
 from superharm.harmonics import UnsupportedSignatureError, harmonic_basis
@@ -301,6 +302,23 @@ def test_radial_laplacian_exact():
         f = RadialSuperfunction(sig, hp).as_polynomial()
         rhs = RadialSuperfunction(sig, laplacian_profile(hp, sig.superdim)).as_polynomial()
         assert (laplacian(f) - rhs).is_zero
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.integers(-8, 8), st.sampled_from([1, 2, 3]), st.integers(0, 3),
+                          st.integers(-2, 2), st.sampled_from([1, 2]), st.integers(-5, 5),
+                          st.sampled_from([-1, 0, 1])), max_size=6),
+       st.integers(-6, 6))
+def test_laplacian_profile_sweep_matches_composition(terms, M):
+    """The one-sweep 4u h'' + 2M h' against the composed derivative route,
+    with log and exp factors and negative or fractional powers."""
+    h = RadialProfile({(Fraction(bn, bd), d, Fraction(an, ad)): ExactScalar.pi_pow(s, c)
+                       for bn, bd, d, an, ad, c, s in terms})
+    d1 = h.derivative()
+    composed = d1.derivative().mul_power(1) * Fraction(4) + d1 * Fraction(2 * M)
+    got = laplacian_profile(h, M)
+    assert got == composed
+    assert all(got.terms.values())
 
 
 def test_laplacian_numeric_identity_matches_symbolic():

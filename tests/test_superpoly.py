@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superharm.grassmann import NumericGrassmann, blade_mul
 from superharm.integrate import pizzetti
+from superharm.radial import RadialProfile
 from superharm.scalar import ExactScalar
 from superharm.superpoly import (
     Signature,
@@ -339,8 +341,8 @@ def test_laplacian_matches_composed_definition(m, n, copies_copy, seed):
 @given(st.integers(1, 4), st.integers(0, 3), st.sampled_from([(1, 0), (2, 0), (2, 1)]),
        st.integers(0, 8), st.integers(0, 10**6))
 def test_mul_r2_matches_product(m, n, copies_copy, nterms, seed):
-    """The one-pass R^2 f against the ``Sparse._mul`` product with
-    ``r_squared``; nterms = 0 is the zero polynomial."""
+    """The one-pass R^2 f against the product with ``r_squared``; nterms = 0
+    is the zero polynomial."""
     copies, copy = copies_copy
     sig = Signature(m, n)
     rnd = random.Random(seed)
@@ -350,6 +352,101 @@ def test_mul_r2_matches_product(m, n, copies_copy, nterms, seed):
     assert got == r_squared(sig, copies, copy) * f
     assert all(got.terms.values())
     assert got.is_zero == f.is_zero
+
+
+def _pairwise_product(f, g):
+    """f g by its definition: every term pair through ``blade_mul`` and an
+    ``ExactScalar`` product, summed per key."""
+    out = {}
+    for (ba, ma), ca in f.terms.items():
+        for (bb, mb), cb in g.terms.items():
+            sm = blade_mul(ma, mb)
+            if sm is not None:
+                key = (tuple(x + y for x, y in zip(ba, bb)), sm[1])
+                out[key] = out.get(key, ExactScalar()) + ca * cb * sm[0]
+    return SuperPolynomial(f.sig, out, f.copies)
+
+
+# coefficients whose products cancel inside a pi-power sum
+# ((1 - 2 pi^(-1/2)) (1 + 2 pi^(-1/2)) = 1 - 4/pi) or give the unit route
+_PI_COEFFS = [ExactScalar.parse(t) for t in (
+    "1", "-1", "1/2", "-3", "pi", "-2*pi^(-1/2)", "1 + -2*pi^(-1/2)", "1 + 2*pi^(-1/2)",
+    "1/3*pi + -1 + pi^(-1/2)")]
+
+
+def _pi_poly(sig, rnd, nterms, copies):
+    nb = copies * sig.m
+    terms = {}
+    for _ in range(nterms):
+        bos = [0] * nb
+        for _ in range(rnd.randrange(3)):
+            bos[rnd.randrange(nb)] += 1
+        terms[(tuple(bos), rnd.randrange(1 << (copies * 2 * sig.n)))] = rnd.choice(_PI_COEFFS)
+    return SuperPolynomial(sig, terms, copies)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([(1, 1), (2, 1), (3, 2)]), st.sampled_from([1, 2]),
+       st.integers(0, 6), st.integers(0, 6), st.integers(0, 10**6))
+def test_product_matches_pairwise_definition(mn, copies, na, nb, seed):
+    """The one-pass product against the pairwise definition, with multi-term
+    pi coefficients; the odd part of a polynomial squares to zero."""
+    sig = Signature(*mn)
+    rnd = random.Random(seed)
+    f, g = _pi_poly(sig, rnd, na, copies), _pi_poly(sig, rnd, nb, copies)
+    got = f * g
+    assert got == _pairwise_product(f, g)
+    assert all(c for c in got.terms.values()) and all(all(c.terms.values()) for c in got.terms.values())
+    odd = SuperPolynomial(sig, {k: c for k, c in f.terms.items() if k[1].bit_count() % 2}, copies)
+    assert (odd * odd).is_zero and _pairwise_product(odd, odd).is_zero
+    assert (f * (g - g)).is_zero
+
+
+def test_product_cancels_inside_a_coefficient():
+    sig = Signature(1, 1)
+    a = SuperPolynomial.parse("(1 + -2*pi^(-1/2)) x1 + f1", sig)
+    b = SuperPolynomial.parse("(1 + 2*pi^(-1/2)) x1 + f2", sig)
+    assert (a * b).to_text() == "1 f1 f2 + (1 + 2*pi^(-1/2)) x1 f1 + " \
+        "(1 + -2*pi^(-1/2)) x1 f2 + (1 + -4*pi^-1) x1^2"
+    assert a * b == _pairwise_product(a, b)
+
+
+@pytest.mark.parametrize("pair", ["poly", "scalar", "grassmann", "profile"])
+def test_difference_is_sum_of_negation(pair):
+    """a - b is a + (-b), term for term and in order, in all four algebras;
+    floats included, so the numeric results stay bit-identical."""
+    rnd = random.Random(5)
+    sig = Signature(2, 1)
+    for _ in range(40):
+        if pair == "poly":
+            a, b = _pi_poly(sig, rnd, 5, 2), _pi_poly(sig, rnd, 5, 2)
+        elif pair == "scalar":
+            a, b = rnd.choice(_PI_COEFFS), rnd.choice(_PI_COEFFS + [3, Fraction(-1, 2)])
+        elif pair == "grassmann":
+            a, b = (NumericGrassmann(3, {
+                rnd.randrange(8): complex(rnd.uniform(-1, 1), rnd.choice([0.0, -0.0, 0.5]))
+                for _ in range(4)}) for _ in "ab")
+        else:
+            a, b = (RadialProfile({
+                (Fraction(rnd.randrange(-3, 4), 2), rnd.randrange(3), Fraction(rnd.randrange(2))):
+                rnd.choice(_PI_COEFFS) for _ in range(4)}) for _ in "ab")
+        diff, ref = a - b, a + (-b)
+        assert diff == ref
+        assert list(diff.terms.items()) == list(ref.terms.items())
+        assert (a - a).is_zero
+
+
+def test_r_squared_shared_and_unmutated():
+    """``r_squared`` is built once per layout; using it leaves it as built."""
+    sig = Signature(2, 1)
+    R2 = r_squared(sig)
+    built = dict(R2.terms)
+    f = SuperPolynomial.parse("x1 f1 + 3 x2^2", sig)
+    for g in (R2 * f, f * R2, R2 - f, R2 + f, -R2, R2 * 2, R2**2, laplacian(R2)):
+        assert g is not R2
+    assert r_squared(sig) is R2 and R2.terms == built
+    assert R2 == SuperPolynomial.parse("x1^2 + x2^2 - f1 f2", sig)
+    assert r_squared(sig, 2, 1) == SuperPolynomial.parse("y1^2 + y2^2 - g1 g2", sig, 2)
 
 
 @settings(max_examples=150)
