@@ -1,8 +1,9 @@
 """Spherical harmonics: kernel bases, dimensions, Fischer blocks, reproducing kernel.
 
 Degree-k harmonics are the kernel of the Laplacian restricted to homogeneous
-degree k.  Everything here is exact: bases come from rational row reduction of
-the Laplacian's monomial matrix, the Fischer decomposition from the recursion
+degree k.  Everything here is exact: bases come from the harmonic
+Cauchy-Kovalevskaya extension in the last boson x_m (``laplacian`` sweeps, no
+matrix), the Fischer decomposition from the recursion
 
     lap(R^{2j} H_k) = 2j (M + 2j + 2k - 2) R^{2j-2} H_k,
 
@@ -109,7 +110,8 @@ class HarmonicBasis:
 
 
 def _rref_nullspace(rows: List[Dict[int, Fraction]], ncols: int) -> List[List[Fraction]]:
-    """Exact nullspace of a sparse rational matrix, deterministic pivoting."""
+    """Exact nullspace of a sparse rational matrix, deterministic pivoting: the
+    tests' reference for ``harmonic_basis``; ``bench/tracer.py`` wraps it by name."""
     # dense elimination; desk-scale matrices only
     mat = [[r.get(c, Fraction(0)) for c in range(ncols)] for r in rows]
     pivots: List[int] = []
@@ -145,27 +147,22 @@ def _rref_nullspace(rows: List[Dict[int, Fraction]], ncols: int) -> List[List[Fr
 
 
 def harmonic_basis(sig: Signature, k: int) -> HarmonicBasis:
-    """Exact basis of the degree-k harmonics (kernel of the Laplacian)."""
+    """Exact basis of the degree-k harmonics: for each monomial mu with x_m
+    exponent a <= 1, H_mu = sum_j (-1)^j a!/(a+2j)! x_m^{2j} lap^j mu, the one
+    harmonic whose part of x_m-degree <= 1 is mu (lap^j mu = lap'^j mu, as
+    a <= 1).  No constant depends on M, so this holds at every M."""
     if k < 0:
         raise ValueError("degree must be >= 0")
-    cols = monomial_keys(sig, k)
-    if k < 2:
-        elems = [SuperPolynomial(sig, {key: Fraction(1)}) for key in cols]
-        return HarmonicBasis(sig, k, elems)
-    rows_keys = monomial_keys(sig, k - 2)
-    rindex = {key: i for i, key in enumerate(rows_keys)}
-    # build the transpose column by column, then flip to rows
-    rows: List[Dict[int, Fraction]] = [dict() for _ in rows_keys]
-    for ci, key in enumerate(cols):
-        mono = SuperPolynomial(sig, {key: Fraction(1)})
-        img = laplacian(mono)
-        for rkey, c in img.terms.items():
-            rows[rindex[rkey]][ci] = c.as_fraction()
-    null = _rref_nullspace(rows, len(cols))
+    last = sig.m - 1
     elems = []
-    for vec in null:
-        terms = {cols[i]: q for i, q in enumerate(vec) if q != 0}
-        elems.append(SuperPolynomial(sig, terms))
+    for mu in [key for key in monomial_keys(sig, k) if key[0][last] <= 1]:
+        term, terms, j = SuperPolynomial(sig, {mu: Fraction(1)}), {}, 0
+        while term:
+            w = Fraction((-1) ** j, math.factorial(mu[0][last] + 2 * j))  # a! = 1
+            for (bos, mask), c in term.terms.items():
+                terms[bos[:last] + (bos[last] + 2 * j,), mask] = c * w
+            term, j = laplacian(term), j + 1
+        elems.append(term._with(dict(sorted(terms.items()))))
     return HarmonicBasis(sig, k, elems)
 
 

@@ -393,7 +393,6 @@ def laplacian_profile(h: RadialProfile | NumericProfile, M: int):
                     out[key] = out[key] + p if key in out else p
         return h._with({k: c for k, c in out.items() if c})
     # numeric: g^{(j)}(u) = 4 u h^{(j+2)}(u) + (4j + 2M) h^{(j+1)}(u)
-    d1 = h.derivative()
     if h.j_max < 2:
         raise ValueError("derivative order unavailable for the radial Laplacian")
     return NumericProfile(

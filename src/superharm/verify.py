@@ -231,11 +231,13 @@ def _suite_harmonics(rnd: random.Random) -> List[Check]:
                 ok = ok and (laplace_beltrami(H) - H * Fraction(-k * (M - 2 + k))).is_zero
     rows.append(_row("tangential-laplacian-eigenvalue", ok, "k <= 3, incl. degenerate M"))
 
-    ok = all(
-        dim_harmonics(sig, k) == len(harmonic_basis(sig, k))
-        for sig in (Signature(3, 1), Signature(2, 1), Signature(4, 2))
-        for k in range(5)
-    )
+    ok = True
+    for sig in (Signature(3, 1), Signature(2, 1), Signature(4, 2)):
+        for k in range(5):
+            # independent harmonics: their parts of x_m-degree <= 1 are distinct single monomials
+            basis = harmonic_basis(sig, k).elements
+            low = {tuple(key for key in H.terms if key[0][-1] <= 1) for H in basis if not laplacian(H)}
+            ok = ok and len(basis) == len(low) == dim_harmonics(sig, k) and all(len(l) == 1 for l in low)
     rows.append(_row("dimension-formula-vs-kernel-rank", ok, "k <= 4 over 3 signatures"))
 
     ok = True

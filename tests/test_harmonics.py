@@ -17,6 +17,7 @@ from superharm.superpoly import (
 )
 from superharm.harmonics import (
     UnsupportedSignatureError,
+    _rref_nullspace,
     dim_harmonics,
     dim_polynomials,
     fischer_decompose,
@@ -98,6 +99,72 @@ def test_basis_elements_linearly_independent():
     import sympy
 
     assert sympy.Matrix(rows).rank() == len(basis)
+
+
+# m 1-4, n 0-3 (M from -5 to 4, M in -2N included), k <= 6 (k <= 5 where m + 2n > 6)
+CK_SIGS = [Signature(m, n) for m in range(1, 5) for n in range(4)]
+
+
+def _degrees(sig):
+    return range(7 if sig.m + 2 * sig.n <= 6 else 6)
+
+
+def _low_monomials(sig, k):
+    """The degree-k monomials of x_m-degree <= 1, in basis order."""
+    return [mu for mu in monomial_keys(sig, k) if mu[0][-1] <= 1]
+
+
+def _elimination_basis(sig, k):
+    """The degree-k harmonics as the nullspace of the Laplacian's monomial
+    matrix (rows: degree k - 2 monomials), by the reference elimination."""
+    cols = monomial_keys(sig, k)
+    rindex = {key: i for i, key in enumerate(monomial_keys(sig, k - 2))}
+    rows = [{} for _ in rindex]
+    for ci, key in enumerate(cols):
+        for rkey, c in laplacian(SuperPolynomial(sig, {key: Fraction(1)})).terms.items():
+            rows[rindex[rkey]][ci] = c.as_fraction()
+    return [SuperPolynomial(sig, {cols[i]: q for i, q in enumerate(v) if q})
+            for v in _rref_nullspace(rows, len(cols))]
+
+
+@pytest.mark.parametrize("sig", CK_SIGS, ids=str)
+def test_basis_part_of_low_xm_degree_is_its_monomial(sig):
+    """H_mu is the one harmonic whose part of x_m-degree <= 1 is mu."""
+    for k in _degrees(sig):
+        basis = harmonic_basis(sig, k).elements
+        mus = _low_monomials(sig, k)
+        assert len(basis) == len(mus) == dim_harmonics(sig, k)
+        for H, mu in zip(basis, mus):
+            assert laplacian(H).is_zero
+            low = {key: c for key, c in H.terms.items() if key[0][-1] <= 1}
+            assert SuperPolynomial(sig, low) == SuperPolynomial(sig, {mu: Fraction(1)})
+
+
+@pytest.mark.parametrize("sig", [s for s in CK_SIGS if s.n == 0], ids=str)
+def test_bosonic_basis_is_the_elimination_basis(sig):
+    """At n = 0 the elimination's free columns are the monomials with
+    x_m-exponent <= 1, so both bases agree term for term, in order."""
+    for k in _degrees(sig):
+        got = [list(H.terms.items()) for H in harmonic_basis(sig, k)]
+        assert got == [list(H.terms.items()) for H in _elimination_basis(sig, k)], k
+
+
+@pytest.mark.parametrize("sig", [s for s in CK_SIGS if s.n >= 1], ids=str)
+def test_super_basis_spans_the_elimination_kernel(sig):
+    """Stacked, the two bases have rank dim_harmonics: the new rows are in
+    echelon form on the low monomials (each has exactly its mu there), and
+    every elimination row reduces to zero against them."""
+    for k in _degrees(sig):
+        basis = harmonic_basis(sig, k).elements
+        old = _elimination_basis(sig, k)
+        assert len(old) == len(basis) == dim_harmonics(sig, k)
+        pivots = dict(zip(_low_monomials(sig, k), basis))
+        for G in old:
+            rest = G
+            for mu, c in G.terms.items():
+                if mu in pivots:
+                    rest = rest - pivots[mu] * c
+            assert rest.is_zero, (k, G.to_text())
 
 
 # -- Fischer decomposition ----------------------------------------------------

@@ -333,6 +333,13 @@ def test_laplacian_numeric_identity_matches_symbolic():
                 assert abs(ls.eval_deriv(order, u) - ln.eval_deriv(order, u)) < 1e-10
 
 
+@pytest.mark.parametrize("j_max", [0, 1])
+def test_laplacian_numeric_needs_two_derivatives(j_max):
+    h = NumericProfile(lambda j, u: math.exp(-u), j_max=j_max)
+    with pytest.raises(ValueError, match="for the radial Laplacian"):
+        laplacian_profile(h, 3)
+
+
 def test_laplacian_commutator_exact():
     sig = Signature(3, 1)
     hp = RadialProfile.polynomial([Fraction(1), Fraction(0), Fraction(1, 2)])
