@@ -70,7 +70,7 @@ def _laplacian_moments(f: SuperPolynomial, copy: int = 0):
             w = w * math.factorial(e) // math.factorial(e // 2)
         out = moments.setdefault(k, {})
         key = (bos[:lo] + zeros + bos[hi:], mask & ~cmask)
-        out[key] = out[key] + c * w if key in out else c * w
+        out[key] = out[key] + c.scale(w) if key in out else c.scale(w)
     polys = {k: f._with({key: c for key, c in t.items() if c}) for k, t in sorted(moments.items())}
     return {k: g for k, g in polys.items() if g}
 

@@ -268,10 +268,11 @@ def gamma_exact(z: RatLike) -> ExactScalar:
     return ExactScalar.rational(1) / r
 
 
+@lru_cache(maxsize=256, typed=True)
 def sphere_area(M: int) -> ExactScalar:
     """Total weight 2 pi^(M/2) / Gamma(M/2) of the unit supersphere integral.
 
-    Vanishes exactly when M is a nonpositive even integer.
+    Vanishes exactly when M is a nonpositive even integer.  Built once per int M.
     """
     return ExactScalar.pi_pow(M, 2) * recip_gamma(Fraction(M, 2))
 

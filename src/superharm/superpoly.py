@@ -36,8 +36,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import add
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from .grassmann import NumericGrassmann, blade_sign, derivative_sign
 from .scalar import _ZERO, ExactScalar, RatLike, split_terms
@@ -166,23 +167,24 @@ class SuperPolynomial(Sparse):
         """The product in one pass over the term pairs, with no scalar object
         per pair when the left coefficient is one term: each result key sums
         {pi exponent: Fraction} dicts, wrapped into one ExactScalar at the
-        end.  A left coefficient of 1 (the coordinates, most of R^2) adds
-        the right coefficient as it is.  Keys and pi exponents keep the order
-        of a term-by-term sum, so floats read from the result do not move."""
+        end.  A left coefficient of +-1 (the coordinates, R^2) adds the right
+        one as it is, its sign folded into the blade sign.  Keys and pi
+        exponents keep the order of a term-by-term sum, so floats do not move."""
         acc: Dict[TermKey, Dict[int, Fraction]] = {}
         right = other.terms.items()
         for (ba, ma), ca in self.terms.items():
             lone = next(iter(ca.terms.items())) if len(ca.terms) == 1 else None
             unit = lone == (0, 1)
+            flip = not unit and lone == (0, -1)
             for (bb, mb), cb in right:
                 if ma & mb:
                     continue
-                neg = ma and mb and blade_sign(ma, mb) < 0
+                neg = (ma and mb and blade_sign(ma, mb) < 0) != flip
                 key = (tuple(map(add, ba, bb)), ma | mb)
                 d = acc.get(key)
                 if d is None:
                     d = acc[key] = {}
-                if unit:
+                if unit or flip:
                     prod = cb.terms.items()
                 elif lone:
                     s, p = lone
@@ -374,13 +376,10 @@ def r_squared(sig: Signature, copies: int = 1, copy: int = 0) -> SuperPolynomial
 
 
 def mul_r2(f: SuperPolynomial, copy: int = 0) -> SuperPolynomial:
-    """R^2 f on the chosen copy in one pass: a term c X^bos F^mask sends c to
-    bos + 2 e_i for each bosonic slot i of the copy, and -c to mask | pair for
-    each pair (f_{2j-1}, f_{2j}) of the copy with neither bit set (the pair is
-    even, so no sign; hard-coded for speed).  Equal to ``r_squared(sig, copies,
-    copy) * f``."""
-    slots, bits = _block(f.sig, f.copies, copy)
-    pairs = [3 << b for b in bits[::2]]
+    """R^2 f on the chosen copy: ``_r2_images``' rule written out over f's own
+    coefficients, shared where a key is reached once (a generator here slows
+    Fischer's Horner steps).  Equal to ``r_squared(sig, copies, copy) * f``."""
+    slots, pairs = _layout(f.sig, f.copies, copy)
     out: Dict[TermKey, ExactScalar] = {}
     for (bos, mask), c in f.terms.items():
         for i in slots:
@@ -523,46 +522,86 @@ def vector_pairing(u: Sequence[SuperPolynomial], v: Sequence[SuperPolynomial]) -
 # -- second-order / composite operators -------------------------------------
 
 
-def laplacian(f: SuperPolynomial, copy: int = 0) -> SuperPolynomial:
-    """sum_i d_i^2 - 4 sum_j df_{2j-1} df_{2j} on the chosen copy.
+Images = Iterable[Tuple[ExactScalar, int, TermKey]]
 
-    One pass over the terms: a term c X^bos F^mask sends, for each bosonic
-    slot i of the copy with exponent e >= 2, c e(e-1) to bos - 2 e_i, and for
-    each pair (f_{2j-1}, f_{2j}) of the copy with both bits set, +4c to mask
-    without the pair.  The two left derivatives df_{2j-1} df_{2j} give -1
-    whatever bits lie below the pair, and -4 * -1 = +4 (hard-coded for speed).
-    """
-    slots, bits = _block(f.sig, f.copies, copy)
-    pairs = [3 << b for b in bits[::2]]
-    out: Dict[TermKey, ExactScalar] = {}
-    for (bos, mask), c in f.terms.items():
+
+def _sweep(f: SuperPolynomial, images: Images) -> SuperPolynomial:
+    """Sum the images (c, w, key') as w c X^key', w a nonzero int, in ints: the
+    rational parts become numerators over one common denominator, and each
+    result scalar is built once, in the key and pi order of a term-by-term sum."""
+    images = list(images)
+    den = lcm(*{q.denominator for c, _, _ in images for q in c.terms.values()})
+    acc: Dict[TermKey, Dict[int, int]] = {}
+    last = None
+    for c, w, image in images:
+        if c is not last:
+            last, nums = c, [(s, q.numerator * den // q.denominator) for s, q in c.terms.items()]
+        d = acc.setdefault(image, {})
+        for s, v in nums:
+            v = d.get(s, 0) + w * v
+            if v:
+                d[s] = v
+            else:
+                del d[s]
+    scalar = _ZERO._with
+    for d in acc.values():  # each numerator becomes its scalar's Fraction in place
+        for s, v in d.items():
+            d[s] = Fraction(v, den)
+    return f._with({key: scalar(d) for key, d in acc.items() if d})
+
+
+def _lap_images(terms: Iterable, slots: range, pairs: Tuple[int, ...]) -> Images:
+    """Delta's rule on f's (key, c) terms: weight e(e-1) to bos - 2 e_i for each
+    slot with exponent e >= 2, and +4 to mask without each full pair, as
+    df_{2j-1} df_{2j} gives -1 whatever bits lie below it (hard-coded)."""
+    for (bos, mask), c in terms:
         for i in slots:
             e = bos[i]
-            if e >= 2:
-                key = (bos[:i] + (e - 2,) + bos[i + 1:], mask)
-                p = c * (e * (e - 1))
-                out[key] = out[key] + p if key in out else p
+            if e > 1:
+                yield c, e * (e - 1), (bos[:i] + (e - 2,) + bos[i + 1:], mask)
         for pair in pairs:
             if mask & pair == pair:
-                key = (bos, mask ^ pair)
-                p = c * 4
-                out[key] = out[key] + p if key in out else p
-    return f._with({k: c for k, c in out.items() if c})
+                yield c, 4, (bos, mask ^ pair)
+
+
+def _r2_images(terms: Images, slots: range, pairs: Tuple[int, ...]) -> Images:
+    """R^2's rule (as ``mul_r2``): weight +1 to bos + 2 e_i for each slot, and
+    -1 to mask | pair for each empty pair, which is even, so has no sign."""
+    for c, w, (bos, mask) in terms:
+        for i in slots:
+            yield c, w, (bos[:i] + (bos[i] + 2,) + bos[i + 1:], mask)
+        for pair in pairs:
+            if not mask & pair:
+                yield c, -w, (bos, mask | pair)
+
+
+@lru_cache(maxsize=256)
+def _layout(sig: Signature, copies: int, copy: int) -> Tuple[range, Tuple[int, ...]]:
+    """The chosen copy's bosonic slots and pair masks 3 << b, for the rules."""
+    slots, bits = _block(sig, copies, copy)
+    return slots, tuple(3 << b for b in bits[::2])
+
+
+def laplacian(f: SuperPolynomial, copy: int = 0) -> SuperPolynomial:
+    """sum_i d_i^2 - 4 sum_j df_{2j-1} df_{2j} on the chosen copy: one
+    ``_sweep`` over ``_lap_images``."""
+    return _sweep(f, _lap_images(f.terms.items(), *_layout(f.sig, f.copies, copy)))
 
 
 def euler(f: SuperPolynomial, copy: int = 0) -> SuperPolynomial:
     """Degree operator sum X_k d_{X_k}: multiplies each term by its degree."""
     deg = f._deg(copy)
-    return f._with({key: c * d for key, c in f.terms.items() if (d := deg(key))})
+    return f._with({key: c.scale(d) for key, c in f.terms.items() if (d := deg(key))})
 
 
 def laplace_beltrami(f: SuperPolynomial, copy: int = 0) -> SuperPolynomial:
-    """R^2 lap - E(M - 2 + E), the spherical part of the Laplacian, by term
-    sweeps (``laplacian``, ``mul_r2``, ``euler``) with no polynomial product;
-    ``laplace_beltrami_via_generators`` is the independent route."""
-    M = f.sig.superdim
-    ef = euler(f, copy)
-    return mul_r2(laplacian(f, copy), copy) - ef * (M - 2) - euler(ef, copy)
+    """R^2 lap - E(M - 2 + E), the spherical part of the Laplacian, as one
+    ``_sweep`` of ``_lap_images`` sent on through ``_r2_images`` and the
+    diagonal -d(M - 2 + d); ``laplace_beltrami_via_generators`` is the check."""
+    slots, pairs = _layout(f.sig, f.copies, copy)
+    deg, M = f._deg(copy), f.sig.superdim
+    diag = ((c, -d * (M - 2 + d), key) for key, c in f.terms.items() if (d := deg(key)) * (M - 2 + d))
+    return _sweep(f, [*_r2_images(_lap_images(f.terms.items(), slots, pairs), slots, pairs), *diag])
 
 
 def osp_generator(f: SuperPolynomial, i: int, j: int, copy: int = 0,

@@ -208,6 +208,23 @@ def test_sphere_area_values():
     assert not sphere_area(-3).is_zero
 
 
+def test_sphere_area_shared_and_unmutated():
+    """``sphere_area`` is built once per M; using it leaves it as built."""
+    from superharm.integrate import pizzetti, superball_poly
+    from superharm.superpoly import Signature, SuperPolynomial
+
+    sigma = sphere_area(3)
+    built = dict(sigma.terms)
+    f = SuperPolynomial.parse("x1^2 + 1/2 x2 f1 f2 + x3^4", Signature(3, 1))
+    for g in (sigma * 2, sigma * sigma, sigma + 1, -sigma, sigma - sigma, sigma / 4,
+              pizzetti(f), superball_poly(f), sphere_area(3) * Fraction(1, 3)):
+        assert g is not sigma
+    assert sphere_area(3) is sigma and sigma.terms == built
+    assert sigma == ExactScalar.pi_pow(2, 4)
+    with pytest.raises(TypeError):   # the cache is typed: a float still raises
+        sphere_area(3.0)
+
+
 # -- orthogonal polynomials ---------------------------------------------------
 
 

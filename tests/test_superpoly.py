@@ -568,6 +568,100 @@ def test_laplace_beltrami_commutes_with_generators(sig):
             assert ab == ba, (i, j)
 
 
+def _laplace_beltrami_composed(f, copy):
+    """R^2 lap - (M - 2) E - E E from the single operators: the oracle for
+    the one-sweep ``laplace_beltrami``."""
+    ef = euler(f, copy)
+    return mul_r2(laplacian(f, copy), copy) - ef * (f.sig.superdim - 2) - euler(ef, copy)
+
+
+_LB_COEFFS = _PI_COEFFS + [ExactScalar.parse(t) for t in ("-7/720", "1/720*pi^(1/2) + -5/6")]
+
+
+# R^{2|2} at d = 2 and R^{3|4} at d = 3 have a zero diagonal -d(M - 2 + d)
+@settings(max_examples=200)
+@given(st.sampled_from([(2, 1), (3, 2), (1, 1), (3, 1), (2, 2)]),
+       st.sampled_from([(1, 0), (2, 0), (2, 1)]), st.integers(0, 7), st.integers(0, 10**6))
+def test_laplace_beltrami_matches_composed(mn, copies_copy, nterms, seed):
+    copies, copy = copies_copy
+    sig = Signature(*mn)
+    rnd = random.Random(seed)
+    nb = copies * sig.m
+    terms = {}
+    for _ in range(nterms):
+        bos = [0] * nb
+        for _ in range(rnd.randrange(5)):
+            bos[rnd.randrange(nb)] += 1
+        terms[(tuple(bos), rnd.randrange(1 << (copies * 2 * sig.n)))] = rnd.choice(_LB_COEFFS)
+    f = SuperPolynomial(sig, terms, copies)
+    got = laplace_beltrami(f, copy)
+    assert got == _laplace_beltrami_composed(f, copy)
+    assert all(c and all(c.terms.values()) for c in got.terms.values())
+
+
+def test_laplace_beltrami_drops_vanishing_diagonal():
+    # a first one-sweep draft kept "0 x1 x2" here: M = 0, d = 2
+    f = SuperPolynomial.parse("x1 x2 + 1/3 x1 + x1 f1", Signature(2, 1))
+    assert laplace_beltrami(f) == _laplace_beltrami_composed(f, 0)
+    assert laplace_beltrami(f).to_text() == "1/3 x1"
+
+
+def test_casimir_route_independent_of_the_sweeps(monkeypatch):
+    """The generator route calls none of the sweep operators, so criterion 01
+    and the benchmark's Laplace-Beltrami check keep comparing two routes."""
+    import superharm.superpoly as sp
+
+    sig = Signature(2, 1)
+    f = SuperPolynomial.parse("x1^2 x2 + (1 + -2*pi^(-1/2)) x1 f1 f2 - 1/2 x2 f2", sig)
+    want = laplace_beltrami_via_generators(f)
+    assert want == laplace_beltrami(f)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Casimir route reached a sweep operator")
+    for name in ("_sweep", "_lap_images", "_r2_images", "laplacian", "mul_r2", "euler"):
+        monkeypatch.setattr(sp, name, refuse)
+    with pytest.raises(AssertionError):
+        sp.laplace_beltrami(f)
+    assert laplace_beltrami_via_generators(f) == want
+
+
+def _sweep_by_terms(images):
+    """The images summed one ``ExactScalar`` product at a time."""
+    out = {}
+    for c, w, key in images:
+        out[key] = out[key] + c * w if key in out else c * w
+    return {key: c for key, c in out.items() if c}
+
+
+def test_sweep_edge_cases():
+    from superharm.superpoly import _sweep
+
+    sig = Signature(2, 1)
+    a, b = ExactScalar.parse("1 + 2*pi^(-1/2)"), ExactScalar.parse("-1 + pi^(-1/2)")
+    half, third = ExactScalar.rational(Fraction(1, 2)), ExactScalar.rational(Fraction(-1, 3))
+    keys = [((i, j), mask) for i in range(3) for j in range(2) for mask in (0, 3)]
+    f = SuperPolynomial(sig, dict(zip(keys, (a, b, half, third))))
+    k0, k1, k2, k3 = keys[4:8]
+    cases = [
+        [(half, 2, k0), (third, 3, k0)],                 # 1 - 1: the key is dropped
+        [(a, 1, k0), (b, 1, k0)],                        # the rational parts cancel
+        [(a, 1, k1), (b, -2, k1), (half, 4, k2)],        # the pi^(-1/2) parts cancel
+        [(third, 6, k1), (a, 2, k2), (third, -6, k1), (b, 1, k3), (half, 2, k1), (a, -1, k2)],
+        [(a, 1, k3), (half, 1, k2), (b, 4, k1), (a, -1, k3), (b, -4, k1), (third, 3, k3)],
+    ]
+    for images in cases:
+        got = _sweep(f, iter(images))
+        want = _sweep_by_terms(images)
+        assert got.terms == want
+        # key order and pi-exponent order of the term-by-term sum
+        assert [(k, list(c.terms.items())) for k, c in got.terms.items()] == \
+            [(k, list(c.terms.items())) for k, c in want.items()]
+        assert all(c and all(c.terms.values()) for c in got.terms.values())
+    assert _sweep(f, iter(cases[0])).is_zero
+    assert _sweep(f, iter(cases[1])).terms == {k0: ExactScalar.pi_pow(-1, 3)}
+    assert _sweep(f, iter(cases[2])).terms == {k1: ExactScalar.rational(3), k2: ExactScalar.rational(2)}
+
+
 def test_metric_entries_shape():
     ent = metric_entries(Signature(2, 1))
     assert (1, 1, Fraction(1)) in ent and (2, 2, Fraction(1)) in ent
