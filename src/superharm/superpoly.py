@@ -362,7 +362,7 @@ def r_squared(sig: Signature, copies: int = 1, copy: int = 0) -> SuperPolynomial
     """R^2 = sum x_i^2 - sum f_{2k-1} f_{2k} on the chosen copy (the pair sign
     of ``metric_entries`` hard-coded for speed).  Built once per layout: the
     result is shared, which ``Sparse``'s never-mutated terms allow."""
-    slots, bits = _block(sig, copies, copy)
+    slots, pairs = _layout(sig, copies, copy)
     terms: Dict[TermKey, ExactScalar] = {}
     nb = copies * sig.m
     for i in slots:
@@ -370,25 +370,20 @@ def r_squared(sig: Signature, copies: int = 1, copy: int = 0) -> SuperPolynomial
         bos[i] = 2
         terms[(tuple(bos), 0)] = ExactScalar.rational(1)
     zeros = (0,) * nb
-    for b in bits[::2]:
-        terms[(zeros, 3 << b)] = ExactScalar.rational(-1)
+    for pair in pairs:
+        terms[(zeros, pair)] = ExactScalar.rational(-1)
     return SuperPolynomial(sig, terms, copies)
 
 
 def mul_r2(f: SuperPolynomial, copy: int = 0) -> SuperPolynomial:
-    """R^2 f on the chosen copy: ``_r2_images``' rule written out over f's own
-    coefficients, shared where a key is reached once (a generator here slows
-    Fischer's Horner steps).  Equal to ``r_squared(sig, copies, copy) * f``."""
-    slots, pairs = _layout(f.sig, f.copies, copy)
+    """R^2 f on the chosen copy by ``_r2_images``, with f's coefficients
+    shared where a key is reached once.  Equal to ``r_squared(sig, copies,
+    copy) * f``."""
     out: Dict[TermKey, ExactScalar] = {}
-    for (bos, mask), c in f.terms.items():
-        for i in slots:
-            key = (bos[:i] + (bos[i] + 2,) + bos[i + 1:], mask)
-            out[key] = out[key] + c if key in out else c
-        for pair in pairs:
-            if not mask & pair:
-                key = (bos, mask | pair)
-                out[key] = out[key] - c if key in out else -c
+    for c, w, key in _r2_images(((c, 1, key) for key, c in f.terms.items()),
+                                *_layout(f.sig, f.copies, copy)):
+        p = c if w > 0 else -c
+        out[key] = out[key] + p if key in out else p
     return f._with({k: c for k, c in out.items() if c})
 
 
@@ -396,7 +391,7 @@ def fermi_norm_poly(sig: Signature, copies: int = 1, copy: int = 0) -> SuperPoly
     """nsq = sum_k f_{2k-1} f_{2k} as a polynomial (so R^2 = r^2 - nsq)."""
     zeros = (0,) * (copies * sig.m)
     return SuperPolynomial(sig, {
-        (zeros, 3 << b): ExactScalar.rational(1) for b in _block(sig, copies, copy)[1][::2]
+        (zeros, pair): ExactScalar.rational(1) for pair in _layout(sig, copies, copy)[1]
     }, copies)
 
 
@@ -565,8 +560,9 @@ def _lap_images(terms: Iterable, slots: range, pairs: Tuple[int, ...]) -> Images
 
 
 def _r2_images(terms: Images, slots: range, pairs: Tuple[int, ...]) -> Images:
-    """R^2's rule (as ``mul_r2``): weight +1 to bos + 2 e_i for each slot, and
-    -1 to mask | pair for each empty pair, which is even, so has no sign."""
+    """R^2's rule, for ``mul_r2`` and ``laplace_beltrami``: weight +1 to
+    bos + 2 e_i for each slot, and -1 to mask | pair for each empty pair,
+    which is even, so has no sign."""
     for c, w, (bos, mask) in terms:
         for i in slots:
             yield c, w, (bos[:i] + (bos[i] + 2,) + bos[i + 1:], mask)
@@ -577,7 +573,8 @@ def _r2_images(terms: Images, slots: range, pairs: Tuple[int, ...]) -> Images:
 
 @lru_cache(maxsize=256)
 def _layout(sig: Signature, copies: int, copy: int) -> Tuple[range, Tuple[int, ...]]:
-    """The chosen copy's bosonic slots and pair masks 3 << b, for the rules."""
+    """The chosen copy's bosonic slots and pair masks 3 << b (cached: a call
+    of ``_block`` and the masks would add about 1 us to a 12 us laplacian)."""
     slots, bits = _block(sig, copies, copy)
     return slots, tuple(3 << b for b in bits[::2])
 
@@ -597,7 +594,9 @@ def euler(f: SuperPolynomial, copy: int = 0) -> SuperPolynomial:
 def laplace_beltrami(f: SuperPolynomial, copy: int = 0) -> SuperPolynomial:
     """R^2 lap - E(M - 2 + E), the spherical part of the Laplacian, as one
     ``_sweep`` of ``_lap_images`` sent on through ``_r2_images`` and the
-    diagonal -d(M - 2 + d); ``laplace_beltrami_via_generators`` is the check."""
+    diagonal -d(M - 2 + d); ``laplace_beltrami_via_generators`` is the check.
+    Keys and pi exponents follow a term-by-term sum of these images, which
+    may order them unlike mul_r2(lap f) - (M - 2) E f - E E f."""
     slots, pairs = _layout(f.sig, f.copies, copy)
     deg, M = f._deg(copy), f.sig.superdim
     diag = ((c, -d * (M - 2 + d), key) for key, c in f.terms.items() if (d := deg(key)) * (M - 2 + d))

@@ -3,10 +3,12 @@
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import superharm.superpoly as sp
 from superharm.grassmann import NumericGrassmann, blade_mul
 from superharm.integrate import pizzetti
 from superharm.radial import RadialProfile
@@ -354,6 +356,15 @@ def test_mul_r2_matches_product(m, n, copies_copy, nterms, seed):
     assert got.is_zero == f.is_zero
 
 
+def test_mul_r2_shares_coefficients():
+    """A key reached once keeps f's coefficient object (+1) or its negation."""
+    f = SuperPolynomial.parse("(1 + -2*pi^(-1/2)) x1", Signature(2, 1))
+    c = f.terms[((1, 0), 0)]
+    g = mul_r2(f)
+    assert g.terms[((3, 0), 0)] is c and g.terms[((1, 2), 0)] is c
+    assert g.terms[((1, 0), 3)] == -c
+
+
 def _pairwise_product(f, g):
     """f g by its definition: every term pair through ``blade_mul`` and an
     ``ExactScalar`` product, summed per key."""
@@ -594,8 +605,17 @@ def test_laplace_beltrami_matches_composed(mn, copies_copy, nterms, seed):
             bos[rnd.randrange(nb)] += 1
         terms[(tuple(bos), rnd.randrange(1 << (copies * 2 * sig.n)))] = rnd.choice(_LB_COEFFS)
     f = SuperPolynomial(sig, terms, copies)
-    got = laplace_beltrami(f, copy)
+    images, sweep = [], sp._sweep
+
+    def recording(g, imgs):
+        images.extend(imgs)
+        return sweep(g, images)
+    with mock.patch.object(sp, "_sweep", recording):
+        got = laplace_beltrami(f, copy)
     assert got == _laplace_beltrami_composed(f, copy)
+    # keys and pi exponents come in the order of a term-by-term sum of the
+    # images; the composition's intermediate sums can order them differently
+    assert _ordered(got.terms) == _ordered(_sweep_by_terms(images))
     assert all(c and all(c.terms.values()) for c in got.terms.values())
 
 
@@ -609,8 +629,6 @@ def test_laplace_beltrami_drops_vanishing_diagonal():
 def test_casimir_route_independent_of_the_sweeps(monkeypatch):
     """The generator route calls none of the sweep operators, so criterion 01
     and the benchmark's Laplace-Beltrami check keep comparing two routes."""
-    import superharm.superpoly as sp
-
     sig = Signature(2, 1)
     f = SuperPolynomial.parse("x1^2 x2 + (1 + -2*pi^(-1/2)) x1 f1 f2 - 1/2 x2 f2", sig)
     want = laplace_beltrami_via_generators(f)
@@ -625,6 +643,10 @@ def test_casimir_route_independent_of_the_sweeps(monkeypatch):
     assert laplace_beltrami_via_generators(f) == want
 
 
+def _ordered(terms):
+    return [(key, list(c.terms.items())) for key, c in terms.items()]
+
+
 def _sweep_by_terms(images):
     """The images summed one ``ExactScalar`` product at a time."""
     out = {}
@@ -634,8 +656,6 @@ def _sweep_by_terms(images):
 
 
 def test_sweep_edge_cases():
-    from superharm.superpoly import _sweep
-
     sig = Signature(2, 1)
     a, b = ExactScalar.parse("1 + 2*pi^(-1/2)"), ExactScalar.parse("-1 + pi^(-1/2)")
     half, third = ExactScalar.rational(Fraction(1, 2)), ExactScalar.rational(Fraction(-1, 3))
@@ -650,16 +670,15 @@ def test_sweep_edge_cases():
         [(a, 1, k3), (half, 1, k2), (b, 4, k1), (a, -1, k3), (b, -4, k1), (third, 3, k3)],
     ]
     for images in cases:
-        got = _sweep(f, iter(images))
+        got = sp._sweep(f, iter(images))
         want = _sweep_by_terms(images)
         assert got.terms == want
         # key order and pi-exponent order of the term-by-term sum
-        assert [(k, list(c.terms.items())) for k, c in got.terms.items()] == \
-            [(k, list(c.terms.items())) for k, c in want.items()]
+        assert _ordered(got.terms) == _ordered(want)
         assert all(c and all(c.terms.values()) for c in got.terms.values())
-    assert _sweep(f, iter(cases[0])).is_zero
-    assert _sweep(f, iter(cases[1])).terms == {k0: ExactScalar.pi_pow(-1, 3)}
-    assert _sweep(f, iter(cases[2])).terms == {k1: ExactScalar.rational(3), k2: ExactScalar.rational(2)}
+    assert sp._sweep(f, iter(cases[0])).is_zero
+    assert sp._sweep(f, iter(cases[1])).terms == {k0: ExactScalar.pi_pow(-1, 3)}
+    assert sp._sweep(f, iter(cases[2])).terms == {k1: ExactScalar.rational(3), k2: ExactScalar.rational(2)}
 
 
 def test_metric_entries_shape():
