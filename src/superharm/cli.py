@@ -79,8 +79,14 @@ def _write(text: str, out: Optional[str]):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
+        return
+    try:
         sys.stdout.write(text)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:  # the reader is gone: exit 2 and write nothing more, not even at exit
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(2)
 
 
 def _parse_coeffs(text: str) -> List[Fraction]:

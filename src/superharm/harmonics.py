@@ -3,38 +3,33 @@
 Degree-k harmonics are the kernel of the Laplacian restricted to homogeneous
 degree k.  Everything here is exact: bases come from the harmonic
 Cauchy-Kovalevskaya extension in the last boson x_m (``laplacian`` sweeps, no
-matrix), the Fischer decomposition from the recursion
+matrix).  Fischer takes block j of f = sum_j R^{2j} H_{d-2j} as the harmonic
+projection of lap^j f, by lap(R^{2j} H_k) = 2j (M + 2j + 2k - 2) R^{2j-2} H_k:
 
-    lap(R^{2j} H_k) = 2j (M + 2j + 2k - 2) R^{2j-2} H_k,
+    H_k = sum_i a_i R^{2i} lap^{i+j} f / c_j,   k = d - 2j,
+    a_i = prod_{t<=i} -1/(2t (M + 2k - 2t - 2)),   c_j = prod_{s<=j} 2s (M + 2k + 2s - 2),
 
-which reads the blocks H_j (j >= 1) off those of lap f; the top block is
-f - sum_j R^{2j} H_j, summed by Horner from the top j down with one
-``mul_r2`` sweep a step.  The reproducing kernel comes from the homogenized
-Gegenbauer recurrence ``kernel_values``, the one shared with the numeric
-kernels of the Mehler check (``zonal._kernel_values``), run over exact
-polynomials and summed by Horner in Rx^2 Ry^2 (two ``mul_r2`` sweeps a
-step).  The super-dimension M = m - 2n may be any integer not in
-{0, -2, -4, ...}; those even nonpositive values break both Fischer (a
-vanishing extraction constant) and the kernel normalization (sigma_M = 0),
-and raise UnsupportedSignatureError.
+summed by Horner in R^2 over f's integer numerators (lap's integer weights keep
+their denominator), with one Fraction per result coefficient.  The reproducing
+kernel comes from the homogenized Gegenbauer recurrence ``kernel_values``, the
+one shared with the numeric kernels of the Mehler check
+(``zonal._kernel_values``), run over exact polynomials and summed by Horner in
+Rx^2 Ry^2 (two ``mul_r2`` sweeps a step).  The super-dimension M = m - 2n may
+be any integer not in {0, -2, -4, ...}; those even nonpositive values break
+both Fischer (a factor of a_i or c_j vanishes) and the kernel normalization
+(sigma_M = 0), and raise UnsupportedSignatureError.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, List, Tuple
 
 from .scalar import sphere_area
-from .superpoly import (
-    Signature,
-    SuperPolynomial,
-    TermKey,
-    laplacian,
-    mul_r2,
-    pairing,
-    r_squared,
-)
+from .superpoly import (Signature, SuperPolynomial, TermKey, _collect, _denominator, _fractions,
+                        _lap_images, _layout, _r2_images, laplacian, mul_r2, pairing, r_squared)
 
 
 class UnsupportedSignatureError(ValueError):
@@ -172,8 +167,8 @@ def harmonic_basis(sig: Signature, k: int) -> HarmonicBasis:
 def fischer_decompose(f: SuperPolynomial) -> List[Tuple[int, SuperPolynomial]]:
     """Write homogeneous f of degree d as sum_j R^{2j} H_{d-2j}, H harmonic.
 
-    Returns [(j, H_{d-2j})] with zero blocks dropped.  Exact.  Needs M not in
-    {0, -2, -4, ...}: the extraction constants 2j(M + 2d - 2j - 2) vanish there.
+    Returns [(j, H_{d-2j})] in ascending j, zero blocks dropped.  Exact.  Needs
+    M not in {0, -2, -4, ...}: a_i or c_j of the module docstring vanishes there.
     """
     sig = f.sig
     if _m_is_degenerate(sig.superdim):
@@ -183,30 +178,33 @@ def fischer_decompose(f: SuperPolynomial) -> List[Tuple[int, SuperPolynomial]]:
     if f.is_zero:
         return []
     d = f.degree()
-    if min(map(f._deg(None), f.terms)) != d:
-        raise ValueError("fischer_decompose needs a homogeneous polynomial")
-    return _fischer(f, d)
-
-
-def _fischer(f: SuperPolynomial, d: int) -> List[Tuple[int, SuperPolynomial]]:
-    if f.is_zero:
-        return []
-    M = f.sig.superdim
-    H: Dict[int, SuperPolynomial] = {}
-    for i, G in _fischer(laplacian(f), d - 2):  # lap f = sum_i R^{2i} G_{d-2-2i}
-        j = i + 1                      # R^{2i} G came from R^{2j} H with j = i+1
-        H[j] = G * Fraction(1, 2 * j * (M + 2 * d - 2 * j - 2))
-    acc = SuperPolynomial.zero(f.sig)  # sum_j R^{2j} H_j by Horner, top j down
-    for j in range(max(H, default=0), 0, -1):
-        acc = mul_r2(acc + H[j] if j in H else acc)
-    top = f - acc
-    return ([(0, top)] if top else []) + list(H.items())
+    if f.copies != 1 or min(map(f._deg(None), f.terms)) != d:
+        raise ValueError("fischer_decompose needs a homogeneous single-copy polynomial")
+    if d <= 1:
+        return [(0, f)]
+    M, den, (slots, pairs) = sig.superdim, _denominator(f), _layout(sig, f.copies, 0)
+    laps = [_collect(((c, 1, key) for key, c in f.terms.items()), den)]
+    for _ in range(d // 2):  # lap^t f for t <= d/2, all over den
+        laps.append(_collect(_lap_images(laps[-1].items(), slots, pairs)))
+    blocks = []
+    for j in range(d // 2 + 1):  # a_i / c_j = (-1)^i / P_i, each P_i dividing the last
+        k = d - 2 * j
+        P = [math.prod(2 * s * (M + 2 * k + 2 * s - 2) for s in range(1, j + 1))]
+        for t in range(1, d // 2 - j + 1):
+            P.append(P[-1] * 2 * t * (M + 2 * k - 2 * t - 2))
+        acc: Dict[TermKey, Dict[int, int]] = {}
+        for i in range(len(P) - 1, -1, -1):  # Horner in R^2 from the top i down
+            acc = _collect(chain(_r2_images(((c, 1, key) for key, c in acc.items()), slots, pairs),
+                                 ((c, (-1) ** i * (P[-1] // P[i]), key) for key, c in laps[i + j].items())))
+        if H := _fractions(f, acc, den * P[-1]):
+            blocks.append((j, H))
+    return blocks
 
 
 def fischer_reconstruct(sig: Signature, blocks: List[Tuple[int, SuperPolynomial]]) -> SuperPolynomial:
-    """sum_j R^{2j} H_j by ``r_squared`` powers, not ``_fischer``'s ``mul_r2``
-    sweeps: the round trip through ``fischer_decompose`` is an independent
-    check only while its two sides multiply by R^2 by different code."""
+    """sum_j R^{2j} H_j by ``r_squared`` powers, not ``fischer_decompose``'s
+    ``_r2_images`` sweeps: the round trip through both is an independent check
+    only while its two sides multiply by R^2 by different code."""
     R2 = r_squared(sig)
     out = SuperPolynomial.zero(sig)
     for j, H in blocks:

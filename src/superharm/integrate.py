@@ -26,17 +26,20 @@ ball refuses the one piece, of degree -M, whose D is 0.
 (lap^k f)(0) has a closed form per monomial: a term c x^alpha f^S reaches the
 origin only when alpha = 2 beta and S is a union P of whole pairs
 f_{2j-1} f_{2j}, and then only at k = |beta| + |P|, with the value
-c k! prod (2 beta_i)!/beta_i! 4^|P|.
+c k! prod (2 beta_i)!/beta_i! 4^|P|, an integer times c: ``_reduce`` sums these
+as integer numerators, times each k's radial factor, built once per call.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple
+from functools import lru_cache
+from typing import Callable, List, Tuple
 
-from .scalar import ExactScalar, RatLike, gamma_exact, pochhammer, recip_gamma, sphere_area
-from .superpoly import Signature, SuperPolynomial, TermKey, _block, mul_coordinate, nabla_lower
+from .scalar import _ZERO, ExactScalar, RatLike, gamma_exact, pochhammer, recip_gamma, sphere_area
+from .superpoly import (Signature, SuperPolynomial, _block, _collect, _denominator, _fractions,
+                        mul_coordinate, nabla_lower)
 
 
 class DegenerateDegreeError(ValueError):
@@ -51,40 +54,48 @@ class NonIntegrableError(ValueError):
 
 
 def _laplacian_moments(f: SuperPolynomial, copy: int = 0):
-    """{k: lap^k f with the chosen copy's variables set to zero}, in one pass
-    by the closed form of the module docstring (the summands of lap commute);
-    each pair gives +4 whatever bits lie below it, as in ``laplacian`` (the
-    pair sign hard-coded for speed)."""
+    """({k: lap^k f with the chosen copy's variables set to zero}, D), ints over f's
+    denominator D, by the module docstring's closed form (lap's summands commute);
+    a pair gives +4 whatever bits lie below it, as in ``laplacian`` (for speed)."""
     slots, bits = _block(f.sig, f.copies, copy)
     lo, hi, zeros = slots.start, slots.stop, (0,) * len(slots)
     cmask = (1 << bits.stop) - (1 << bits.start)
     firsts = sum(1 << b for b in bits[::2])
-    moments: Dict[int, Dict[TermKey, ExactScalar]] = {}
+    den, images = _denominator(f), {}
     for (bos, mask), c in f.terms.items():
         first = mask & firsts
-        if mask & cmask != first | first << 1 or any(e % 2 for e in bos[lo:hi]):
-            continue
-        k = sum(bos[lo:hi]) // 2 + first.bit_count()
-        w = math.factorial(k) * 4 ** first.bit_count()
-        for e in bos[lo:hi]:
-            w = w * math.factorial(e) // math.factorial(e // 2)
-        out = moments.setdefault(k, {})
-        key = (bos[:lo] + zeros + bos[hi:], mask & ~cmask)
-        out[key] = out[key] + c.scale(w) if key in out else c.scale(w)
-    polys = {k: f._with({key: c for key, c in t.items() if c}) for k, t in sorted(moments.items())}
-    return {k: g for k, g in polys.items() if g}
+        if mask & cmask == 3 * first and (kw := _moment_weight(bos[lo:hi], first.bit_count())):
+            images.setdefault(kw[0], []).append((c, kw[1], (bos[:lo] + zeros + bos[hi:], mask & ~cmask)))
+    return {k: _collect(images[k], den) for k in sorted(images)}, den
+
+
+@lru_cache(maxsize=1024)
+def _moment_weight(block: Tuple[int, ...], pairs: int):
+    """(k, k! prod (2b_i)!/b_i! 4^pairs) for bosonic exponents 2b, else None."""
+    if any(e % 2 for e in block):
+        return None
+    k = sum(block) // 2 + pairs
+    return k, math.factorial(k) * 4**pairs * math.prod(math.factorial(e) // math.factorial(e // 2) for e in block)
 
 
 def _reduce(f: SuperPolynomial, radial: Callable[[int], ExactScalar], copy: int = 0):
     """sum_k (lap^k f)|_{copy=0} radial(M + 2k) / ((4 pi)^k k!), the sum of the
     module docstring for the radial factor D -> I_D[h]: an ExactScalar on one
-    copy, a polynomial in the other copy's variables on the doubled algebra."""
-    M = f.sig.superdim
-    acc = SuperPolynomial.zero(f.sig, f.copies)
-    for k, g in _laplacian_moments(f, copy).items():
-        w = ExactScalar.pi_pow(-2 * k, Fraction(1, 4**k * math.factorial(k)))
-        acc = acc + g * (radial(M + 2 * k) * w)
-    return acc.constant_term() if f.copies == 1 else acc
+    copy, a polynomial in the other copy's variables on the doubled algebra;
+    summed in ints, in the key and pi order of a polynomial sum over k."""
+    moments, den = _laplacian_moments(f, copy)
+    M, acc = f.sig.superdim, {}
+    factors = {k: radial(M + 2 * k) * ExactScalar.pi_pow(-2 * k, Fraction(1, 4**k * math.factorial(k)))
+               for k, g in moments.items() if any(g.values())}
+    rden = math.lcm(*{q.denominator for r in factors.values() for q in r.terms.values()})
+    for k, r in factors.items():
+        _collect((({s + t: v for s, v in c.items()}, q.numerator * (rden // q.denominator), key)
+                  for key, c in moments[k].items() for t, q in r.terms.items()), acc=acc)
+        for key in [key for key, d in acc.items() if not d]:  # as a polynomial sum drops it
+            del acc[key]
+    if f.copies == 1:  # the constant key alone
+        return _ZERO._with({s: Fraction(v, den * rden) for d in acc.values() for s, v in d.items()})
+    return _fractions(f, acc, den * rden)
 
 
 def pizzetti(f: SuperPolynomial, copy: int = 0):

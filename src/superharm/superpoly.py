@@ -517,20 +517,24 @@ def vector_pairing(u: Sequence[SuperPolynomial], v: Sequence[SuperPolynomial]) -
 # -- second-order / composite operators -------------------------------------
 
 
-Images = Iterable[Tuple[ExactScalar, int, TermKey]]
+Images = Iterable[Tuple[object, int, TermKey]]
+Numerators = Dict[TermKey, Dict[int, int]]
 
 
-def _sweep(f: SuperPolynomial, images: Images) -> SuperPolynomial:
-    """Sum the images (c, w, key') as w c X^key', w a nonzero int, in ints: the
-    rational parts become numerators over one common denominator, and each
-    result scalar is built once, in the key and pi order of a term-by-term sum."""
-    images = list(images)
-    den = lcm(*{q.denominator for c, _, _ in images for q in c.terms.values()})
-    acc: Dict[TermKey, Dict[int, int]] = {}
-    last = None
+def _denominator(f: SuperPolynomial) -> int:
+    return lcm(*{q.denominator for c in f.terms.values() for q in c.terms.values()})
+
+
+def _collect(images: Images, den: int | None = None, acc: Numerators | None = None) -> Numerators:
+    """Sum the images (c, w, key'), w a nonzero int, into acc in ints, in the order of a
+    term-by-term sum (a key that cancels keeps its place): c is a {pi exponent: int}
+    dict, or with ``den`` an ExactScalar read over den once per run of one object."""
+    acc, last = {} if acc is None else acc, None
     for c, w, image in images:
         if c is not last:
-            last, nums = c, [(s, q.numerator * den // q.denominator) for s, q in c.terms.items()]
+            last = c
+            nums = c.items() if den is None else [(s, q.numerator * (den // q.denominator))
+                                                   for s, q in c.terms.items()]
         d = acc.setdefault(image, {})
         for s, v in nums:
             v = d.get(s, 0) + w * v
@@ -538,11 +542,22 @@ def _sweep(f: SuperPolynomial, images: Images) -> SuperPolynomial:
                 d[s] = v
             else:
                 del d[s]
+    return acc
+
+
+def _fractions(f: SuperPolynomial, acc: Numerators, den: int) -> SuperPolynomial:
+    """The numerators over den as f's polynomial, each scalar built once."""
     scalar = _ZERO._with
-    for d in acc.values():  # each numerator becomes its scalar's Fraction in place
+    for d in acc.values():
         for s, v in d.items():
             d[s] = Fraction(v, den)
     return f._with({key: scalar(d) for key, d in acc.items() if d})
+
+
+def _sweep(f: SuperPolynomial, images: Images) -> SuperPolynomial:
+    """Sum the images (c, w, key') of f's coefficients c in ints: ``_collect`` in, ``_fractions`` out."""
+    den = _denominator(f)
+    return _fractions(f, _collect(images, den), den)
 
 
 def _lap_images(terms: Iterable, slots: range, pairs: Tuple[int, ...]) -> Images:

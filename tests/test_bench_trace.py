@@ -1,6 +1,7 @@
 """The traced benchmark still runs: the tracer wraps library names by hand
 (``harmonics._rref_nullspace`` among them), so a refactor that drops a name
-it reaches shows here rather than only in a traced benchmark run."""
+it reaches, or calls around a timed one, shows here rather than only in a
+traced benchmark run."""
 
 import json
 import subprocess
@@ -17,4 +18,9 @@ def test_traced_exact_small_run_passes():
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-2000:]
-    assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["correct"] is True
+    # the per-layer medians of the two L2 operators the workload times: a
+    # rewrite that moves them out of the wrapped names would read 0 here
+    for name in ("harmonics.fischer_decompose_p50_ms", "integrate.pizzetti_p50_ms"):
+        assert report["metrics"][name]["value"] > 0, name

@@ -532,6 +532,25 @@ def test_unwritable_out_reports_on_stdout(tmp_path, capsys):
     assert "no-such-dir" in error["message"]
 
 
+@pytest.mark.parametrize("argv", [["dims", "--m", "3", "--n", "1", "--k", "2"],
+                                  ["dims", "--m", "3", "--n", "1", "--k", "99"]])
+def test_closed_stdout_exits_2_without_traceback(argv):
+    """``superharm dims ... | head -c 0``: the payload, or the error payload
+    of a refused command, meets a pipe whose read end is closed.  It used to
+    write the error payload to the same pipe and end in a traceback, exit 1."""
+    src = str(Path(superharm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "superharm.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+
+
 def test_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit):
         cli.main(["verify-all", "--suite", "no-such-suite"])

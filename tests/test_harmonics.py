@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from superharm.scalar import ExactScalar, sphere_area
 from superharm.superpoly import (
@@ -183,7 +184,8 @@ def test_fischer_round_trip_random(sig):
 
 def _fischer_products(f, d):
     """The Fischer recursion with R^{2j} H_j as ``r_squared`` powers through
-    the polynomial product: the oracle for the Horner sweep over ``mul_r2``."""
+    the polynomial product: the oracle for ``fischer_decompose``'s harmonic
+    projections of lap^j f, summed by Horner in R^2 over integer numerators."""
     if f.is_zero:
         return []
     M = f.sig.superdim
@@ -211,6 +213,8 @@ def _fischer_gap_inputs():
 
 
 def test_fischer_horner_matches_products():
+    """The gap inputs and a grid of random inputs against ``_fischer_products``:
+    blocks ascend in j, and the gap inputs keep exactly their nonzero blocks."""
     rnd = random.Random(2007)
     cases = list(_fischer_gap_inputs())
     for m in range(1, 5):
@@ -228,6 +232,39 @@ def test_fischer_horner_matches_products():
         assert [j for j, _ in got] == sorted(j for j, _ in got)
     gaps = [[j for j, _ in fischer_decompose(f)] for f in _fischer_gap_inputs()]
     assert gaps[:4] == [[0, 2], [3], [1, 3], [2]]
+
+
+_FISCHER_COEFFS = [ExactScalar.parse(t) for t in (
+    "1", "-2/3", "5/4", "pi^(1/2)", "-1/3*pi^(-1/2)", "1 + pi",
+    "2/5 + -3*pi^(1/2)", "1/6*pi^-1 + -7/2 + pi^(3/2)")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 8), st.integers(0, 5),
+       st.integers(0, 10**6))
+def test_fischer_matches_products_on_random_inputs(m, n, deg, nterms, seed):
+    """Every non-degenerate M from -5 to 4, the negative odd ones included,
+    and multi-term pi coefficients: blocks ascend in j and none is zero."""
+    sig = Signature(m, n)
+    assume(not (sig.superdim <= 0 and sig.superdim % 2 == 0))
+    rnd = random.Random(seed)
+    keys = monomial_keys(sig, deg)
+    f = SuperPolynomial(sig, {keys[rnd.randrange(len(keys))]: rnd.choice(_FISCHER_COEFFS)
+                              for _ in range(nterms)})
+    got = fischer_decompose(f)
+    assert got == _fischer_products(f, deg)
+    assert [j for j, _ in got] == sorted({j for j, _ in got})
+    assert all(H for _, H in got)
+
+
+@pytest.mark.parametrize("terms", [{((2, 0, 0, 0, 0, 0), 0): 1},
+                                   {((2, 0, 0, 0, 0, 0), 0): 1, ((0, 0, 0, 1, 1, 0), 0): 1}])
+def test_fischer_refuses_doubled_polynomials(terms):
+    """The blocks live on one copy: a doubled polynomial is refused, not split
+    in the first copy with the second copy's variables read as constants."""
+    f = SuperPolynomial(Signature(3, 1), terms, 2)
+    with pytest.raises(ValueError, match="single-copy"):
+        fischer_decompose(f)
 
 
 def test_fischer_classical_example():

@@ -12,6 +12,7 @@ from superharm.scalar import ExactScalar, gamma_exact, laguerre_coeffs, recip_ga
 from superharm.superpoly import (
     Signature,
     SuperPolynomial,
+    _fractions,
     euler,
     gradient,
     laplacian,
@@ -26,6 +27,7 @@ from superharm.integrate import (
     RadicalScalar,
     _laplacian_moments,
     _rational_sqrt,
+    _reduce,
     greens_check,
     integrate_superspace,
     pizzetti,
@@ -100,6 +102,14 @@ def _iterated_moments(f, copy=0):
     return out
 
 
+def _moments(f, copy=0):
+    """``_laplacian_moments``' integer numerators read back as polynomials,
+    zero moments dropped: the form ``_iterated_moments`` gives."""
+    moments, den = _laplacian_moments(f, copy)
+    polys = {k: _fractions(f, g, den) for k, g in moments.items()}
+    return {k: g for k, g in polys.items() if g}
+
+
 def _pizzetti_weight(M, k):
     """2 pi^{M/2} / (4^k k! Gamma(k + M/2)), zero at the poles of Gamma: the
     oracle's own copy of the weight that ``pizzetti`` reaches through sigma_D."""
@@ -165,7 +175,7 @@ def test_laplacian_moments_match_iterated_laplacian(m, n, seed):
     sig = Signature(m, n)
     rnd = random.Random(seed)
     f = _skewed_poly(sig, rnd)
-    assert _laplacian_moments(f) == _iterated_moments(f)
+    assert _moments(f) == _iterated_moments(f)
     assert pizzetti(f) == _iterated_pizzetti(f)
     for a in (Fraction(9, 4), Fraction(1, 3)):
         assert integrate_superspace(f, a) == _iterated_gaussian(f, a)
@@ -178,10 +188,54 @@ def test_laplacian_moments_match_iterated_laplacian(m, n, seed):
         assert superball_poly(f) == want
     f2 = _skewed_poly(sig, rnd, copies=2)
     for copy in (0, 1):
-        assert _laplacian_moments(f2, copy) == _iterated_moments(f2, copy)
+        assert _moments(f2, copy) == _iterated_moments(f2, copy)
         got = pizzetti(f2, copy)
         assert got == _iterated_pizzetti(f2, copy)
         assert got.to_text() == _iterated_pizzetti(f2, copy).to_text()
+
+
+def _reduce_composed(f, radial, copy=0):
+    """``_reduce`` from the iterated Laplacian and polynomial sums: moment k
+    sums (lap^k t)|_{copy=0} over f's terms t in f's order (a key that cancels
+    keeps its place), and the k-sum is a sum of polynomials, so its keys and
+    pi exponents come in the order ``to_float`` and ``evaluate_bosonic`` read."""
+    M = f.sig.superdim
+    moments = {}
+    for key, c in f.terms.items():
+        for k, g in _iterated_moments(f._with({key: c}), copy).items():
+            out = moments.setdefault(k, {})
+            for gkey, gc in g.terms.items():
+                out[gkey] = out[gkey] + gc if gkey in out else gc
+    acc = SuperPolynomial.zero(f.sig, f.copies)
+    for k in sorted(moments):
+        g = f._with({key: c for key, c in moments[k].items() if c})
+        if g:
+            w = ExactScalar.pi_pow(-2 * k, Fraction(1, 4**k * math.factorial(k)))
+            acc = acc + g * (radial(M + 2 * k) * w)
+    return acc.constant_term() if f.copies == 1 else acc
+
+
+def _ordered(value):
+    if isinstance(value, ExactScalar):
+        return list(value.terms.items())
+    return [(key, list(c.terms.items())) for key, c in value.terms.items()]
+
+
+_RADIALS = [sphere_area, lambda D: ExactScalar.pi_pow(D, Fraction(4, 9) ** ((D + 1) // 2))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 3), st.sampled_from([(1, 0), (2, 0), (2, 1)]),
+       st.sampled_from(range(len(_RADIALS))), st.integers(0, 10**6))
+def test_reduce_matches_composed_sum(m, n, copies_copy, radial, seed):
+    """Values, key order and pi-exponent order of ``_reduce`` on one and two
+    copies, for the sphere's and a Gaussian's radial factor."""
+    copies, copy = copies_copy
+    f = _skewed_poly(Signature(m, n), random.Random(seed), copies)
+    got = _reduce(f, _RADIALS[radial], copy)
+    want = _reduce_composed(f, _RADIALS[radial], copy)
+    assert got == want
+    assert _ordered(got) == _ordered(want)
 
 
 @pytest.mark.parametrize("sig", [Signature(2, 1), Signature(2, 2), Signature(2, 3)])
