@@ -265,6 +265,9 @@ def _cmd_spectrum(args) -> Result:
     kmax = _check_degree(args.kmax, "--kmax")
     if args.nodes > NODES_MAX:
         raise ValueError(f"--nodes {args.nodes} above cap {NODES_MAX}")
+    lo, hi = args.window or (-float("inf"), float("inf"))
+    if not lo <= hi:
+        raise ValueError(f"energy window [{lo}, {hi}] needs LO <= HI")
     if args.V == "osc":
         entries = oscillator_spectrum(sig, jmax, kmax)
         rows = [e.as_row() for e in entries]
@@ -272,12 +275,11 @@ def _cmd_spectrum(args) -> Result:
         V = _parse_profile(args.V)
         grid = GridSpec(r_max=args.rmax, nodes=args.nodes, box=args.box)
         rows = []
-        window = tuple(args.window) if args.window else None
-        for k in range(kmax + 1):
+        for k in range(kmax + 1):  # every level first, so each row keeps its j
             prob = reduce_problem(sig, V, k)
-            res = solve_numeric(prob, grid, count=jmax + 1, e_window=window)
-            rows.extend(numeric_rows(prob, res))
+            rows.extend(numeric_rows(prob, solve_numeric(prob, grid, count=jmax + 1)))
         rows.sort(key=lambda r: (r["E"], r["k"], r["j"]))
+    rows = [r for r in rows if lo <= r["E"] <= hi]
     return {"m": args.m, "n": args.n, "V": args.V, "rows": rows}, True
 
 
@@ -408,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    "(10^3-10^5 times at small M + 2k)")
     p.add_argument("--box", action="store_true", help="accept a hard wall at rmax")
     p.add_argument("--window", type=float, nargs=2, default=None, metavar=("LO", "HI"),
-                   help="keep numeric eigenvalues in [LO, HI] (LO may be -inf)")
+                   help="keep the rows with E in [LO, HI] (LO may be -inf)")
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     _add_common(p)
 

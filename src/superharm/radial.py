@@ -32,7 +32,7 @@ from .scalar import (
     ExactScalar, RatLike, _as_fraction, fraction_literal, gamma_exact, laguerre_coeffs,
 )
 from .sparse import Sparse
-from .superpoly import Signature, SuperPolynomial, _both_odd, _lowered, euler, mul_r2, osp_generator
+from .superpoly import Signature, SuperPolynomial, _both_odd, _lowered, mul_r2, osp_generator
 
 # term key: (beta, delta, a) represents u^beta * log(u)^delta * exp(-a u)
 ProfileKey = Tuple[Fraction, int, Fraction]
@@ -102,16 +102,6 @@ class RadialProfile(Sparse):
                 return None
             if b == 0:
                 total = total + c  # u^0 log^0 e^{0} -> 1
-        return total
-
-    def value_exact_at_one(self) -> Optional[ExactScalar]:
-        """Exact value at u = 1: defined when no exponential factor remains."""
-        total = ExactScalar()
-        for (b, d, a), c in self.terms.items():
-            if a:
-                return None
-            if d == 0:
-                total = total + c
         return total
 
     def polynomial_coeffs(self) -> Optional[Dict[int, ExactScalar]]:
@@ -281,15 +271,6 @@ class RadialSuperfunction(NamedTuple):
     sig: Signature
     profile: RadialProfile
 
-    def expansion_terms(self) -> List[Tuple[int, RadialProfile]]:
-        """[(j, p_j)] with h(R^2) = sum_j p_j(r^2) x'^{2j}; p_j = (-1)^j h^{(j)}/j!."""
-        out = []
-        d = self.profile
-        for j in range(self.sig.n + 1):
-            out.append((j, d * Fraction((-1) ** j, math.factorial(j))))
-            d = d.derivative()
-        return out
-
     def expand(self, r: float) -> NumericGrassmann:
         return radial_expand(self.profile, self.sig, r)
 
@@ -348,13 +329,6 @@ def compose_value(h: RadialProfile, value: NumericGrassmann, n: int) -> NumericG
     return out
 
 
-def compose(
-    h: RadialProfile, f: SuperPolynomial, coords: Sequence[float]
-) -> NumericGrassmann:
-    """h(f(x)) at a bosonic point via the nilpotent Taylor expansion."""
-    return compose_value(h, f.evaluate_bosonic(coords), f.sig.n)
-
-
 # -- dimensional-reduction calculus ------------------------------------------
 
 
@@ -399,19 +373,6 @@ def laplacian_profile(h: RadialProfile | NumericProfile, M: int):
         lambda j, u: 4.0 * u * h.eval_deriv(j + 2, u) + (4 * j + 2 * M) * h.eval_deriv(j + 1, u),
         h.j_max - 2,
     )
-
-
-def laplacian_commutator_apply(
-    h: RadialProfile, p: SuperPolynomial
-) -> SuperPolynomial:
-    """[lap, h(R^2)] p = 4 R^2 h''(R^2) p + h'(R^2)(4 E + 2M) p, exact for
-    polynomial profiles."""
-    sig = p.sig
-    M = sig.superdim
-    d1, d2 = h.derivative(), h.derivative().derivative()
-    h1 = RadialSuperfunction(sig, d1).as_polynomial()
-    h2 = RadialSuperfunction(sig, d2).as_polynomial()
-    return mul_r2(h2 * p) * Fraction(4) + h1 * (euler(p) * Fraction(4) + p * Fraction(2 * M))
 
 
 # -- orthosymplectic invariance ----------------------------------------------
@@ -556,10 +517,3 @@ def fundamental_normalization_check(sig: Signature, l: int) -> Tuple[ExactScalar
     )
     rhs = iterated_laplacian_constant(l - 1, M)
     return lhs, rhs
-
-
-def mean_value_weight(sig: Signature) -> RadialProfile:
-    """Profile of E nu_2: equals -(1/sigma_M) u^{(2-M)/2}; its value at u = 1
-    times the sphere functional reproduces -h(0) on harmonic h (odd M)."""
-    nu2 = fundamental_solution(sig, 1)
-    return euler_profile(nu2.profile)

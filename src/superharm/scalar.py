@@ -80,13 +80,6 @@ class ExactScalar(Sparse):
 
     # -- predicates / extraction -----------------------------------------
 
-    def as_fraction(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if set(self.terms) != {0}:
-            raise ValueError(f"not a rational scalar: {self}")
-        return self.terms[0]
-
     def to_float(self) -> float:
         return float(sum(float(q) * math.pi ** (s / 2.0) for s, q in self.terms.items()))
 

@@ -46,9 +46,6 @@ class RadialProblem(NamedTuple):
         coefficient of -f' in the reduced ODE: M + 2k."""
         return self.sig.superdim + 2 * self.k
 
-    def ode_text(self) -> str:
-        return f"-2*u*f'' - {self.sector_dimension}*f' + V(u)*f = E*f"
-
 
 def reduce(sig: Signature, V: RadialProfile, k: int = 0) -> RadialProblem:
     """Dimensional reduction of (-laplacian/2 + V(R^2)) on the sector
@@ -248,6 +245,10 @@ def solve_numeric(
     D = M + 2k, and at k = 12 on R^{3|0}, nodes 1500 and 3000, err reads
     1.0e-4 and 2.6e-5 while E is off by 8.2e-9 and 5.5e-9.
 
+    The levels of one sector are simple, so extrapolated values that are not
+    strictly ascending mean the grid is too coarse, and are refused: the
+    oscillator sectors tried reorder at 2 to 9 nodes and not from 10 on.
+
     A symbolic V with a term u^beta, D + 2 beta <= 0 (D = M + 2k), is refused:
     V(r^2) r^{D-1} is not integrable at r = 0 and the levels depend on the
     grid (the 1-D hydrogen problem at D = 1)."""
@@ -276,14 +277,12 @@ def solve_numeric(
             )
     e1 = _fd_eigenvalues(problem, grid.r_max, grid.nodes, count)
     e2 = _fd_eigenvalues(problem, grid.r_max, 2 * grid.nodes, count, e1)
-    out = []
-    for a, b in zip(e1, e2):
-        extrapolated = (4.0 * b - a) / 3.0
-        err = abs(b - a) / 3.0
-        if e_window is not None and not (e_window[0] <= extrapolated <= e_window[1]):
-            continue
-        out.append((extrapolated, err))
-    return out
+    levels = [((4.0 * b - a) / 3.0, abs(b - a) / 3.0) for a, b in zip(e1, e2)]
+    if any(x >= y for (x, _), (y, _) in zip(levels, levels[1:])):
+        raise ValueError(f"extrapolated levels out of order on {grid.nodes} nodes: "
+                         "the grid is too coarse, raise --nodes")
+    lo, hi = e_window or (-math.inf, math.inf)
+    return [(E, err) for E, err in levels if lo <= E <= hi]
 
 
 def numeric_rows(problem: RadialProblem, results: Sequence[Tuple[float, float]]) -> List[dict]:

@@ -287,8 +287,11 @@ class SuperPolynomial(Sparse):
 
     @classmethod
     def parse(cls, text: str, sig: Signature, copies: int = 1) -> "SuperPolynomial":
+        terms = split_terms(text)
+        if not terms:
+            raise ValueError(f"empty polynomial: {text!r}")
         out = cls.zero(sig, copies)
-        for term in split_terms(text):
+        for term in terms:
             out = out + _parse_poly_term(term, sig, copies)
         return out
 

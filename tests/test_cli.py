@@ -87,11 +87,13 @@ def test_pizzetti_leading_minus(capsys):
 
 
 def test_pizzetti_empty_or_unclosed_coefficient(capsys):
-    # both used to parse as 0 and print "0" (the integral of "(1" is 2)
-    for poly in ("(1", "( ) x1^2"):
-        code, out = run(["pizzetti", "--m", "3", "--n", "1", "--poly", poly], capsys)
-        assert code == 2, poly
-        assert json.loads(out)["error"]["type"] == "invalid-config", poly
+    # each used to parse as 0: pizzetti printed "0" (the integral of "(1" is
+    # 2) and fischer of blank text printed no blocks
+    for cmd, poly in (("pizzetti", "(1"), ("pizzetti", "( ) x1^2"), ("pizzetti", ""),
+                      ("fischer", "")):
+        code, out = run([cmd, "--m", "3", "--n", "1", "--poly", poly], capsys)
+        assert code == 2, (cmd, poly)
+        assert json.loads(out)["error"]["type"] == "invalid-config", (cmd, poly)
 
 
 def test_fischer_classical_blocks(capsys):
@@ -425,6 +427,32 @@ def test_spectrum_rejects_impossible_window(window, capsys):
     error = json.loads(out)["error"]
     assert error["type"] == "invalid-config"
     assert "window" in error["message"]
+
+
+@pytest.mark.parametrize("V", ["poly([0,1/2])", "osc"])
+def test_spectrum_window_keeps_radial_quantum_numbers(V, capsys):
+    # the numeric route used to number the levels left in the window (j = 0,
+    # 1 for E = 3.5, 5.5), and the exact route ignored the window
+    code, out = run(
+        ["spectrum", "--m", "3", "--n", "0", "--V", V, "--jmax", "2", "--kmax", "0",
+         "--window", "3", "10"], capsys
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["j"] for r in rows] == [1, 2]
+    assert [round(r["E"], 6) for r in rows] == [3.5, 5.5]
+
+
+def test_spectrum_refuses_coarse_grid(capsys):
+    # 2 nodes used to print E = 0.147 as j = 1 before 0.277 as j = 0
+    code, out = run(
+        ["spectrum", "--m", "3", "--n", "0", "--V", "poly([0,1/2])", "--jmax", "1",
+         "--kmax", "0", "--nodes", "2"], capsys
+    )
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "invalid-config"
+    assert "--nodes" in error["message"]
 
 
 @pytest.mark.parametrize("lo", ["-inf", "-1e3", "-Infinity"])

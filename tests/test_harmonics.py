@@ -96,7 +96,7 @@ def test_basis_elements_linearly_independent():
     k = 3
     basis = list(harmonic_basis(sig, k))
     keys = monomial_keys(sig, k)
-    rows = [[H.coeff(*key).as_fraction() for key in keys] for H in basis]
+    rows = [[Fraction(H.coeff(*key).to_text()) for key in keys] for H in basis]
     import sympy
 
     assert sympy.Matrix(rows).rank() == len(basis)
@@ -123,7 +123,7 @@ def _elimination_basis(sig, k):
     rows = [{} for _ in rindex]
     for ci, key in enumerate(cols):
         for rkey, c in laplacian(SuperPolynomial(sig, {key: Fraction(1)})).terms.items():
-            rows[rindex[rkey]][ci] = c.as_fraction()
+            rows[rindex[rkey]][ci] = Fraction(c.to_text())
     return [SuperPolynomial(sig, {cols[i]: q for i, q in enumerate(v) if q})
             for v in _rref_nullspace(rows, len(cols))]
 

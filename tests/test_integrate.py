@@ -703,9 +703,11 @@ def _mellin_reference(h, M):
     a profile of integer b >= 0 and a > 0, and the same sum of |terms|."""
     with mpmath.workdps(50):
         s = mpmath.mpf(M) / 2
-        terms = [mpmath.mpf(c.as_fraction().numerator) / c.as_fraction().denominator
-                 * mpmath.rf(s, int(b)) * (mpmath.mpf(a.numerator) / a.denominator) ** -(s + int(b))
-                 for (b, _, a), c in h.terms.items()]
+        terms = []
+        for (b, _, a), c in h.terms.items():
+            q = Fraction(c.to_text())  # the profiles here have rational coefficients
+            terms.append(mpmath.mpf(q.numerator) / q.denominator * mpmath.rf(s, int(b))
+                         * (mpmath.mpf(a.numerator) / a.denominator) ** -(s + int(b)))
         return mpmath.pi**s * mpmath.fsum(terms), mpmath.pi**s * mpmath.fsum(terms, absolute=True)
 
 

@@ -15,15 +15,12 @@ from superharm.radial import (
     NumericProfile,
     RadialProfile,
     RadialSuperfunction,
-    compose,
     compose_value,
     euler_profile,
     fundamental_normalization_check,
     fundamental_solution,
     iterated_laplacian_constant,
-    laplacian_commutator_apply,
     laplacian_profile,
-    mean_value_weight,
     osp_invariance_check,
     radial_expand,
     radial_gradient,
@@ -80,12 +77,6 @@ def test_profile_exact_hooks():
     assert RadialProfile.power_log(Fraction(1, 2)).value_exact_at_zero().is_zero
     v = RadialProfile.exponential(3).value_exact_at_zero()
     assert (v - ExactScalar.rational(1)).is_zero
-
-    assert RadialProfile.polynomial([1, 2, 3]).value_exact_at_one().as_fraction() == 6
-    # log terms vanish at u = 1
-    p = RadialProfile.polynomial([5]) + RadialProfile.power_log(2)
-    assert p.value_exact_at_one().as_fraction() == 5
-    assert RadialProfile.exponential(1).value_exact_at_one() is None
 
 
 def test_profile_derivative_and_product():
@@ -151,15 +142,20 @@ def test_compose_exp_i_matches_closed_form(n):
 # -- fermionic Taylor expansion ----------------------------------------------
 
 
+def _pairs(j):
+    """Blade mask of the first j generator pairs: x'^{2j} holds it j! times."""
+    return (1 << 2 * j) - 1
+
+
 def test_expansion_gaussian_explicit():
     # exp(-R^2/2) = e^{-r^2/2} sum_j x'^{2j} / (2^j j!)
     for sig in SIGS:
         p = RadialProfile.exponential(Fraction(1, 2))
-        terms = RadialSuperfunction(sig, p).expansion_terms()
         r = 1.2
-        for j, pj in terms:
-            want = math.exp(-r * r / 2) / (2**j * math.factorial(j))
-            assert abs(pj(r * r) - want) < 1e-14
+        v = radial_expand(p, sig, r)
+        for j in range(sig.n + 1):
+            want = math.exp(-r * r / 2) / 2**j
+            assert abs(v.coeff(_pairs(j)) - want) < 1e-14
 
 
 def test_expansion_power_coefficients():
@@ -167,13 +163,14 @@ def test_expansion_power_coefficients():
     sig = Signature(1, 2)
     r = 1.37
     for alpha in (Fraction(1), Fraction(-1), Fraction(7, 2), Fraction(-3)):
-        f = radial_power(sig, alpha)
-        for j, pj in RadialSuperfunction(sig, f.profile).expansion_terms():
+        v = radial_power(sig, alpha).expand(r)
+        for j in range(sig.n + 1):
             want = (
                 Fraction((-1) ** j, math.factorial(j))
                 * rising(alpha / 2 + 1 - j, j)
             ) * r ** (float(alpha) - 2 * j)
-            assert abs(pj(r * r) - float(want)) < 1e-12 * max(1.0, abs(float(want)))
+            got = v.coeff(_pairs(j)) / math.factorial(j)
+            assert abs(got - float(want)) < 1e-12 * max(1.0, abs(float(want)))
 
 
 def test_expansion_blade_values():
@@ -250,7 +247,7 @@ def test_compose_square_root_of_fourth_power():
     R4 = r_squared(sig) * r_squared(sig)
     sqrt_prof = RadialProfile.power(Fraction(1, 2))
     for coords in ([0.5, -0.2, 0.9], [1.4, 0.3, -0.8]):
-        got = compose(sqrt_prof, R4, coords)
+        got = compose_value(sqrt_prof, R4.evaluate_bosonic(coords), sig.n)
         want = r_squared(sig).evaluate_bosonic(coords)
         assert got.max_abs_diff(want) < 1e-12
 
@@ -259,7 +256,7 @@ def test_compose_nilpotent_body():
     # e^{-f} at f = f1 f2: body 0, exact truncated series 1 - f1 f2
     sig = Signature(3, 1)
     f = SuperPolynomial.coordinate(sig, 4) * SuperPolynomial.coordinate(sig, 5)
-    v = compose(RadialProfile.exponential(1), f, [0.1, 0.2, 0.3])
+    v = compose_value(RadialProfile.exponential(1), f.evaluate_bosonic([0.1, 0.2, 0.3]), sig.n)
     assert abs(v.coeff(0) - 1.0) < 1e-15
     assert abs(v.coeff(0b11) + 1.0) < 1e-15
 
@@ -270,7 +267,7 @@ def test_compose_matches_radial_expand():
     h = RadialProfile.exponential(Fraction(1, 3))
     for coords in ([0.8, 0.1], [0.4, -1.0]):
         r = math.sqrt(sum(c * c for c in coords))
-        got = compose(h, r_squared(sig), coords)
+        got = compose_value(h, r_squared(sig).evaluate_bosonic(coords), sig.n)
         assert got.max_abs_diff(radial_expand(h, sig, r)) < 1e-13
 
 
@@ -340,19 +337,6 @@ def test_laplacian_numeric_needs_two_derivatives(j_max):
         laplacian_profile(h, 3)
 
 
-def test_laplacian_commutator_exact():
-    sig = Signature(3, 1)
-    hp = RadialProfile.polynomial([Fraction(1), Fraction(0), Fraction(1, 2)])
-    hP = RadialSuperfunction(sig, hp).as_polynomial()
-    p = (
-        SuperPolynomial.coordinate(sig, 1) ** 2 * SuperPolynomial.coordinate(sig, 4)
-        + SuperPolynomial.coordinate(sig, 2)
-    )
-    lhs = laplacian_commutator_apply(hp, p)
-    rhs = laplacian(hP * p) - hP * laplacian(p)
-    assert (lhs - rhs).is_zero
-
-
 def test_laplacian_on_radial_times_harmonic():
     # lap(h(R^2) H_k) = 4 R^2 h'' H_k + (4k + 2M) h' H_k, exactly
     sig = Signature(3, 1)
@@ -392,7 +376,7 @@ def test_sphere_functional_radial_factorization():
         if sig.n:
             g = g + SuperPolynomial.coordinate(sig, sig.m + 1) * SuperPolynomial.coordinate(sig, sig.m + 2)
         lhs = pizzetti(hP * g)
-        rhs = hp.value_exact_at_one() * pizzetti(g)
+        rhs = sum(hp.polynomial_coeffs().values()) * pizzetti(g)  # h(1) times
         assert (lhs - rhs).is_zero
 
 
@@ -408,10 +392,11 @@ def test_sphere_functional_taylor_surrogate():
         for i in range(k + 1):
             coeffs[i] += c * math.comb(k, i) * (-1.0) ** (k - i)
     hp = RadialProfile.polynomial([Fraction(c) for c in coeffs])
-    assert abs(hp.value_exact_at_one().as_fraction() - Fraction(math.exp(-0.5))) < 1e-15
+    h1 = sum(hp.polynomial_coeffs().values())
+    assert abs(h1.to_float() - math.exp(-0.5)) < 1e-15
     hP = RadialSuperfunction(sig, hp).as_polynomial()
     g = SuperPolynomial.coordinate(sig, 1) ** 2
-    assert (pizzetti(hP * g) - hp.value_exact_at_one() * pizzetti(g)).is_zero
+    assert (pizzetti(hP * g) - h1 * pizzetti(g)).is_zero
 
 
 # -- rotation invariance ------------------------------------------------------
@@ -443,9 +428,9 @@ def test_invariance_negative_control():
 
 
 def test_normalization_constants():
-    assert iterated_laplacian_constant(0, 1).as_fraction() == -2
+    assert iterated_laplacian_constant(0, 1) == -2
     assert (iterated_laplacian_constant(0, 3) - ExactScalar.pi_pow(2, 4)).is_zero
-    assert iterated_laplacian_constant(1, 1).as_fraction() == 12
+    assert iterated_laplacian_constant(1, 1) == 12
     with pytest.raises(ValueError):
         iterated_laplacian_constant(0, 2)
 
@@ -521,13 +506,13 @@ def test_degenerate_superdimension_rejected():
 
 
 def test_mean_value_weight():
-    # E nu_2 evaluated on the unit sphere is -1/sigma_M; paired with the
-    # radial factorization this reproduces -h(0) on harmonic arguments
+    # E nu_2 = -(1/sigma_M) u^{(2-M)/2}, so it is -1/sigma_M on the unit
+    # sphere; paired with the radial factorization this reproduces -h(0) on
+    # harmonic arguments
     for sig in (Signature(3, 1), Signature(1, 1), Signature(3, 2), Signature(3, 0)):
         M = sig.superdim
-        w = mean_value_weight(sig)
-        got = w.value_exact_at_one()
-        assert (got * sphere_area(M) + ExactScalar.rational(1)).is_zero
+        w = euler_profile(fundamental_solution(sig, 1).profile)
+        assert (w * sphere_area(M) + RadialProfile.power(Fraction(2 - M, 2))).is_zero
 
 
 # -- scalar reduction of full-space integrals ---------------------------------

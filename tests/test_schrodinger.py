@@ -23,7 +23,6 @@ def test_reduce_ode_coefficients():
     sig = Signature(5, 1)  # M = 3
     prob = S.reduce(sig, OSC, 0)
     assert prob.sector_dimension == 3
-    assert prob.ode_text() == "-2*u*f'' - 3*f' + V(u)*f = E*f"
     # k enters only through 2k + M
     for k in (1, 2, 5):
         assert S.reduce(sig, OSC, k).sector_dimension == 2 * k + 3
@@ -202,6 +201,17 @@ def test_numeric_box_oracle():
     )
     for n_, (E, _) in enumerate(res):
         assert abs(E - ((n_ + 0.5) * math.pi / L) ** 2 / 2) < 1e-6
+
+
+@pytest.mark.parametrize("sig,k,nodes", [(Signature(3, 0), 0, 2), (Signature(3, 0), 12, 9),
+                                         (Signature(3, 1), 1, 7), (Signature(1, 1), 1, 5)])
+def test_numeric_refuses_levels_out_of_order(sig, k, nodes):
+    # the extrapolated levels of a coarse grid used to come back reordered:
+    # on R^{3|0}, 2 nodes, E = 0.147 (j = 1) before 0.277 (j = 0), for 3.5 and 1.5
+    prob = S.reduce(sig, OSC, k)
+    with pytest.raises(ValueError, match="out of order on .* raise --nodes"):
+        S.solve_numeric(prob, S.GridSpec(12.0, nodes), count=min(nodes, 3))
+    assert len(S.solve_numeric(prob, S.GridSpec(12.0, 10), count=3)) == 3
 
 
 def test_numeric_window_filter():

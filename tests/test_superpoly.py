@@ -92,6 +92,15 @@ def test_parse_refuses_empty_or_unclosed_coefficient():
     assert SuperPolynomial.parse("(1) x1", sig) == SuperPolynomial.coordinate(sig, 1)
 
 
+def test_parse_refuses_blank_text():
+    # text with no terms used to parse as the zero polynomial; "0" still does
+    sig = Signature(3, 1)
+    for text in ("", "  ", "+"):
+        with pytest.raises(ValueError, match="empty polynomial"):
+            SuperPolynomial.parse(text, sig)
+    assert SuperPolynomial.parse("0", sig).is_zero
+
+
 def test_parse_bare_monomial_sign_and_unknown_factor():
     sig = Signature(3, 1)
     # a leading '-' on a bare monomial used to fail with "invalid literal for int()"
