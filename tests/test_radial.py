@@ -376,7 +376,8 @@ def test_sphere_functional_radial_factorization():
         if sig.n:
             g = g + SuperPolynomial.coordinate(sig, sig.m + 1) * SuperPolynomial.coordinate(sig, sig.m + 2)
         lhs = pizzetti(hP * g)
-        rhs = sum(hp.polynomial_coeffs().values()) * pizzetti(g)  # h(1) times
+        h1 = sum(hp.polynomial_coeffs().values())  # h(1)
+        rhs = h1 * pizzetti(g)
         assert (lhs - rhs).is_zero
 
 
