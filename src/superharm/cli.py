@@ -65,8 +65,10 @@ def _error_payload(exc: Exception, fallback: str = "invalid-config") -> dict:
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "csv":
         rows = payload.get("rows") if isinstance(payload, dict) else None
-        if not rows:
+        if rows is None:
             raise ValueError("csv output is only available for flat tables")
+        if not rows:
+            return ""  # an empty table names no columns
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
         writer.writeheader()

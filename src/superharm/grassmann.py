@@ -46,20 +46,6 @@ def derivative_sign(mask: int, bit: int) -> int:
     return -1 if (mask & ((1 << bit) - 1)).bit_count() & 1 else 1
 
 
-def fermi_derivative(e, j: int):
-    """Left derivative of a NumericGrassmann with respect to generator j
-    (1-based); distinct blades stay distinct, so no term cancels.
-    ``superpoly.dferm`` is the same operator on the exact algebra."""
-    if not 1 <= j <= e.ngen:
-        raise ValueError(f"generator {j} out of range 1..{e.ngen}")
-    bit = j - 1
-    return e._with({
-        mask ^ (1 << bit): c if derivative_sign(mask, bit) > 0 else -c
-        for mask, c in e.terms.items()
-        if mask >> bit & 1
-    })
-
-
 # -- numeric twin ------------------------------------------------------------
 
 

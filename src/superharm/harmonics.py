@@ -215,20 +215,16 @@ def fischer_reconstruct(sig: Signature, blocks: List[Tuple[int, SuperPolynomial]
 # -- reproducing kernel -------------------------------------------------------
 
 
-def reproducing_kernel(sig: Signature, k: int, m2_limit: bool = True) -> SuperPolynomial:
+def reproducing_kernel(sig: Signature, k: int) -> SuperPolynomial:
     """The two-point kernel F_k(x, y) on the doubled algebra.
 
     Closed form: (2k+M-2)/(M-2) * (1/sigma_M) * (RxRy)^k C_k^{(M-2)/2}(<x,y>/RxRy),
     homogenized as sum_p c_p <x,y>^p (Rx^2 Ry^2)^{(k-p)/2}, with c_p exact from
     ``kernel_values`` on the polynomials in t = x1.  At M = 2 the prefactor is
-    formally singular for k >= 1; with ``m2_limit`` the standard resolution
-    lim_{lam->0} ((k+lam)/lam) C_k^lam = 2 T_k replaces it, else that raises.
+    formally singular for k >= 1, and the standard resolution
+    lim_{lam->0} ((k+lam)/lam) C_k^lam = 2 T_k replaces it.
     """
     M = sig.superdim
-    if M == 2 and k >= 1 and not m2_limit:
-        raise UnsupportedSignatureError(
-            "kernel prefactor (2k+M-2)/(M-2) singular at M=2; enable the limit rule"
-        )
     line = Signature(1, 0)
     one = SuperPolynomial.constant(line, 1)
     Fk = kernel_values(M, k, SuperPolynomial.coordinate(line, 1), one, one, sphere_area(M))[k]

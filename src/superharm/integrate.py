@@ -175,14 +175,12 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-def integrate_superspace(f: SuperPolynomial, gaussian_a: RatLike | None = None) -> RadicalScalar:
+def integrate_superspace(f: SuperPolynomial, gaussian_a: RatLike) -> RadicalScalar:
     """Full-space integral of f * exp(-gaussian_a * R^2), exact, radial factor
     (pi/a)^{D/2} taken as pi^{D/2} a^{-ceil(D/2)}: the sqrt(a) of an odd M is
-    applied once, as the radical part.  A bare polynomial is not integrable."""
+    applied once, as the radical part."""
     if f.copies != 1:
         raise ValueError("integrate_superspace works on single-copy polynomials")
-    if gaussian_a is None:
-        raise NonIntegrableError("polynomial without Gaussian weight is not integrable")
     a = Fraction(gaussian_a)
     if a <= 0:
         raise NonIntegrableError("Gaussian weight needs a > 0")
@@ -239,7 +237,7 @@ def quad_0_inf(fn: Callable[[float], float], tol: float = 1e-12) -> float:
 # -- full-space integral of a radial profile: one Mellin moment ---------------
 
 
-def reduce_integral(profile, sig: Signature, tol: float = 1e-12):
+def reduce_integral(profile, sig: Signature):
     """Full-space integral of h(R^2), I_M[h] = pi^{M/2} Mellin[h](M/2): the
     k = 0 term of the module docstring's sum, by one formula at every M.
 
@@ -278,7 +276,7 @@ def reduce_integral(profile, sig: Signature, tol: float = 1e-12):
             raise NonIntegrableError(f"h^({j}) diverges at u = 0")
         return ExactScalar.pi_pow(M, (-1) ** j) * val0
     pre = ExactScalar.pi_pow(-2 * j, (-1) ** j) * sphere_area(e)
-    return pre.to_float() * quad_0_inf(lambda v: v ** (e - 1) * d(v * v), tol)
+    return pre.to_float() * quad_0_inf(lambda v: v ** (e - 1) * d(v * v))
 
 
 def _mellin(h, s: Fraction):

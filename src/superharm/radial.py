@@ -26,13 +26,13 @@ import re
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .grassmann import NumericGrassmann, fermi_derivative
+from .grassmann import NumericGrassmann
 from .harmonics import UnsupportedSignatureError
 from .scalar import (
     ExactScalar, RatLike, _as_fraction, fraction_literal, gamma_exact, laguerre_coeffs,
 )
 from .sparse import Sparse
-from .superpoly import Signature, SuperPolynomial, _both_odd, _lowered, mul_r2, osp_generator
+from .superpoly import Signature, SuperPolynomial, mul_r2
 
 # term key: (beta, delta, a) represents u^beta * log(u)^delta * exp(-a u)
 ProfileKey = Tuple[Fraction, int, Fraction]
@@ -215,8 +215,7 @@ class RadialProfile(Sparse):
 
 class NumericProfile:
     """A function given by an evaluator (order, t) -> phi^{(order)}(t), valid
-    up to ``j_max`` (math.inf: every order); values may be complex.  Its one
-    exact hook, ``polynomial_coeffs`` (read by ``osp_invariance_check``), is None."""
+    up to ``j_max`` (math.inf: every order); values may be complex."""
 
     __slots__ = ("_fn", "j_max")
 
@@ -241,9 +240,6 @@ class NumericProfile:
         """phi(t) = exp(i v t)."""
         return cls(lambda i, t: (1j * v) ** i * complex(math.cos(v * t), math.sin(v * t)),
                    math.inf)
-
-    def polynomial_coeffs(self) -> None:
-        return None
 
     def eval_deriv(self, order: int, u: float) -> float:
         if order > self.j_max:
@@ -373,85 +369,6 @@ def laplacian_profile(h: RadialProfile | NumericProfile, M: int):
         lambda j, u: 4.0 * u * h.eval_deriv(j + 2, u) + (4 * j + 2 * M) * h.eval_deriv(j + 1, u),
         h.j_max - 2,
     )
-
-
-# -- orthosymplectic invariance ----------------------------------------------
-
-
-def _radial_lower_gradient(
-    h: RadialProfile, sig: Signature, coords: Sequence[float]
-) -> List[NumericGrassmann]:
-    """Lower gradient components of h(R^2) at a bosonic point, Grassmann-valued."""
-    m, n = sig.m, sig.n
-    r = math.sqrt(sum(c * c for c in coords))
-    vprime = radial_expand(h.derivative(), sig, r)
-    v = radial_expand(h, sig, r)
-    comps: List[NumericGrassmann] = []
-    for k in range(m):
-        comps.append(vprime * (2.0 * coords[k]))
-    for j in range(1, 2 * n + 1):
-        t, c = _lowered(j)
-        comps.append(fermi_derivative(v, t) * float(c))
-    return comps
-
-
-def _numeric_generator_residual(
-    h: RadialProfile, sig: Signature, coords: Sequence[float]
-) -> float:
-    """max_{i<=j} |L_ij h(R^2)| at a bosonic point (exact Grassmann structure,
-    float profile values)."""
-    tv = sig.total_vars
-    low = _radial_lower_gradient(h, sig, coords)
-    X = [SuperPolynomial.coordinate(sig, k).evaluate_bosonic(coords) for k in range(1, tv + 1)]
-    worst = 0.0
-    for i in range(1, tv + 1):
-        for j in range(i, tv + 1):
-            term = X[i - 1] * low[j - 1]
-            other = X[j - 1] * low[i - 1]
-            val = term + other if _both_odd(sig, i, j) else term - other
-            mags = [abs(c) for c in val.terms.values()]
-            if mags:
-                worst = max(worst, max(mags))
-    return worst
-
-
-class InvarianceReport(NamedTuple):
-    max_residual: float
-    exact: bool
-
-
-def osp_invariance_check(
-    obj, sig: Signature, samples: Sequence[Sequence[float]] | None = None
-) -> InvarianceReport:
-    """Residual of L_ij f = 0 over all rotation generators.
-
-    Accepts a polynomial (exact path; nonzero for non-radial controls), a
-    polynomial-profile RadialProfile (exact via the polynomial form) or any
-    other profile (numeric path at sampled bosonic points).
-    """
-    if isinstance(obj, SuperPolynomial):
-        worst = 0.0
-        tv = obj.sig.total_vars
-        for i in range(1, tv + 1):
-            for j in range(i, tv + 1):
-                g = osp_generator(obj, i, j)
-                for c in g.terms.values():
-                    if not c.is_zero:
-                        worst = max(worst, abs(c.to_float()))
-        return InvarianceReport(worst, exact=True)
-    h: RadialProfile = obj
-    if h.polynomial_coeffs() is not None:
-        poly = RadialSuperfunction(sig, h).as_polynomial()
-        return osp_invariance_check(poly, sig)
-    if samples is None:
-        samples = [
-            [0.3 + 0.1 * k for k in range(sig.m)],
-            [1.1 - 0.07 * k for k in range(sig.m)],
-        ]
-    worst = 0.0
-    for coords in samples:
-        worst = max(worst, _numeric_generator_residual(h, sig, coords))
-    return InvarianceReport(worst, exact=False)
 
 
 # -- fundamental solutions of iterated Laplacians ----------------------------

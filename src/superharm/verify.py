@@ -378,6 +378,18 @@ def _suite_radial(rnd: random.Random) -> List[Check]:
                 ok = ok and lhs == ExactScalar.rational(-2)
                 notes.append("(3,1,1) constant -2")
     rows.append(_row("fundamental-solution-chain", ok, "; ".join(notes) or "ok"))
+
+    # L_ij is a derivation, so L_ij h(R^2) = h'(R^2) L_ij R^2 = 0 for every profile
+    ok = True
+    for sig in (Signature(2, 1), Signature(3, 1), Signature(2, 2)):
+        tv = sig.total_vars
+        pairs = [(i, j) for i in range(1, tv + 1) for j in range(i, tv + 1)]
+        for h in (RadialProfile.power(1), poly):
+            p = RadialSuperfunction(sig, h).as_polynomial()
+            ok = ok and all(osp_generator(p, i, j).is_zero for i, j in pairs)
+        x1 = SuperPolynomial.coordinate(sig, 1)
+        ok = ok and not all(osp_generator(x1, i, j).is_zero for i, j in pairs)
+    rows.append(_row("osp-invariance-of-radial-functions", ok, "exact, all L_ij; x1 is moved"))
     return rows
 
 

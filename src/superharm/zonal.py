@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .grassmann import NumericGrassmann
 from .harmonics import UnsupportedSignatureError, kernel_values
@@ -118,6 +118,8 @@ def funk_hecke_poly(
 
 # -- sphere transform of general kernels (quadrature) -------------------------
 
+_QUAD_TOL = 1e-12  # two doublings of the rule this close (relative) end the search
+
 
 @lru_cache(maxsize=64)
 def _jacobi_rule(nn: int, a: float) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
@@ -153,9 +155,7 @@ def _jacobi_rule(nn: int, a: float) -> Tuple[Tuple[float, ...], Tuple[float, ...
     return nodes, tuple(half + half[::-1])
 
 
-def _beta_derivs(
-    M: int, l: int, phi: NumericProfile, u: float, n: int, tol: float
-) -> List[complex]:
+def _beta_derivs(M: int, l: int, phi: NumericProfile, u: float, n: int) -> List[complex]:
     """beta^{(j)}(v) at v = u^2 for j <= n, where beta(v) = alpha_{M,l}[phi](sqrt v) / v^{l/2}.
 
     Rodrigues' formula (DLMF §18.5(ii)) and l integrations by parts give
@@ -167,7 +167,7 @@ def _beta_derivs(
     an ordinary point.  M > 1 only; phi must have l + 2n derivatives.
 
     Raises TruncationError when four doublings of the rule at nn = 64 leave
-    the last two values further apart than ``tol``."""
+    the last two values further apart than ``_QUAD_TOL``."""
     if M <= 1:
         raise ValueError("sphere-transform quadrature needs M > 1")
     if l + 2 * n > phi.j_max:
@@ -191,34 +191,25 @@ def _beta_derivs(
         nn *= 2
         cur = eval_all(nn)
         if all(
-            abs(cg - pg) <= tol * max(1.0, abs(cg)) for cg, pg in zip(cur, prev)
+            abs(cg - pg) <= _QUAD_TOL * max(1.0, abs(cg)) for cg, pg in zip(cur, prev)
         ):
             return cur
         prev = cur
     raise TruncationError(
-        f"sphere-transform quadrature not converged to {tol:g} at nn = {nn}"
+        f"sphere-transform quadrature not converged to {_QUAD_TOL:g} at nn = {nn}"
     )
 
 
-def funk_hecke_alpha_numeric(
-    M: int,
-    l: int,
-    phi: NumericProfile,
-    u: float,
-    n_der: int,
-    tol: float = 1e-12,
-) -> List[complex]:
+def funk_hecke_alpha_numeric(M: int, l: int, phi: NumericProfile, u: float, n_der: int) -> List[complex]:
     """alpha_{M,l}[phi] and its first ``n_der`` derivatives (with respect to
     the squared argument v = u^2) at radius u > 0, as the Leibniz product
     alpha = v^{l/2} beta of the ``_beta_derivs`` quadratures.  M > 1 only;
-    phi must have l + 2 n_der derivatives.
-
-    Raises TruncationError when four doublings of the rule at nn = 64 leave
-    the last two values further apart than ``tol``."""
+    phi must have l + 2 n_der derivatives; raises TruncationError where
+    ``_beta_derivs`` does."""
     if u <= 0:
         raise ValueError("radius must be positive")
     v = u * u
-    beta = _beta_derivs(M, l, phi, u, n_der, tol)
+    beta = _beta_derivs(M, l, phi, u, n_der)
     out = []
     for k in range(n_der + 1):
         tot = 0.0
@@ -230,12 +221,7 @@ def funk_hecke_alpha_numeric(
 
 
 def funk_hecke_apply(
-    sig: Signature,
-    phi: NumericProfile,
-    H_l: SuperPolynomial,
-    l: int,
-    ycoords: Sequence[float],
-    tol: float = 1e-12,
+    sig: Signature, phi: NumericProfile, H_l: SuperPolynomial, l: int, ycoords: Sequence[float]
 ) -> NumericGrassmann:
     """Sphere integral of phi(<x,y>) H_l(x) as a Grassmann-valued function of
     the bosonic point y: alpha_{M,l}[phi](R_y) H_l(y) / R_y^l = beta(R_y^2)
@@ -243,7 +229,7 @@ def funk_hecke_apply(
     fermionic expansion.  No division by R_y, so y = 0 is allowed.  M > 1
     only; phi must have l + 2n derivatives."""
     ry = math.sqrt(sum(c * c for c in ycoords))
-    beta = _beta_derivs(sig.superdim, l, phi, ry, sig.n, tol)
+    beta = _beta_derivs(sig.superdim, l, phi, ry, sig.n)
     return fermionic_expansion(beta, sig.n) * H_l.evaluate_bosonic(ycoords)
 
 
@@ -333,26 +319,14 @@ def fourier_bessel(nu, psi: RadialProfile, u2: float) -> float:
 # -- oscillator eigenfunctions ------------------------------------------------
 
 
-class RadialHarmonic(NamedTuple):
-    """A product h(R^2) H_k with h an exact-symbolic radial profile."""
-
-    sig: Signature
-    profile: RadialProfile
-    harmonic: SuperPolynomial
-    k: int
-
-    def value(self, coords: Sequence[float]) -> NumericGrassmann:
-        r = math.sqrt(sum(c * c for c in coords))
-        return radial_expand(self.profile, self.sig, r) * self.harmonic.evaluate_bosonic(coords)
-
-
-def clifford_hermite(sig: Signature, j: int, k: int, H_k: SuperPolynomial) -> RadialHarmonic:
-    """Oscillator eigenfunction 2^{2j} j! L_j^{M/2+k-1}(R^2) H_k exp(-R^2/2)."""
+def clifford_hermite(sig: Signature, j: int, k: int) -> RadialProfile:
+    """Profile 2^{2j} j! L_j^{M/2+k-1}(u) exp(-u/2) of the oscillator
+    eigenfunction 2^{2j} j! L_j^{M/2+k-1}(R^2) H_k exp(-R^2/2), for any
+    spherical harmonic H_k of degree k."""
     q = Fraction(sig.superdim - 2 + 2 * k, 2)
-    prof = RadialProfile.laguerre_exp(j, q, Fraction(1, 2)) * Fraction(
+    return RadialProfile.laguerre_exp(j, q, Fraction(1, 2)) * Fraction(
         2 ** (2 * j) * math.factorial(j)
     )
-    return RadialHarmonic(sig, prof, H_k, k)
 
 
 def oscillator_residual(sig: Signature, j: int, k: int) -> RadialProfile:
@@ -361,7 +335,7 @@ def oscillator_residual(sig: Signature, j: int, k: int) -> RadialProfile:
     residual of ``schrodinger.reduction_residual`` at V = u/2."""
     from .schrodinger import reduce, reduction_residual  # here: zonal's imports stay light
 
-    h = clifford_hermite(sig, j, k, SuperPolynomial.zero(sig)).profile
+    h = clifford_hermite(sig, j, k)
     problem = reduce(sig, RadialProfile.polynomial([0, Fraction(1, 2)]), k)
     return reduction_residual(problem, h, Fraction(4 * j + 2 * k + sig.superdim, 2))
 

@@ -368,6 +368,15 @@ def test_spectrum_csv_flat(capsys):
     assert len(lines) == 3
 
 
+def test_spectrum_empty_window_csv_is_an_empty_table(capsys):
+    argv = ["spectrum", "--m", "3", "--n", "0", "--V", "osc", "--jmax", "1", "--kmax", "0",
+            "--window", "100", "200"]
+    code, out = run(argv, capsys)
+    assert (code, json.loads(out)["rows"]) == (0, [])
+    code, out = run(argv + ["--format", "csv"], capsys)
+    assert (code, out) == (0, "")
+
+
 def test_spectrum_numeric_oscillator(capsys):
     code, out = run(
         ["spectrum", "--m", "3", "--n", "0", "--V", "poly([0,1/2])", "--jmax", "0",

@@ -322,8 +322,6 @@ def test_kernel_closed_forms_k0_k1():
 def test_kernel_m2_limit():
     sig = Signature(4, 1)
     assert sig.superdim == 2
-    with pytest.raises(UnsupportedSignatureError):
-        reproducing_kernel(sig, 1, m2_limit=False)
     # the limit kernel at k=1: 2*T_1 => F_1 = <x,y>/pi
     F1 = reproducing_kernel(sig, 1)
     want = pairing(sig) * (ExactScalar.rational(1) / sphere_area(2))

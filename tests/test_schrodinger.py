@@ -9,7 +9,7 @@ import pytest
 
 from superharm.harmonics import dim_harmonics, dim_polynomials
 from superharm.radial import NumericProfile, RadialProfile
-from superharm.superpoly import Signature, SuperPolynomial
+from superharm.superpoly import Signature
 from superharm import schrodinger as S
 from superharm import zonal as Z
 
@@ -47,11 +47,10 @@ def test_oscillator_eigenprofile_residual_exact():
     for (m, n) in ((3, 1), (2, 1), (2, 2)):
         sig = Signature(m, n)
         M = sig.superdim
-        one = SuperPolynomial.constant(sig, 1)
         for j in range(3):
             for k in range(3):
                 prob = S.reduce(sig, OSC, k)
-                f = Z.clifford_hermite(sig, j, k, one).profile
+                f = Z.clifford_hermite(sig, j, k)
                 E = Fraction(4 * j + 2 * k + M, 2)
                 assert S.reduction_residual(prob, f, E).is_zero, (m, n, j, k)
                 # the residual is linear in E: one unit more leaves -f

@@ -19,7 +19,8 @@ SEED_7_ROWS = [
                        "laplace-beltrami-commutes-with-rotations"]),
     ("radial-calculus", ["substitution-is-multiplicative",
                          "radial-commutes-with-tangential-laplacian", "radius-power-law",
-                         "radial-factor-under-sphere-functional", "fundamental-solution-chain"]),
+                         "radial-factor-under-sphere-functional", "fundamental-solution-chain",
+                         "osp-invariance-of-radial-functions"]),
     ("scalar-exact", ["recip-gamma-recurrence", "pochhammer-vs-gamma", "bessel-small-argument"]),
     ("spectrum-reduction", ["oscillator-eigenprofile-residual", "oscillator-numeric-levels",
                             "degeneracy-bookkeeping"]),
@@ -32,7 +33,7 @@ def test_verify_all_seed_7_rows_pinned():
     report = run_all(seed=7)
     got = [(s["suite"], c["check"], c["passed"]) for s in report["suites"] for c in s["checks"]]
     want = [(suite, check, True) for suite, checks in SEED_7_ROWS for check in checks]
-    assert len(want) == 36
+    assert len(want) == 37
     assert got == want
     assert report["passed"]
 

@@ -358,8 +358,7 @@ def test_hankel_divergence_gating():
 
 def test_oscillator_ground_state_profile():
     sig = Signature(3, 1)
-    psi = Z.clifford_hermite(sig, 0, 0, SuperPolynomial.constant(sig, 1))
-    assert (psi.profile - RadialProfile.exponential(Fraction(1, 2))).is_zero
+    assert (Z.clifford_hermite(sig, 0, 0) - RadialProfile.exponential(Fraction(1, 2))).is_zero
 
 
 def test_oscillator_hermite_reduction():
@@ -375,7 +374,8 @@ def test_oscillator_hermite_reduction():
     for x in (0.7, -1.2):
         for j, k in ((1, 0), (2, 0), (1, 1), (2, 1)):
             H = one if k == 0 else xc
-            got = Z.clifford_hermite(sig, j, k, H).value([x]).coeff(0).real
+            value = radial_expand(Z.clifford_hermite(sig, j, k), sig, abs(x)) * H.evaluate_bosonic([x])
+            got = value.coeff(0).real
             deg = 2 * j + k
             want = (-1) ** j * herm[deg](x) * math.exp(-x * x / 2) / (2 if k else 1)
             assert abs(got - want) < 1e-12, (j, k, x)
