@@ -273,14 +273,15 @@ def sphere_area(M: int) -> ExactScalar:
 # -- orthogonal polynomial evaluations --------------------------------------
 
 
-def laguerre(p: int, q: float, u: float) -> float:
-    """Generalized Laguerre L_p^{(q)}(u) by the standard three-term recurrence."""
+def laguerre_row(p: int, q: float, u: float) -> List[float]:
+    """Generalized Laguerre values [L_0^{(q)}(u), ..., L_p^{(q)}(u)] by the
+    standard three-term recurrence."""
     if p < 0:
         raise ValueError("laguerre needs p >= 0")
-    lm, l0 = 0.0, 1.0
+    row = [0.0, 1.0]  # L_{-1} = 0 seeds the recurrence
     for i in range(p):
-        lm, l0 = l0, ((2 * i + 1 + q - u) * l0 - (i + q) * lm) / (i + 1)
-    return l0
+        row.append(((2 * i + 1 + q - u) * row[-1] - (i + q) * row[-2]) / (i + 1))
+    return row[1:]
 
 
 def laguerre_coeffs(p: int, q: RatLike) -> List[Fraction]:

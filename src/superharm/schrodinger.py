@@ -133,6 +133,7 @@ class GridSpec:
 
 
 _ULP = sys.float_info.epsilon  # LAPACK's dlamch('P')
+_LOG_MAX, _LOG_MIN = math.log(sys.float_info.max), math.log(sys.float_info.min)  # normal floats
 _MAX_BISECTIONS = 128  # halving a Gershgorin bracket (about 2 |T| wide) to ulp |T| takes 54
 
 
@@ -248,6 +249,9 @@ def solve_numeric(
     The levels of one sector are simple, so extrapolated values that are not
     strictly ascending mean the grid is too coarse, and are refused: the
     oscillator sectors tried reorder at 2 to 9 nodes and not from 10 on.
+    Two levels are solved at least, so a sector asked for one is checked too.
+    An r_max is refused when r_max^2, the weight r_max^{D-1} or the first
+    fine-grid cell's r^{D-1} h^2 leaves the normal float range.
 
     A symbolic V with a term u^beta, D + 2 beta <= 0 (D = M + 2k), is refused:
     V(r^2) r^{D-1} is not integrable at r = 0 and the levels depend on the
@@ -267,6 +271,10 @@ def solve_numeric(
                     f"potential term u^{beta} is too singular at r = 0 for effective "
                     f"dimension M + 2k = {D}: V(r^2) r^{D - 1} is not integrable"
                 )
+    log_r, log_h = math.log(grid.r_max), math.log(grid.r_max / (4 * grid.nodes))
+    if max(2, D - 1) * log_r >= _LOG_MAX or (D + 1) * log_h <= _LOG_MIN:
+        raise ValueError(f"grid extent r_max = {grid.r_max:g} leaves the float range "
+                         f"in r_max^2 or the grid weights r^{D - 1}")
     u_edge = grid.r_max**2
     if not grid.box:
         grows = problem.V(u_edge) > problem.V(u_edge / 4) and problem.V(u_edge) > 0
@@ -275,14 +283,14 @@ def solve_numeric(
                 "potential does not grow toward r_max; pass GridSpec(box=True) to "
                 "accept the Dirichlet truncation"
             )
-    e1 = _fd_eigenvalues(problem, grid.r_max, grid.nodes, count)
-    e2 = _fd_eigenvalues(problem, grid.r_max, 2 * grid.nodes, count, e1)
+    e1 = _fd_eigenvalues(problem, grid.r_max, grid.nodes, max(count, 2))
+    e2 = _fd_eigenvalues(problem, grid.r_max, 2 * grid.nodes, max(count, 2), e1)
     levels = [((4.0 * b - a) / 3.0, abs(b - a) / 3.0) for a, b in zip(e1, e2)]
     if any(x >= y for (x, _), (y, _) in zip(levels, levels[1:])):
         raise ValueError(f"extrapolated levels out of order on {grid.nodes} nodes: "
                          "the grid is too coarse, raise --nodes")
     lo, hi = e_window or (-math.inf, math.inf)
-    return [(E, err) for E, err in levels if lo <= E <= hi]
+    return [(E, err) for E, err in levels[:count] if lo <= E <= hi]
 
 
 def numeric_rows(problem: RadialProblem, results: Sequence[Tuple[float, float]]) -> List[dict]:

@@ -39,13 +39,12 @@ from .radial import (
     RadialProfile,
     compose_value,
     fermionic_expansion,
-    radial_expand,
 )
 from .scalar import (
     ExactScalar,
     bessel_profile,
     gamma_exact,
-    laguerre,
+    laguerre_row,
     pochhammer,
     recip_gamma,
 )
@@ -59,22 +58,19 @@ class TruncationError(ValueError):
 # -- alternating-series summation ---------------------------------------------
 
 
-def euler_alternating_sum(positive_parts: Sequence):
+def euler_alternating_sum(positive_parts: Sequence[float]) -> float:
     """Abel-limit evaluation of sum_j (-1)^j c_j as the Euler transform of
-    its partial sums S_i: 2^{-(J-1)} sum_i C(J-1, i) S_i for J parts, the
-    value that J-1 rounds of averaging neighbouring partial sums reach.  Works
-    on floats, complex, and any vector type with + and scalar *; linear,
-    deterministic, one pass."""
+    its partial sums S_i: 2^{-(J-1)} sum_i C(J-1, i) S_i for J float parts,
+    the value that J-1 rounds of averaging neighbouring partial sums reach;
+    linear, deterministic, one pass."""
     if not positive_parts:
         raise ValueError("empty series")
     n = len(positive_parts) - 1
     scale = 2.0 ** -n
-    acc = total = None
+    acc = total = 0.0
     for i, c in enumerate(positive_parts):
-        term = c if i % 2 == 0 else c * (-1.0)
-        acc = term if acc is None else acc + term
-        weighted = acc * (math.comb(n, i) * scale)
-        total = weighted if total is None else total + weighted
+        acc += -c if i % 2 else c
+        total += acc * (math.comb(n, i) * scale)
     return total
 
 
@@ -257,13 +253,14 @@ def hankel(nu, psi: RadialProfile, u: float) -> float:
     fall below the float epsilon of the sum and halve at each step, and
     (nu+1)_b = Gamma(nu+b+1)/Gamma(nu+1) comes from lgamma.
 
-    Raises NonIntegrableError unless psi is a RadialProfile with every term
-    damped by exp(-a u), a > 0, and b > -nu-1; for a term with a log factor;
-    and for other b past z = 700, where the float series overflows.
+    Raises ValueError unless nu > -1.  Raises NonIntegrableError unless psi
+    is a RadialProfile with every term damped by exp(-a u), a > 0, and
+    b > -nu-1; for a term with a log factor; and for other b past z = 700,
+    where the float series overflows.
     """
     nu = float(nu)
-    if nu <= -0.5:
-        raise ValueError("order must exceed -1/2")
+    if nu <= -1:
+        raise ValueError("order must exceed -1")
     if not (isinstance(psi, RadialProfile) and all(a > 0 for _, _, a in psi.terms)):
         raise NonIntegrableError("profile is not exponentially decaying in every term")
     nq = Fraction(nu)
@@ -451,34 +448,34 @@ def _laguerre_weight(j: int, nu: float) -> float:
     return -w if a < 0 and math.floor(a) % 2 else w
 
 
+def _laguerre_series(nu: float, ux: float, uy: float, n: int, J: int) -> List[List[float]]:
+    """T[i][i2] = sum_{j<J} (-1)^j 2 j!/Gamma(j+nu+1) h_j^{(i)}(ux) h_j^{(i2)}(uy)
+    for i, i2 <= n, h_j(u) = L_j^{(nu)}(u) e^{-u/2}, each sum by
+    ``euler_alternating_sum``.  Leibniz and d^t L_j^{(nu)} = (-1)^t
+    L_{j-t}^{(nu+t)} (DLMF 18.9.14; zero once t > j) give h_j^{(i)}(u) =
+    (-1)^i e^{-u/2} sum_{t<=i} C(i,t) 2^{t-i} L_{j-t}^{(nu+t)}(u)."""
+    def derivs(u: float) -> List[List[float]]:  # [i][j] -> h_j^{(i)}(u)
+        rows = [[0.0] * t + laguerre_row(J, nu + t, u) for t in range(n + 1)]
+        e = math.exp(-u / 2.0)
+        return [[(-1) ** i * e * sum(math.comb(i, t) * 2.0 ** (t - i) * rows[t][j] for t in range(i + 1))
+                 for j in range(J)] for i in range(n + 1)]
+
+    w = [_laguerre_weight(j, nu) for j in range(J)]
+    hx, hy = derivs(ux), derivs(uy)
+    return [[euler_alternating_sum([c * a * b for c, a, b in zip(w, ax, by)]) for by in hy] for ax in hx]
+
+
 def hille_hardy_check(M: int, k: int, u1: float, u2: float, J: int = 60) -> float:
     """Residual of the scalar Laguerre expansion of the normalized Bessel
-    profile,
+    profile (DLMF §18.18),
 
       W_nu(u1 u2) = sum_j 2 j! (-1)^j / Gamma(j+nu+1)
                      L_j^nu(u1) L_j^nu(u2) exp(-(u1+u2)/2),  nu = M/2+k-1,
 
-    with the alternating (Abel-summable) series evaluated by
-    ``euler_alternating_sum``, the binomially weighted mean of its partial
-    sums."""
+    the alternating (Abel-summable) series being ``_laguerre_series`` at
+    n = 0."""
     nu = M / 2.0 + k - 1.0
-    lhs = bessel_profile(nu, u1 * u2)
-    e = math.exp(-(u1 + u2) / 2.0)
-    parts = [
-        _laguerre_weight(j, nu)
-        * laguerre(j, nu, u1)
-        * laguerre(j, nu, u2)
-        * e
-        for j in range(J)
-    ]
-    return abs(lhs - euler_alternating_sum(parts))
-
-
-def _laguerre_expand(j: int, q: float, n: int, u: float) -> NumericGrassmann:
-    """L_j^{(q)}(R^2) at r^2 = u, from d^i/du^i L_j^{(q)} = (-1)^i L_{j-i}^{(q+i)}
-    (DLMF 18.9.14; zero once i > j)."""
-    values = [(-1) ** i * laguerre(j - i, q + i, u) if i <= j else 0.0 for i in range(n + 1)]
-    return fermionic_expansion(values, n)
+    return abs(bessel_profile(nu, u1 * u2) - _laguerre_series(nu, u1, u2, 0, J)[0][0])
 
 
 def mehler_expansions_agree(
@@ -491,33 +488,22 @@ def mehler_expansions_agree(
 ) -> float:
     """Compare the two kernel representations truncated at the same k-order:
     the Bessel-profile form against the Gaussian-weighted double Laguerre
-    series (summed per Grassmann coefficient by the alternating-series
-    accelerator)."""
-    M = sig.superdim
-    n = sig.n
-    total = 4 * n
-    coords = list(xcoords) + list(ycoords)
-    rx = math.sqrt(sum(c * c for c in xcoords))
-    ry = math.sqrt(sum(c * c for c in ycoords))
-
-    gauss_x = _shift_gens(radial_expand(RadialProfile.exponential(Fraction(1, 2)), sig, rx), total, 0)
-    gauss_y = _shift_gens(radial_expand(RadialProfile.exponential(Fraction(1, 2)), sig, ry), total, 2 * n)
-    gauss = gauss_x * gauss_y
-
-    kern, w = _kernel_values(sig, K, coords, m2_limit=True)
-    side_a = NumericGrassmann(total)
-    side_b = NumericGrassmann(total)
+    series.  By dimensional reduction the latter is, blade by blade, the
+    scalar series T = ``_laguerre_series`` of the derivatives at the bodies
+    Rx^2, Ry^2: its order-k part is sum_i E_x(e_i) E_y(T[i]), E the
+    ``fermionic_expansion`` on the x or the y generators."""
+    n, total = sig.n, 4 * sig.n
+    ux, uy = (sum(c * c for c in v) for v in (xcoords, ycoords))
+    blades_x = [_shift_gens(fermionic_expansion([float(t == i) for t in range(n + 1)], n), total, 0)
+                for i in range(n + 1)]
+    kern, w = _kernel_values(sig, K, list(xcoords) + list(ycoords), m2_limit=True)
+    side_a = side_b = NumericGrassmann(total)
     for k in range(K + 1):
-        nu = M / 2.0 + k - 1.0  # also the Laguerre order q
-        Fk = kern[k]
+        nu = sig.superdim / 2.0 + k - 1.0
         phase = (sign * 1j) ** k
-        side_a = side_a + Fk * _bessel_factor(sig, k, w) * phase
-
-        parts = []
-        for j in range(J):
-            lx = _shift_gens(_laguerre_expand(j, nu, n, rx * rx), total, 0)
-            ly = _shift_gens(_laguerre_expand(j, nu, n, ry * ry), total, 2 * n)
-            c = _laguerre_weight(j, nu)
-            parts.append(lx * ly * gauss * c)
-        side_b = side_b + Fk * euler_alternating_sum(parts) * phase
+        side_a = side_a + kern[k] * _bessel_factor(sig, k, w) * phase
+        lag = NumericGrassmann(total)
+        for bx, row in zip(blades_x, _laguerre_series(nu, ux, uy, n, J)):
+            lag = lag + bx * _shift_gens(fermionic_expansion(row, n), total, 2 * n)
+        side_b = side_b + kern[k] * lag * phase
     return side_a.max_abs_diff(side_b)

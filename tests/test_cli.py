@@ -6,6 +6,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -143,14 +144,14 @@ def test_funk_hecke_needs_kernel(capsys):
 
 
 def test_bochner_gaussian_self_reciprocal(capsys):
-    code, out = run(
-        ["bochner", "--m", "3", "--n", "1", "--k", "1", "--profile", "exp(1/2)"], capsys
-    )
-    assert code == 0
-    import math
-
-    for row in json.loads(out)["rows"]:
-        assert abs(row["value"] - math.exp(-row["u"] ** 2 / 2)) < 1e-8
+    # k = 0 is nu = -1/2 on R^{3|2}, which used to exit 2 with "order must exceed -1/2"
+    for k in ("1", "0"):
+        code, out = run(
+            ["bochner", "--m", "3", "--n", "1", "--k", k, "--profile", "exp(1/2)"], capsys
+        )
+        assert code == 0
+        for row in json.loads(out)["rows"]:
+            assert row["value"] == pytest.approx(math.exp(-row["u"] ** 2 / 2), rel=1e-12)
 
 
 def test_bochner_laguerre_profile_converges(capsys):
@@ -464,6 +465,21 @@ def test_spectrum_refuses_coarse_grid(capsys):
     assert "--nodes" in error["message"]
 
 
+def test_spectrum_refuses_coarse_grid_for_one_level_sectors(capsys):
+    # one level per sector used to pass unchecked: E = 16.07 for k = 12 (true 13.5)
+    argv = ["spectrum", "--m", "3", "--n", "0", "--V", "poly([0,1/2])", "--jmax", "0",
+            "--kmax", "12", "--format", "csv", "--nodes"]
+    code, out = run(argv + ["2"], capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "invalid-config"
+    assert "--nodes" in error["message"]
+    code, out = run(argv + ["9"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [int(r[1]) for r in rows] == list(range(13))
+
+
 @pytest.mark.parametrize("lo", ["-inf", "-1e3", "-Infinity"])
 def test_spectrum_window_takes_infinite_and_exponent_bounds(lo, capsys):
     # argparse used to read these as option names ("expected 2 arguments");
@@ -530,8 +546,9 @@ def test_zero_denominator_names_the_literal(argv, capsys):
     }
 
 
+# --rmax 1e200 used to exit with "(34, 'Numerical result out of range')" from r_max^2
 @pytest.mark.parametrize("grid", [["--rmax", "-5"], ["--rmax", "0"], ["--rmax", "nan"],
-                                  ["--rmax", "inf"], ["--nodes", "1"]])
+                                  ["--rmax", "inf"], ["--nodes", "1"], ["--rmax", "1e200"]])
 def test_spectrum_rejects_bad_grid(grid, capsys):
     code, out = run(
         ["spectrum", "--m", "3", "--n", "0", "--V", "poly([0,1/2])", "--jmax", "1",

@@ -13,8 +13,8 @@ from superharm.scalar import (
     bessel_j,
     bessel_profile,
     gamma_exact,
-    laguerre,
     laguerre_coeffs,
+    laguerre_row,
     pochhammer,
     recip_gamma,
     sphere_area,
@@ -229,17 +229,21 @@ def test_sphere_area_shared_and_unmutated():
 
 
 def test_laguerre_low_orders():
-    assert laguerre(0, 1.5, 0.7) == 1.0
+    assert laguerre_row(0, 1.5, 0.7) == [1.0]
     # L_1^q(u) = 1 + q - u
-    assert laguerre(1, 2.0, 0.3) == pytest.approx(3.0 - 0.3, rel=1e-14)
+    assert laguerre_row(1, 2.0, 0.3)[1] == pytest.approx(3.0 - 0.3, rel=1e-14)
+    with pytest.raises(ValueError):
+        laguerre_row(-1, 0.5, 1.0)
 
 
 @pytest.mark.parametrize("p,q", [(0, H), (1, Fraction(3, 2)), (3, 0), (5, Fraction(-1, 2)), (4, 2)])
 def test_laguerre_matches_exact_coeffs(p, q):
-    cs = laguerre_coeffs(p, q)
     for u in (0.0, 0.4, 1.7, 6.0):
-        poly = sum(float(c) * u**i for i, c in enumerate(cs))
-        assert laguerre(p, float(q), u) == pytest.approx(poly, rel=1e-12, abs=1e-12)
+        row = laguerre_row(p, float(q), u)
+        assert len(row) == p + 1
+        for i, value in enumerate(row):
+            poly = sum(float(c) * u**e for e, c in enumerate(laguerre_coeffs(i, q)))
+            assert value == pytest.approx(poly, rel=1e-12, abs=1e-12)
 
 
 def test_laguerre_coeffs_refuse_negative_degree():
@@ -252,7 +256,7 @@ def test_laguerre_orthogonality_numeric():
     q = 1.5
     with mpmath.workdps(30):
         val = mpmath.quad(
-            lambda u: u**q * mpmath.e**-u * laguerre(2, q, float(u)) * laguerre(4, q, float(u)),
+            lambda u: u**q * mpmath.e**-u * laguerre_row(2, q, float(u))[2] * laguerre_row(4, q, float(u))[4],
             [0, mpmath.inf],
         )
     assert abs(float(val)) < 1e-12

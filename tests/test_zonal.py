@@ -19,8 +19,8 @@ from superharm.harmonics import (
     reproducing_kernel,
 )
 from superharm.integrate import pizzetti, quad_0_inf
-from superharm.radial import NumericProfile, RadialProfile, radial_expand
-from superharm.scalar import ExactScalar, bessel_j, laguerre, sphere_area
+from superharm.radial import NumericProfile, RadialProfile, fermionic_expansion, radial_expand
+from superharm.scalar import ExactScalar, bessel_j, bessel_profile, laguerre_row, sphere_area
 from superharm.superpoly import Signature, SuperPolynomial, osp_generator, pairing
 from superharm import zonal as Z
 
@@ -224,7 +224,7 @@ def test_hankel_laguerre_eigenfunctions():
         psi = RadialProfile.laguerre_exp(j, Fraction(3, 2), Fraction(1, 2))
         for s in (0.0, 0.9, 2.2):
             got = Z.fourier_bessel(nu, psi, s)
-            want = (-1) ** j * laguerre(j, nu, s) * math.exp(-s / 2)
+            want = (-1) ** j * laguerre_row(j, nu, s)[j] * math.exp(-s / 2)
             assert abs(got - want) < 1e-8, (j, s)
 
 
@@ -340,8 +340,11 @@ def test_hankel_divergence_gating():
     # e^{-u} e^{2u} = e^u grows: labelled Gaussian, it used to raise OverflowError
     with pytest.raises(Z.NonIntegrableError):
         Z.hankel(0.5, RadialProfile.exponential(1) * RadialProfile.exponential(-2), 1.0)
-    with pytest.raises(ValueError):
-        Z.hankel(-0.7, RadialProfile.exponential(Fraction(1, 2)), 1.0)
+    # Weber's integral converges for -1 < nu <= -1/2 too: e^{-u/2} maps to e^{-s/2}
+    assert Z.hankel(-0.7, RadialProfile.exponential(Fraction(1, 2)), 1.0) == pytest.approx(
+        math.exp(-0.5), rel=1e-14)
+    with pytest.raises(ValueError, match="order must exceed -1"):
+        Z.hankel(-1.0, RadialProfile.exponential(Fraction(1, 2)), 1.0)
     # decay is read off the terms: a zero profile, symbolic or scaled, transforms to 0
     assert Z.hankel(0.5, RadialProfile.polynomial([0]), 1.0) == 0.0
     assert Z.hankel(0.5, RadialProfile.exponential(1) * 0, 1.0) == 0.0
@@ -522,6 +525,70 @@ def test_mehler_two_representations_agree_negative_superdimension(m, n, sign):
     x = [rnd.uniform(-0.8, 0.8) for _ in range(m)]
     y = [rnd.uniform(-0.8, 0.8) for _ in range(m)]
     assert Z.mehler_expansions_agree(sig, x, y, K=10, J=60, sign=sign) < 1e-9
+
+
+def _euler_sum_grassmann(parts):
+    """``Z.euler_alternating_sum`` blade by blade on NumericGrassmann parts."""
+    n = len(parts) - 1
+    acc = total = NumericGrassmann(parts[0].ngen)
+    for i, c in enumerate(parts):
+        acc = acc + c * (-1.0) ** i
+        total = total + acc * (math.comb(n, i) * 2.0**-n)
+    return total
+
+
+def _mehler_by_grassmann_products(sig, x, y, K, J, sign):
+    """``Z.mehler_expansions_agree`` with its Laguerre side built from three
+    Grassmann products per (k, j): the expansions of L_j^{(nu)}(Rx^2),
+    L_j^{(nu)}(Ry^2) and exp(-(Rx^2 + Ry^2)/2), Euler-summed blade by blade."""
+    n, total = sig.n, 4 * sig.n
+    rx, ry = math.sqrt(sum(c * c for c in x)), math.sqrt(sum(c * c for c in y))
+    half = RadialProfile.exponential(Fraction(1, 2))
+    gauss = Z._shift_gens(radial_expand(half, sig, rx), total, 0) * Z._shift_gens(
+        radial_expand(half, sig, ry), total, 2 * n)
+
+    def lag(j, nu, r, offset):  # d^i L_j^{(nu)} = (-1)^i L_{j-i}^{(nu+i)}
+        values = [(-1) ** i * laguerre_row(j - i, nu + i, r * r)[-1] if i <= j else 0.0
+                  for i in range(n + 1)]
+        return Z._shift_gens(fermionic_expansion(values, n), total, offset)
+
+    kern, w = Z._kernel_values(sig, K, list(x) + list(y), m2_limit=True)
+    side_a = side_b = NumericGrassmann(total)
+    for k in range(K + 1):
+        nu = sig.superdim / 2.0 + k - 1.0
+        phase = (sign * 1j) ** k
+        side_a = side_a + kern[k] * Z._bessel_factor(sig, k, w) * phase
+        parts = [lag(j, nu, rx, 0) * lag(j, nu, ry, 2 * n) * gauss * Z._laguerre_weight(j, nu)
+                 for j in range(J)]
+        side_b = side_b + kern[k] * _euler_sum_grassmann(parts) * phase
+    return side_a.max_abs_diff(side_b)
+
+
+@pytest.mark.parametrize("m,n", [(3, 1), (4, 1), (5, 1), (1, 1), (3, 2), (5, 2), (1, 2)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_mehler_scalar_series_matches_grassmann_products(m, n, sign):
+    """The scalar derivative series gives the residual of the Grassmann-product
+    route.  Both residuals are float rounding of the alternating series (a
+    50-digit T leaves 3.7e-15 on R^{1|4}, where both read 2.1e-11), so they
+    may differ by a fraction of the residual itself: 7.6e-13 there."""
+    sig = Signature(m, n)
+    rnd = random.Random(1)
+    x = [rnd.uniform(-0.8, 0.8) for _ in range(m)]
+    y = [rnd.uniform(-0.8, 0.8) for _ in range(m)]
+    want = _mehler_by_grassmann_products(sig, x, y, 10, 60, sign)
+    assert abs(Z.mehler_expansions_agree(sig, x, y, K=10, J=60, sign=sign) - want) <= 1e-13 + 0.1 * want
+
+
+@pytest.mark.parametrize("M,k,u1,u2,J", [
+    (3, 0, 0.0, 0.0, 60), (3, 0, 1.0, 1.0, 60), (1, 2, 4.0, 0.25, 80), (3, 1, 2.0, 3.0, 60),
+    (5, 0, 0.3, 0.7, 60), (-1, 0, 0.3, 0.7, 60), (-2, 1, 1.0, 2.0, 60), (-3, 1, 1.0, 2.0, 60),
+])
+def test_hille_hardy_matches_inline_series(M, k, u1, u2, J):
+    nu = M / 2.0 + k - 1.0
+    l1, l2, e = laguerre_row(J, nu, u1), laguerre_row(J, nu, u2), math.exp(-(u1 + u2) / 2.0)
+    series = Z.euler_alternating_sum([Z._laguerre_weight(j, nu) * l1[j] * l2[j] * e for j in range(J)])
+    want = abs(bessel_profile(nu, u1 * u2) - series)
+    assert abs(Z.hille_hardy_check(M, k, u1, u2, J) - want) <= 1e-15
 
 
 @pytest.mark.parametrize("M", [-1, -2, -3, -4])
