@@ -17,7 +17,7 @@ fourth is the k = 0 term alone (f = 1):
     sphere    sigma_D = 2 pi^{D/2} / Gamma(D/2)   h = 2 delta(u - 1)   pizzetti
     ball      sigma_D / D                         h = 1 on [0, 1]      superball_poly
     Gaussian  (pi/a)^{D/2}                        h = e^{-au}          integrate_superspace
-    profile   I_M[h]                              any h                reduce_integral
+    profile   I_M[h]                              log-free profile h   reduce_integral
 
 The sum is exact in the pi-power field (the Gaussian's sqrt(a) at odd D kept
 apart) and valid verbatim at every M: 1/Gamma vanishes at its poles, and the
@@ -190,50 +190,6 @@ def integrate_superspace(f: SuperPolynomial, gaussian_a: RatLike) -> RadicalScal
     return RadicalScalar(value, ExactScalar(), a)
 
 
-# -- 1D quadrature ------------------------------------------------------------
-
-
-def quad_0_inf(fn: Callable[[float], float], tol: float = 1e-12) -> float:
-    """Integral of fn over (0, inf) by exp-sinh quadrature (Takahasi-Mori,
-    Publ. RIMS 9 (1974) 721): the trapezoid rule in t after the substitution
-    x = exp(pi/2 sinh t), on |t| <= 5 (x from 2.6e-51 to 3.9e50), with the
-    step halved from 1/2 down to 2^-9 until two levels agree to tol.
-
-    The error estimate is the difference of the last two levels plus the
-    trapezoid weight of the two end nodes, which a tail cut off at the ends
-    (a divergent integral, such as that of 1/x) leaves large.  When |value| > 1
-    the estimate is taken in units of |value|.  Raises NonIntegrableError when
-    the integrand overflows, the value is not finite, or the estimate exceeds
-    max(50 tol, 1e-8 min(1, |value|)) in those units.
-    """
-
-    def g(t: float) -> float:
-        x = math.exp(math.pi / 2 * math.sinh(t))
-        return fn(x) * x * (math.pi / 2 * math.cosh(t))
-
-    h, n = 0.5, 10  # n h = 5
-    try:
-        lo, hi = g(-5.0), g(5.0)
-        total = lo + hi + g(0.0) + sum(g(j * h) + g(-j * h) for j in range(1, n))
-        val = h * total
-        for _ in range(8):
-            h, n = h / 2, 2 * n
-            total += sum(g(j * h) + g(-j * h) for j in range(1, n, 2))
-            prev, val = val, h * total
-            err = abs(val - prev) + h * (abs(lo) + abs(hi))
-            if err <= tol * max(1.0, abs(val)):
-                break
-    except OverflowError as exc:
-        raise NonIntegrableError(f"integrand overflows on (0, inf): {exc}") from exc
-    scale = max(1.0, abs(val))
-    if not math.isfinite(val) or err > scale * max(50 * tol, 1e-8 * min(1.0, abs(val))):
-        raise NonIntegrableError(
-            f"integral over (0, inf) did not converge (value {val:.3g}, "
-            f"error estimate {err:.1g})"
-        )
-    return val
-
-
 # -- full-space integral of a radial profile: one Mellin moment ---------------
 
 
@@ -241,42 +197,25 @@ def reduce_integral(profile, sig: Signature):
     """Full-space integral of h(R^2), I_M[h] = pi^{M/2} Mellin[h](M/2): the
     k = 0 term of the module docstring's sum, by one formula at every M.
 
-    A log-free RadialProfile is summed in closed form: at s = M/2 a term
+    h is a log-free RadialProfile, summed in closed form: at s = M/2 a term
     c u^b e^{-au} gives c Gamma(s+b)/Gamma(s) a^{-(s+b)} (c (s)_b a^{-(s+b)}
     for b in N_0; 0 for a = 0 or at a pole of Gamma(s)), exact when s + b is a
     half-integer and a^{-(s+b)} rational, else a float.  One rule, read term by
     term (divergences that cancel are refused too), raises NonIntegrableError:
     a < 0; a = 0 unless b is in N_0 and s + b < 0; b not in N_0 and s + b <= 0.
-
-    Log factors and evaluators (callable on floats, .derivative() -> profile)
-    go by parts, Mellin[h](s) = -Mellin[h'](s+1), to t = s + j, j = max(0,
-    ceil(-s)): t = 0 reads (-1)^j h^{(j)}(0), exactly and from a RadialProfile
-    only; t > 0 is (-1)^j pi^{M/2-t} sigma_{2t} times the quad_0_inf of
-    v^{2t-1} h^{(j)}(v^2).  A RadialProfile is refused when h^{(j)} has a term
-    with a <= 0, or is infinite at 0 where t = 0.
+    A log factor or an evaluator has no closed form and raises it too.
     """
     from .radial import RadialProfile  # here: pizzetti's callers need no radial
 
+    if not isinstance(profile, RadialProfile):
+        raise NonIntegrableError("only a RadialProfile has a closed-form integral")
+    if any(d for _, d, _ in profile.terms):
+        if not all(a > 0 for _, _, a in profile.terms):
+            raise NonIntegrableError("profile is not exponentially decaying in every term")
+        raise NonIntegrableError("a log factor has no closed-form Mellin moment")
     M = sig.superdim
-    symbolic = isinstance(profile, RadialProfile)
-    if symbolic and not any(d for _, d, _ in profile.terms):
-        moment, pre = _mellin(profile, Fraction(M, 2)), ExactScalar.pi_pow(M)
-        return pre * moment if isinstance(moment, ExactScalar) else pre.to_float() * moment
-    j = max(0, -(M // 2))
-    e, d = M + 2 * j, profile  # e = 2t
-    for _ in range(j):
-        d = d.derivative()
-    if symbolic and not all(a > 0 for _, _, a in d.terms):
-        raise NonIntegrableError("profile is not exponentially decaying in every term")
-    if e == 0:
-        if not symbolic:
-            raise NonIntegrableError(f"M = {M} reads h^({j})(0) alone: an evaluator's decay is unknown")
-        val0 = d.value_exact_at_zero()
-        if val0 is None:
-            raise NonIntegrableError(f"h^({j}) diverges at u = 0")
-        return ExactScalar.pi_pow(M, (-1) ** j) * val0
-    pre = ExactScalar.pi_pow(-2 * j, (-1) ** j) * sphere_area(e)
-    return pre.to_float() * quad_0_inf(lambda v: v ** (e - 1) * d(v * v))
+    moment, pre = _mellin(profile, Fraction(M, 2)), ExactScalar.pi_pow(M)
+    return pre * moment if isinstance(moment, ExactScalar) else pre.to_float() * moment
 
 
 def _mellin(h, s: Fraction):

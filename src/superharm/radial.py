@@ -12,11 +12,13 @@ where x'^2 is the anticommuting norm square and r^2 the bosonic one.  A
 
 which is closed under d/du and products and covers powers, power-times-log,
 exponentials, Laguerre-times-exponential and polynomials; it differentiates
-exactly and never expires.  A ``NumericProfile`` is an opaque evaluator
-(j, t) -> phi^{(j)}(t) with a declared maximal order; it has no arithmetic and
-fails fast once the declared order is exhausted.  It is the one numeric
-function type: radial profiles, zonal kernels phi(<x,y>) and Bessel factors
-alike, composed through the nilpotent Taylor series of ``compose_value``.
+exactly and never expires; the radial Laplacian and the full-space integral
+take this form only.  A ``NumericProfile`` is an opaque evaluator
+(j, t) -> phi^{(j)}(t) with a declared maximal order, read only through
+``eval_deriv``; it has no arithmetic and no calculus, and fails fast once the
+declared order is exhausted.  It is the one numeric function type: radial
+profiles, zonal kernels phi(<x,y>) and Bessel factors alike, composed through
+the nilpotent Taylor series of ``compose_value``.
 """
 
 from __future__ import annotations
@@ -248,18 +250,6 @@ class NumericProfile:
             )
         return self._fn(order, u)
 
-    def __call__(self, u: float) -> float:
-        return self.eval_deriv(0, u)
-
-    def derivative(self) -> "NumericProfile":
-        if self.j_max < 1:
-            raise ValueError("derivative order unavailable (declared max 0)")
-        fn = self._fn
-        return NumericProfile(lambda j, u: fn(j + 1, u), self.j_max - 1)
-
-    def to_text(self) -> str:
-        return f"<numeric profile, j_max={self.j_max}>"
-
 
 class RadialSuperfunction(NamedTuple):
     """h(R^2) for a profile h on a fixed signature."""
@@ -342,33 +332,25 @@ def euler_profile(h: RadialProfile) -> RadialProfile:
     return h.derivative().mul_power(1) * Fraction(2)
 
 
-def laplacian_profile(h: RadialProfile | NumericProfile, M: int):
+def laplacian_profile(h: RadialProfile, M: int) -> RadialProfile:
     """Profile of the Laplacian on radial functions: 4 u h'' + 2 M h'.  With
     M + 2k in place of M it is the profile g of lap(h(R^2) H_k) = g(R^2) H_k.
 
-    A symbolic profile goes in one sweep: c u^b log^d e^{-au} sends c times
-    b(4b-4+2M), d(8b-4+2M), 4d(d-1), -a(8b+2M), -8ad and 4a^2 to
-    (b-1, d), (b-1, d-1), (b-1, d-2), (b, d), (b, d-1) and (b+1, d)."""
-    if isinstance(h, RadialProfile):
-        out: Dict[ProfileKey, ExactScalar] = {}
-        for (b, d, a), c in h.terms.items():
-            for key, w in (((b - 1, d, a), b * (4 * b - 4 + 2 * M)),
-                           ((b - 1, d - 1, a), d * (8 * b - 4 + 2 * M)),
-                           ((b - 1, d - 2, a), 4 * d * (d - 1)),
-                           ((b, d, a), -a * (8 * b + 2 * M)),
-                           ((b, d - 1, a), -8 * a * d),
-                           ((b + 1, d, a), 4 * a * a)):
-                if w:
-                    p = c * w
-                    out[key] = out[key] + p if key in out else p
-        return h._with({k: c for k, c in out.items() if c})
-    # numeric: g^{(j)}(u) = 4 u h^{(j+2)}(u) + (4j + 2M) h^{(j+1)}(u)
-    if h.j_max < 2:
-        raise ValueError("derivative order unavailable for the radial Laplacian")
-    return NumericProfile(
-        lambda j, u: 4.0 * u * h.eval_deriv(j + 2, u) + (4 * j + 2 * M) * h.eval_deriv(j + 1, u),
-        h.j_max - 2,
-    )
+    One sweep: c u^b log^d e^{-au} sends c times b(4b-4+2M), d(8b-4+2M),
+    4d(d-1), -a(8b+2M), -8ad and 4a^2 to (b-1, d), (b-1, d-1), (b-1, d-2),
+    (b, d), (b, d-1) and (b+1, d)."""
+    out: Dict[ProfileKey, ExactScalar] = {}
+    for (b, d, a), c in h.terms.items():
+        for key, w in (((b - 1, d, a), b * (4 * b - 4 + 2 * M)),
+                       ((b - 1, d - 1, a), d * (8 * b - 4 + 2 * M)),
+                       ((b - 1, d - 2, a), 4 * d * (d - 1)),
+                       ((b, d, a), -a * (8 * b + 2 * M)),
+                       ((b, d - 1, a), -8 * a * d),
+                       ((b + 1, d, a), 4 * a * a)):
+            if w:
+                p = c * w
+                out[key] = out[key] + p if key in out else p
+    return h._with({k: c for k, c in out.items() if c})
 
 
 # -- fundamental solutions of iterated Laplacians ----------------------------

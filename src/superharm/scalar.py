@@ -108,9 +108,6 @@ class ExactScalar(Sparse):
             return hash(self.terms.get(0, 0))
         return Sparse.__hash__(self)
 
-    def __rsub__(self, other):
-        return -self + other
-
     def __truediv__(self, other):
         other = ExactScalar.coerce(other)
         if len(other.terms) != 1:
@@ -122,14 +119,6 @@ class ExactScalar(Sparse):
 
     def __rtruediv__(self, other):
         return ExactScalar.coerce(other) / self
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = ExactScalar.rational(1)
-        for _ in range(k):
-            out = out * self
-        return out
 
     # -- text form ---------------------------------------------------------
     # Grammar (round-trip exact):   scalar := term (('+' | ' - ') term)*

@@ -78,24 +78,23 @@ def _fmt(x: float) -> str:
     return format(float(x), ".3e")
 
 
-def _random_poly(sig, rnd, deg=4, nterms=5, copies=1):
-    p = SuperPolynomial.zero(sig, copies)
-    nb = copies * sig.m
-    for _ in range(nterms):
-        bos = [0] * nb
+def _random_poly(sig, rnd, deg=4):
+    p = SuperPolynomial.zero(sig)
+    for _ in range(5):
+        bos = [0] * sig.m
         for _ in range(rnd.randrange(deg + 1)):
-            bos[rnd.randrange(nb)] += 1
-        mask = rnd.randrange(1 << (copies * 2 * sig.n))
+            bos[rnd.randrange(sig.m)] += 1
+        mask = rnd.randrange(1 << (2 * sig.n))
         c = Fraction(rnd.randrange(-4, 5))
         if c:
-            p = p + SuperPolynomial(sig, {(tuple(bos), mask): c}, copies)
+            p = p + SuperPolynomial(sig, {(tuple(bos), mask): c})
     return p
 
 
-def _random_homogeneous(sig, rnd, deg, nterms=6):
+def _random_homogeneous(sig, rnd, deg):
     keys = monomial_keys(sig, deg)
     p = SuperPolynomial.zero(sig)
-    for _ in range(nterms):
+    for _ in range(6):
         key = keys[rnd.randrange(len(keys))]
         c = Fraction(rnd.randrange(-4, 5))
         if c:
@@ -104,11 +103,7 @@ def _random_homogeneous(sig, rnd, deg, nterms=6):
 
 
 def _even_part(f):
-    out = SuperPolynomial.zero(f.sig, f.copies)
-    for (bos, mask), c in f.terms.items():
-        if bin(mask).count("1") % 2 == 0:
-            out = out + SuperPolynomial(f.sig, {(bos, mask): c}, f.copies)
-    return out
+    return f._with({key: c for key, c in f.terms.items() if key[1].bit_count() % 2 == 0})
 
 
 # -- per-module suites --------------------------------------------------------

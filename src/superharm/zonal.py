@@ -18,10 +18,11 @@ for even M, Fejer's first rule for odd M, the weight folded into the
 weights).  Complex-valued kernels (exp(ivt)) are carried as complex numbers
 at the scalar level; all exact fields stay real.
 
-The Hankel transform of a profile c u^b e^{-au} is closed form (Weber's
-integral and a Kummer series, ``hankel``), and the Bessel factor of the
-kernel expansion is the power series ``scalar.bessel_profile``: no routine
-here integrates numerically over the half line.
+The Hankel transform of a profile c u^b e^{-au} with integer b >= 0 is a
+Laguerre polynomial times e^{-z}, summed exactly (Weber's integral and
+Kummer's transformation, ``hankel``; other b are refused), and the Bessel
+factor of the kernel expansion is the power series ``scalar.bessel_profile``:
+no routine here integrates numerically over the half line.
 """
 
 from __future__ import annotations
@@ -236,27 +237,22 @@ def hankel(nu, psi: RadialProfile, u: float) -> float:
     """Hankel-type transform of the squared-variable profile psi:
     Int_0^inf psi(r^2) (J_nu(ru)/(ru)^nu) r^{2nu+1} dr, in closed form.
 
-    For a term c u^b e^{-au} with a > 0 and rational b > -nu-1, Weber's first
+    For a term c u^b e^{-au} with a > 0 and integer b >= 0, Weber's first
     exponential integral (DLMF §10.22(v)) followed by Kummer's transformation
     (DLMF 13.2.39) give
 
-      (nu+1)_b / (2^{nu+1} a^{nu+b+1}) e^{-z} M(-b, nu+1, z),  z = u^2/(4a).
+      (nu+1)_b / (2^{nu+1} a^{nu+b+1}) e^{-z} M(-b, nu+1, z),  z = u^2/(4a),
 
-    The terms of M(-b, nu+1, z) (DLMF 13.2.2) alternate in sign up to index b
-    and have one sign after it.  nu, u and a are exact dyadic or rational
-    numbers, so the alternating head is summed in Fractions: no cancellation
-    at large b z.  For integer b >= 0 the head is all of M, a Laguerre
-    polynomial, and the terms with one rate are combined exactly; past
-    z = 700, where e^{-z} leaves the float range, the exact sum meets e^{-z}
-    in logarithms (relative error about z times the float epsilon).  For
-    other b the one-signed tail is summed in floats until its terms
-    fall below the float epsilon of the sum and halve at each step, and
-    (nu+1)_b = Gamma(nu+b+1)/Gamma(nu+1) comes from lgamma.
+    with M(-b, nu+1, z) = b! L_b^{(nu)}(z) / (nu+1)_b a polynomial (DLMF 13.2.2,
+    18.11.2).  nu, u and a are exact dyadic or rational numbers, so it is
+    summed in Fractions (no cancellation at large b z) and the terms with one
+    rate are combined exactly; past z = 700, where e^{-z} leaves the float
+    range, the exact sum meets e^{-z} in logarithms (relative error about z
+    times the float epsilon).
 
     Raises ValueError unless nu > -1.  Raises NonIntegrableError unless psi
-    is a RadialProfile with every term damped by exp(-a u), a > 0, and
-    b > -nu-1; for a term with a log factor; and for other b past z = 700,
-    where the float series overflows.
+    is a RadialProfile with every term damped by exp(-a u), a > 0; and for a
+    term with a log factor or a power b that is not an integer >= 0.
     """
     nu = float(nu)
     if nu <= -1:
@@ -266,35 +262,19 @@ def hankel(nu, psi: RadialProfile, u: float) -> float:
     nq = Fraction(nu)
     z_rate = Fraction(u) ** 2 / 4
     by_rate = {}
-    total = 0.0
     for (b, d, a), c in psi.terms.items():
-        if d or b <= -nq - 1:
+        if d or b < 0 or b.denominator != 1:
             raise NonIntegrableError(
                 f"no closed-form transform of the term u^{b} log(u)^{d} e^(-{a}u) at order {nu}"
             )
         z = z_rate / a
-        head, t, i = Fraction(0), Fraction(1), 0
-        while i <= b:
+        head, t = Fraction(0), Fraction(1)
+        for i in range(int(b) + 1):
             head += t
             t = t * (i - b) * z / ((nq + 1 + i) * (i + 1))
-            i += 1
-        if b >= 0 and b.denominator == 1:
-            part = c * (pochhammer(nq + 1, int(b)) * head / a ** int(b))
-            by_rate[a] = by_rate[a] + part if a in by_rate else part
-            continue
-        if z > 700:
-            raise NonIntegrableError(
-                f"u^{b} e^(-{a}u) at u = {u:g}: z = u^2/(4a) > 700 leaves the float range"
-            )
-        zf, bf, series, t = float(z), float(b), float(head), float(t)
-        while True:
-            series += t
-            t *= (i - bf) * zf / ((nu + 1 + i) * (i + 1))
-            i += 1
-            if i >= 2 * zf and abs(t) <= 2.0**-53 * abs(series):
-                break
-        poch = math.exp(math.lgamma(nu + bf + 1) - math.lgamma(nu + 1))
-        total += c.to_float() * (series * math.exp(-zf)) * poch / (float(a) ** (nu + bf + 1) * 2 ** (nu + 1))
+        part = c * (pochhammer(nq + 1, int(b)) * head / a ** int(b))
+        by_rate[a] = by_rate[a] + part if a in by_rate else part
+    total = 0.0
     for a, part in by_rate.items():
         z = z_rate / a
         if z < 700:
@@ -346,9 +326,9 @@ def bochner_transform(
     k: int,
     psi: RadialProfile,
     ycoords: Sequence[float],
-    sign: int = 1,
 ) -> NumericGrassmann:
-    """Fourier transform of H_k(x) psi(R^2): (+-i)^k H_k(y) F_{k+M/2-1}[psi](R_y^2),
+    """Fourier transform of H_k(x) psi(R^2) with the kernel exp(+i<x,y>):
+    i^k H_k(y) F_{k+M/2-1}[psi](R_y^2),
     assembled from the Hankel transform and the fermionic expansion of the
     transform profile; raises NonIntegrableError where hankel does."""
     M = sig.superdim
@@ -360,7 +340,7 @@ def bochner_transform(
     v = ry * ry
     values = [(-0.5) ** i * fourier_bessel(nu + i, psi, v) for i in range(n + 1)]
     expansion = fermionic_expansion(values, n)
-    return expansion * H_k.evaluate_bosonic(ycoords) * (sign * 1j) ** k
+    return expansion * H_k.evaluate_bosonic(ycoords) * 1j ** k
 
 
 # -- the Bessel expansion of the Fourier kernel -------------------------------
@@ -404,12 +384,11 @@ def mehler_bessel_check(
     ycoords: Sequence[float],
     K: int = 40,
     tol: float = 1e-8,
-    sign: int = 1,
     m2_limit: bool = True,
 ) -> float:
     """Residual of the Bessel-kernel expansion of the Fourier kernel,
 
-      (2pi)^{-M/2} exp(+-i<x,y>) = sum_k (+-i)^k F_k(x,y) W_{M/2+k-1}(Rx^2 Ry^2),
+      (2pi)^{-M/2} exp(i<x,y>) = sum_k i^k F_k(x,y) W_{M/2+k-1}(Rx^2 Ry^2),
 
     both sides expanded over the doubled Grassmann algebra at the bosonic
     points.  Stops early once three successive term magnitudes fall below
@@ -417,7 +396,7 @@ def mehler_bessel_check(
     largest of the last three."""
     coords = list(xcoords) + list(ycoords)
     pair_val = pairing(sig).evaluate_bosonic(coords)
-    lhs = compose_value(NumericProfile.exp_i(sign), pair_val, 2 * sig.n)
+    lhs = compose_value(NumericProfile.exp_i(1), pair_val, 2 * sig.n)
     lhs = lhs * (2 * math.pi) ** (-sig.superdim / 2.0)
 
     kern, w = _kernel_values(sig, K, coords, m2_limit)
@@ -425,7 +404,7 @@ def mehler_bessel_check(
     deltas: List[float] = []
     converged = False
     for k in range(K + 1):
-        term = kern[k] * _bessel_factor(sig, k, w) * (sign * 1j) ** k
+        term = kern[k] * _bessel_factor(sig, k, w) * 1j ** k
         rhs = rhs + term
         deltas.append(_max_abs(term))
         if len(deltas) >= 3 and all(d < tol / 10 for d in deltas[-3:]):
@@ -453,7 +432,12 @@ def _laguerre_series(nu: float, ux: float, uy: float, n: int, J: int) -> List[Li
     for i, i2 <= n, h_j(u) = L_j^{(nu)}(u) e^{-u/2}, each sum by
     ``euler_alternating_sum``.  Leibniz and d^t L_j^{(nu)} = (-1)^t
     L_{j-t}^{(nu+t)} (DLMF 18.9.14; zero once t > j) give h_j^{(i)}(u) =
-    (-1)^i e^{-u/2} sum_{t<=i} C(i,t) 2^{t-i} L_{j-t}^{(nu+t)}(u)."""
+    (-1)^i e^{-u/2} sum_{t<=i} C(i,t) 2^{t-i} L_{j-t}^{(nu+t)}(u).
+
+    The rounding error is absolute, on the scale of the largest parts, which
+    grow like j^nu while the sum is about 1/(2^nu Gamma(nu+1)): relative
+    precision is lost as nu grows at small u (at nu = 13/2, u = 0.3, 0.7 the
+    error is 2.0e-13 against T[0][0] = 5.9e-6)."""
     def derivs(u: float) -> List[List[float]]:  # [i][j] -> h_j^{(i)}(u)
         rows = [[0.0] * t + laguerre_row(J, nu + t, u) for t in range(n + 1)]
         e = math.exp(-u / 2.0)
@@ -473,7 +457,9 @@ def hille_hardy_check(M: int, k: int, u1: float, u2: float, J: int = 60) -> floa
                      L_j^nu(u1) L_j^nu(u2) exp(-(u1+u2)/2),  nu = M/2+k-1,
 
     the alternating (Abel-summable) series being ``_laguerre_series`` at
-    n = 0."""
+    n = 0.  The residual is absolute: ``hille_hardy_check(3, 6, 0.3, 0.7)``
+    reads 2.0e-13 against W = 5.9e-6, as relative precision is lost as nu
+    grows at small u."""
     nu = M / 2.0 + k - 1.0
     return abs(bessel_profile(nu, u1 * u2) - _laguerre_series(nu, u1, u2, 0, J)[0][0])
 
@@ -484,7 +470,6 @@ def mehler_expansions_agree(
     ycoords: Sequence[float],
     K: int = 20,
     J: int = 60,
-    sign: int = 1,
 ) -> float:
     """Compare the two kernel representations truncated at the same k-order:
     the Bessel-profile form against the Gaussian-weighted double Laguerre
@@ -500,7 +485,7 @@ def mehler_expansions_agree(
     side_a = side_b = NumericGrassmann(total)
     for k in range(K + 1):
         nu = sig.superdim / 2.0 + k - 1.0
-        phase = (sign * 1j) ** k
+        phase = 1j ** k
         side_a = side_a + kern[k] * _bessel_factor(sig, k, w) * phase
         lag = NumericGrassmann(total)
         for bx, row in zip(blades_x, _laguerre_series(nu, ux, uy, n, J)):

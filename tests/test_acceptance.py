@@ -222,9 +222,10 @@ def test_criterion_05_radial_calculus():
 
 
 def test_criterion_06_gaussian_all_branches():
-    """The Gaussian integral equals pi^{M/2} on every branch: exactly for
-    M > 0 and for even nonpositive M, and within 1e-10 through the
-    quadrature continuation at odd negative M."""
+    """The Gaussian integral equals pi^{M/2} on every branch.  It is the one
+    closed-form Mellin moment, Gamma(s)/Gamma(s) = 1 at s = M/2, so every M
+    here gives the exact value; a float result would have to agree within
+    1e-10."""
     ok = True
     gauss = RadialProfile.exponential(Fraction(1))
     for (m, n) in ((3, 1), (2, 1), (1, 1), (2, 2), (1, 2), (3, 2)):

@@ -31,7 +31,6 @@ from superharm.integrate import (
     greens_check,
     integrate_superspace,
     pizzetti,
-    quad_0_inf,
     reduce_integral,
     superball_poly,
 )
@@ -470,6 +469,11 @@ def test_gaussian_integral_rotation_invariance(sig):
             assert integrate_superspace(osp_generator(f, i, j), a) == 0, (a, f, i, j)
 
 
+def _quad_0_inf(fn):
+    """Integral of the float function fn over (0, inf) by mpmath's tanh-sinh rule."""
+    return float(mpmath.quad(lambda v: fn(float(v)), [0, mpmath.inf]))
+
+
 def dimensional_continuation_check(g, h, gaussian_a):
     """Full-space integral of h(R^2) g two ways, M > 0: the exact Gaussian
     path (h = exp(-a u)) against radial shells,
@@ -480,7 +484,7 @@ def dimensional_continuation_check(g, h, gaussian_a):
     for d, part in g.homogeneous_components().items():
         w = pizzetti(part).to_float()
         if w != 0.0:
-            rhs += w * quad_0_inf(lambda v, _d=d: v ** (M - 1 + _d) * h(v * v))
+            rhs += w * _quad_0_inf(lambda v, _d=d: v ** (M - 1 + _d) * h(v * v))
     return lhs, rhs
 
 
@@ -499,16 +503,13 @@ def test_dimensional_continuation_polynomial_times_gaussian():
 
 
 class _GaussProfile:
-    """Minimal stand-in for the radial profile interface: c * exp(-u)."""
+    """An evaluator profile, c * exp(-u): callable on floats, not symbolic."""
 
     def __init__(self, c=1.0):
         self.c = c
 
     def __call__(self, u):
         return self.c * math.exp(-u)
-
-    def derivative(self):
-        return _GaussProfile(-self.c)
 
 
 @pytest.mark.parametrize(
@@ -517,23 +518,17 @@ class _GaussProfile:
      Signature(1, 2), Signature(3, 2)],
 )
 def test_reduced_integral_gaussian_all_branches(sig):
-    M = sig.superdim
-    if M <= 0 and M % 2 == 0:
-        # the branch reads h^(-M/2)(0) alone; an evaluator's decay cannot be read
-        with pytest.raises(NonIntegrableError):
-            reduce_integral(_GaussProfile(), sig)
-        return
-    got = reduce_integral(_GaussProfile(), sig)
-    want = math.pi ** (M / 2)
-    if isinstance(got, ExactScalar):
-        assert (got - ExactScalar.pi_pow(M)).is_zero
-    else:
-        assert abs(got - want) < 1e-10
+    # an evaluator has no closed-form Mellin moment at any M; the symbolic
+    # Gaussian gives pi^{M/2} exactly on every superdimension branch
+    with pytest.raises(NonIntegrableError, match="RadialProfile"):
+        reduce_integral(_GaussProfile(), sig)
+    got = reduce_integral(RadialProfile.exponential(1), sig)
+    assert isinstance(got, ExactScalar) and got == ExactScalar.pi_pow(sig.superdim)
 
 
 def test_reduce_integral_refuses_evaluators_at_even_nonpositive_superdim():
-    # On M = -2 the value h'(0) alone would be returned: -1/pi for 1 + u,
-    # whose integral is 0, and -0.0 for the divergent u^3.
+    # On M = -2 a branch reading h'(0) alone would return -1/pi for 1 + u,
+    # whose integral is 0, and -0.0 for the divergent u^3: evaluators are refused.
     sig = Signature(2, 2)
     for coeffs in ([1, 1], [0, 0, 0, 1]):
         with pytest.raises(NonIntegrableError):
@@ -562,7 +557,7 @@ def test_reduce_integral_gamma_moments_match_quadrature(sig):
             d = psi
             for _ in range(j):
                 d = d.derivative()
-            want = pre * quad_0_inf(lambda v: v**power * d(v * v), 1e-12)
+            want = pre * _quad_0_inf(lambda v: v**power * d(v * v))
             got = got.to_float() if isinstance(got, ExactScalar) else got
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (a, psi.to_text())
 
@@ -572,19 +567,18 @@ def test_reduce_integral_gamma_moments_match_quadrature(sig):
 # and integrates against v^0, and M in -2N reads h^{(-M/2)}(0).
 
 
-def _branch_reduce_integral(profile, sig, tol=1e-12):
+def _branch_reduce_integral(profile, sig):
     M = sig.superdim
     j = (1 - M) // 2
     d = profile
     for _ in range(j):
         d = d.derivative()
     if M > 0:
-        pre, moment = sphere_area(M), _branch_moment(profile, M, tol)
+        pre, moment = sphere_area(M), _branch_moment(profile, M)
     elif M % 2:
-        pre, moment = ExactScalar.pi_pow(M - 1, 2 * (-1) ** j), _branch_moment(d, 1, tol)
+        pre, moment = ExactScalar.pi_pow(M - 1, 2 * (-1) ** j), _branch_moment(d, 1)
     else:
-        if not _branch_symbolic(d):
-            raise NonIntegrableError("an evaluator's decay is unknown")
+        _branch_decay(d)
         val0 = d.value_exact_at_zero()
         if val0 is None:
             raise NonIntegrableError("diverges at u = 0")
@@ -592,19 +586,15 @@ def _branch_reduce_integral(profile, sig, tol=1e-12):
     return pre * moment if isinstance(moment, ExactScalar) else pre.to_float() * moment
 
 
-def _branch_symbolic(h):
-    if not isinstance(h, RadialProfile):
-        return False
+def _branch_decay(h):
     if not all(a > 0 for _, _, a in h.terms):
         raise NonIntegrableError("not exponentially decaying")
-    return True
 
 
-def _branch_moment(h, M, tol):
-    """integral_0^inf v^{M-1} h(v^2) dv: Gamma moments (DLMF 5.2.1) for a
-    log-free RadialProfile, quad_0_inf otherwise."""
-    if not _branch_symbolic(h) or any(d for _, d, _ in h.terms):
-        return quad_0_inf(lambda v: v ** (M - 1) * h(v * v), tol)
+def _branch_moment(h, M):
+    """integral_0^inf v^{M-1} h(v^2) dv of a log-free RadialProfile by Gamma
+    moments (DLMF 5.2.1)."""
+    _branch_decay(h)
     exact, approx = ExactScalar(), None
     for (b, _, a), c in h.terms.items():
         s = b + Fraction(M, 2)
@@ -644,10 +634,15 @@ _TERM = st.tuples(st.integers(-5, 5).filter(bool), st.integers(-6, 8), st.sample
 def test_reduce_integral_matches_branch_route(m, n, terms):
     """The one Mellin moment against the three superdimension branches, M from
     -5 to 6: the same exception class, == and to_text for exact values, and
-    1e-12 relative agreement for floats (an absolute 1e-13 at a cancelled 0)."""
+    1e-12 relative agreement for floats (an absolute 1e-13 at a cancelled 0).
+    A drawn log factor is refused."""
     sig = Signature(m, n)
     h = RadialProfile({(Fraction(b, q), d, a): ExactScalar.rational(c) for c, b, q, d, a in terms})
-    got, want = _outcome(reduce_integral, h, sig), _outcome(_branch_reduce_integral, h, sig)
+    got = _outcome(reduce_integral, h, sig)
+    if any(d for _, d, _ in h.terms):
+        assert isinstance(got, NonIntegrableError), got
+        return
+    want = _outcome(_branch_reduce_integral, h, sig)
     if isinstance(want, Exception):
         assert type(got) is type(want), (got, want)
     elif isinstance(want, ExactScalar):
@@ -658,22 +653,21 @@ def test_reduce_integral_matches_branch_route(m, n, terms):
 
 
 def test_reduce_integral_matches_branch_route_on_evaluators_and_logs():
-    """Evaluators and log-factor profiles go by parts, with the branch route's
-    prefactor and integrand, so their floats are bit-identical."""
-    profiles = [_GaussProfile(), _GaussProfile(-2.5), NumericProfile.polynomial([1, 1]),
-                RadialProfile.power_log(1) * RadialProfile.exponential(1),
-                RadialProfile.power_log(Fraction(3, 2)) * RadialProfile.exponential(Fraction(1, 3)),
-                RadialProfile.power_log(Fraction(1, 2)) * RadialProfile.exponential(2)
-                + RadialProfile.exponential(1), RadialProfile.power_log(0)]
+    """Evaluators and log-factor profiles have no closed-form Mellin moment:
+    both are refused at every M, a log profile with an undamped term by the
+    decay message that the CLI prints for powlog."""
+    evaluators = [_GaussProfile(), _GaussProfile(-2.5), NumericProfile.polynomial([1, 1])]
+    logs = [RadialProfile.power_log(1) * RadialProfile.exponential(1),
+            RadialProfile.power_log(Fraction(3, 2)) * RadialProfile.exponential(Fraction(1, 3)),
+            RadialProfile.power_log(Fraction(1, 2)) * RadialProfile.exponential(2)
+            + RadialProfile.exponential(1)]
     for m in range(1, 7):
         for n in range(4):
             sig = Signature(m, n)
-            for h in profiles:
-                got, want = _outcome(reduce_integral, h, sig), _outcome(_branch_reduce_integral, h, sig)
-                if isinstance(want, Exception):
-                    assert type(got) is type(want), (sig, got, want)
-                else:
-                    assert got == want and type(got) is type(want), (sig, got, want)
+            for h, message in ([(h, "RadialProfile") for h in evaluators] + [(h, "log factor") for h in logs]
+                               + [(RadialProfile.power_log(0), "not exponentially decaying")]):
+                with pytest.raises(NonIntegrableError, match=message):
+                    reduce_integral(h, sig)
 
 
 def test_reduce_integral_of_laguerre_profiles_matches_gaussian_integral():
@@ -737,18 +731,3 @@ def test_reduce_integral_floats_match_mpmath():
                 else:
                     assert abs(got - want) <= 1e-13 * abs(want), (sig, text, got, float(want))
     assert floats == 12 * len(texts)
-
-
-def test_quadrature_helper_known_integral():
-    assert abs(quad_0_inf(lambda v: math.exp(-v * v)) - math.sqrt(math.pi) / 2) < 1e-12
-    # divergent at infinity, at zero, or at both: the cut-off tail shows in
-    # the estimate
-    for fn in (lambda v: v**4, lambda v: 1.0, lambda v: 1 / v, lambda v: 1 / (1 + v),
-               lambda v: v**-1.5 * math.exp(-v)):
-        with pytest.raises(NonIntegrableError):
-            quad_0_inf(fn)
-    # far nodes must not overflow u^9 where e^{-u} underflows, and the value
-    # Gamma(21/2) / 2 ~ 5.6e5 needs a relative error estimate
-    h = RadialProfile.power(9) * RadialProfile.exponential(1)
-    want = math.gamma(10.5) / 2
-    assert abs(quad_0_inf(lambda v: v**2 * h(v * v), 1e-10) - want) < 1e-12 * want

@@ -99,8 +99,6 @@ def test_numeric_evaluator_fail_fast():
     assert p.eval_deriv(2, 1.0) == pytest.approx(math.exp(-1.0))
     with pytest.raises(ValueError, match="unavailable"):
         p.eval_deriv(3, 1.0)
-    with pytest.raises(ValueError, match="unavailable"):
-        p.derivative().derivative().derivative()
     # a numeric profile has no arithmetic
     with pytest.raises(TypeError):
         p + RadialProfile.power(1)
@@ -316,25 +314,6 @@ def test_laplacian_profile_sweep_matches_composition(terms, M):
     got = laplacian_profile(h, M)
     assert got == composed
     assert all(got.terms.values())
-
-
-def test_laplacian_numeric_identity_matches_symbolic():
-    # numeric-evaluator route 4u h^{(j+2)} + (4j+2M) h^{(j+1)} against the
-    # symbolic derivative chain
-    for M in (1, 0, -2, 3):
-        sym = RadialProfile.exponential(Fraction(1, 2))
-        num = NumericProfile(lambda j, u: (-0.5) ** j * math.exp(-u / 2), j_max=8)
-        ls, ln = laplacian_profile(sym, M), laplacian_profile(num, M)
-        for u in (0.3, 1.0, 2.7):
-            for order in (0, 1, 2):
-                assert abs(ls.eval_deriv(order, u) - ln.eval_deriv(order, u)) < 1e-10
-
-
-@pytest.mark.parametrize("j_max", [0, 1])
-def test_laplacian_numeric_needs_two_derivatives(j_max):
-    h = NumericProfile(lambda j, u: math.exp(-u), j_max=j_max)
-    with pytest.raises(ValueError, match="for the radial Laplacian"):
-        laplacian_profile(h, 3)
 
 
 def test_laplacian_on_radial_times_harmonic():

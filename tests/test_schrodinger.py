@@ -63,7 +63,7 @@ def reduction_residual_at(problem, f, E: float, u: float) -> float:
     return (
         -2 * u * f.eval_deriv(2, u)
         - problem.sector_dimension * f.eval_deriv(1, u)
-        + (problem.V(u) - E) * f(u)
+        + (problem.V(u) - E) * f.eval_deriv(0, u)
     )
 
 
